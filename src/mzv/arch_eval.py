@@ -32,11 +32,9 @@ from .symbols import (
     SymbolPoly,
     ZetaSym,
 )
-from .words import Word
 from .ratfunc import RatFunc
 
 MZV_TOLERANCE = 1e-6
-DEPTH1_TOLERANCE = 1e-8
 _CUTOFF = 2_000_000
 _CHUNK = 250_000
 
@@ -56,22 +54,30 @@ def _power_tail_error(k: int, m: float) -> float:
 
 def _stream_prefixes(entries: tuple[int, ...], cutoff: int) -> list[float]:
     """F_j(cutoff) for j = 1..depth, where F_j(n) sums the depth-j nested
-    prefix of the index over n_j <= n."""
+    prefix of the index over n_j <= n.
+
+    Every level and chunk works in the same two buffers: a fresh
+    multi-megabyte temporary per operation makes the allocator return and
+    re-fault its pages each time.
+    """
     carries = [0.0] * len(entries)
+    g_buf, prev_buf = np.empty(_CHUNK), np.empty(_CHUNK)
     lo = 1
     while lo <= cutoff:
         hi = min(lo + _CHUNK, cutoff + 1)
         n = np.arange(lo, hi, dtype=np.float64)
-        prev_excl = None
+        g, prev_excl = g_buf[: hi - lo], prev_buf[: hi - lo]
         for j, k in enumerate(entries):
-            g = n ** (-float(k))
-            if prev_excl is not None:
-                g = g * prev_excl
-            csum = np.cumsum(g)
-            total = carries[j] + csum
+            g[:] = n
+            g **= -float(k)
+            if j:
+                g *= prev_excl
+            np.cumsum(g, out=g)
+            g += carries[j]
             # exclusive prefix F_j(n-1) feeding the next level
-            prev_excl = np.concatenate(([carries[j]], total[:-1]))
-            carries[j] = float(total[-1])
+            prev_excl[0] = carries[j]
+            prev_excl[1:] = g[:-1]
+            carries[j] = float(g[-1])
         lo = hi
     return carries
 
@@ -258,12 +264,10 @@ def sv_depth2_direct(a: int, b: int, z: complex) -> complex:
 # -- numeric evaluation of symbolic expressions --------------------------------
 
 
-def lambda_value(word: Word) -> float:
+def lambda_value(word: str) -> float:
     """Numeric character value of the complex associator on a Lyndon word."""
     from .shufflealg import index_of_word, is_convergent_word
 
-    if word.weight <= 1:
-        return 0.0
     if not is_convergent_word(word):
         return 0.0
     entries, sign = index_of_word(word)
@@ -290,7 +294,7 @@ def evaluate_symbol_poly(poly: SymbolPoly, z: complex | None = None, lambda_tag:
         if isinstance(g, LambdaSym):
             if g.tag != lambda_tag:
                 raise ValueError(f"lambda symbol {g} does not match tag {lambda_tag!r}")
-            return lambda_value(Word(g.word))
+            return lambda_value(g.word)
         if isinstance(g, LogSym):
             if g.arg == ARG_ABS_Z_SQ:
                 return log_abs_sq(args[ARG_Z])

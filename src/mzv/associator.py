@@ -34,7 +34,7 @@ from .symbols import (
     ZetaSym,
     formal_derivative,
 )
-from .words import Word, lyndon_words
+from .words import is_lyndon, lyndon_words
 
 COMPLEX_KZ = "complex_KZ"
 PADIC_KZ = "padic_KZ"
@@ -67,12 +67,15 @@ def gt_unit(ring: Ring, truncation: int) -> GTPair:
     return GTPair(ring.one, NCSeries.one(ring, truncation))
 
 
-def _twisted_images(g: NCSeries, c_inv, truncation: int) -> tuple[NCSeries, NCSeries]:
-    ring = g.ring
-    img_a = NCSeries.letter(ring, "A", truncation, coeff=c_inv)
-    b = NCSeries.letter(ring, "B", truncation, coeff=c_inv)
-    img_b = g.invert() * b * g
-    return img_a, img_b
+def twisted_substitution(f: NCSeries, g: NCSeries, s) -> NCSeries:
+    """f(sA, g^-1 (sB) g): the substitution behind the composition law, the
+    Frobenius and conjugation quotients and the comparison identity."""
+    ring = f.ring
+    n = min(f.truncation, g.truncation)
+    s = ring.from_fraction(s) if isinstance(s, (int, Fraction)) else s
+    img_a = NCSeries.letter(ring, "A", n, coeff=s)
+    img_b = g.invert() * NCSeries.letter(ring, "B", n, coeff=s) * g
+    return f.substitute(img_a, img_b)
 
 
 def gt_compose(p2: GTPair, p1: GTPair) -> GTPair:
@@ -80,48 +83,39 @@ def gt_compose(p2: GTPair, p1: GTPair) -> GTPair:
     ring = p2.g.ring
     if not ring.compatible(p1.g.ring):
         raise ValueError("GT pairs over incompatible rings")
-    n = min(p1.g.truncation, p2.g.truncation)
     if not ring.is_unit(p2.c):
         raise ValueError("the scalar of a GT pair must be invertible")
-    img_a, img_b = _twisted_images(p2.g.truncate(n), ring.invert(p2.c), n)
-    return GTPair(p1.c * p2.c, p2.g.truncate(n) * p1.g.substitute(img_a, img_b))
+    return GTPair(p1.c * p2.c, p2.g * twisted_substitution(p1.g, p2.g, ring.invert(p2.c)))
 
 
-def substitution_preimage(target: NCSeries, img_a: NCSeries, img_b: NCSeries) -> NCSeries:
-    """Solve substitute(h, img_a, img_b) == target by weight recursion.
+def substitution_preimage(target: NCSeries, g: NCSeries, s) -> NCSeries:
+    """Solve twisted_substitution(h, g, s) == target by weight recursion.
 
-    The images must be a letter scaled by a unit plus higher-weight terms,
-    so the substitution is weight-triangular and the preimage unique.
+    The scale s must be a unit; a word w then maps to s^|w| w plus
+    higher-weight terms, so the substitution is weight-triangular and the
+    preimage unique.
     """
     ring = target.ring
     n = target.truncation
-    sa, sb = img_a["A"], img_b["B"]
-    if not (ring.is_unit(sa) and ring.is_unit(sb)):
-        raise ValueError("substitution images need unit letter coefficients")
-    sa_inv, sb_inv = ring.invert(sa), ring.invert(sb)
+    if not ring.is_unit(s):
+        raise ValueError("the twisted substitution needs a unit scale")
+    s_inv = ring.invert(s)
     h = NCSeries.zero(ring, n)
     for _ in range(n + 2):
-        r = target - h.substitute(img_a, img_b)
+        r = target - twisted_substitution(h, g, s)
         if r.is_zero():
             return h
-        low = min(w.weight for w in r.coeffs)
-        fix = {}
-        for w, c in r.weight_part(low).items():
-            scale = ring.one
-            for letter in w.letters:
-                scale = scale * (sa_inv if letter == "A" else sb_inv)
-            fix[w] = c * scale
-        h = h + NCSeries(ring, n, fix)
-    raise AssertionError("substitution preimage did not converge; images may not be triangular")
+        low = min(len(w) for w in r.coeffs)
+        scale = ring.one
+        for _ in range(low):
+            scale = scale * s_inv
+        h = h + NCSeries(ring, n, {w: c * scale for w, c in r.weight_part(low).items()})
+    raise AssertionError("substitution preimage did not converge")
 
 
 def gt_invert(p: GTPair) -> GTPair:
-    ring = p.g.ring
-    n = p.g.truncation
-    c_inv = ring.invert(p.c)
-    img_a, img_b = _twisted_images(p.g, c_inv, n)
-    h = substitution_preimage(p.g.invert(), img_a, img_b)
-    return GTPair(c_inv, h)
+    c_inv = p.g.ring.invert(p.c)
+    return GTPair(c_inv, substitution_preimage(p.g.invert(), p.g, c_inv))
 
 
 # -- symbolic and numeric associator builders ----------------------------------
@@ -133,8 +127,8 @@ def build_symbolic_associator(tag: str, truncation: int) -> NCSeries:
     weight >= 2 and vanishing letter coefficients."""
     assignments = {}
     for w in lyndon_words(truncation):
-        if w.weight >= 2:
-            assignments[w] = SymbolPoly.gen(LambdaSym(tag, w.letters))
+        if len(w) >= 2:
+            assignments[w] = SymbolPoly.gen(LambdaSym(tag, w))
     return character_series(assignments, truncation, SYMBOLIC)
 
 
@@ -146,7 +140,7 @@ def build_numeric_kz(truncation: int, tolerance: float = 1e-9) -> NCSeries:
     ring = complex_ring(tolerance)
     assignments = {}
     for w in lyndon_words(truncation):
-        if w.weight >= 2 and is_convergent_word(w):
+        if is_convergent_word(w):
             entries, sign = index_of_word(w)
             assignments[w] = complex(sign * mzv(entries))
     return character_series(assignments, truncation, ring)
@@ -211,14 +205,9 @@ def _solve_twisted(phi: NCSeries, scale) -> NCSeries:
     The conjugation by G only involves strictly lower weights of G, so
     iterating from G = 1 fixes one extra weight per pass.
     """
-    ring = phi.ring
-    n = phi.truncation
-    s = ring.from_fraction(scale) if isinstance(scale, (int, Fraction)) else scale
-    g = NCSeries.one(ring, n)
-    for _ in range(n + 1):
-        img_a = NCSeries.letter(ring, "A", n, coeff=s)
-        img_b = g.invert() * NCSeries.letter(ring, "B", n, coeff=s) * g
-        nxt = phi * phi.substitute(img_a, img_b).invert()
+    g = NCSeries.one(phi.ring, phi.truncation)
+    for _ in range(phi.truncation + 1):
+        nxt = phi * twisted_substitution(phi, g, scale).invert()
         if nxt == g:
             return g
         g = nxt
@@ -236,47 +225,9 @@ def solve_minus(phi_kz: NCSeries) -> NCSeries:
 
 
 def comparison_residual(phi_kz: NCSeries, g: NCSeries, scale) -> NCSeries:
-    """phi_kz - g * substitute(phi_kz, scale*A, g^-1 (scale*B) g); exact zero
-    certifies the twisted-quotient identity."""
-    ring = phi_kz.ring
-    n = min(phi_kz.truncation, g.truncation)
-    s = ring.from_fraction(scale) if isinstance(scale, (int, Fraction)) else scale
-    img_a = NCSeries.letter(ring, "A", n, coeff=s)
-    img_b = g.invert() * NCSeries.letter(ring, "B", n, coeff=s) * g
-    return phi_kz.truncate(n) - g.truncate(n) * phi_kz.truncate(n).substitute(img_a, img_b)
-
-
-# -- Frobenius / infinity / period substitutions --------------------------------
-
-
-def frobenius_substitution(f: NCSeries, phi_de: NCSeries, p: int) -> NCSeries:
-    """A -> A/p, B -> phi_de^-1 (B/p) phi_de."""
-    ring = f.ring
-    n = min(f.truncation, phi_de.truncation)
-    inv_p = ring.from_fraction(Fraction(1, p))
-    img_a = NCSeries.letter(ring, "A", n, coeff=inv_p)
-    img_b = phi_de.invert() * NCSeries.letter(ring, "B", n, coeff=inv_p) * phi_de
-    return f.substitute(img_a, img_b)
-
-
-def infinity_substitution(f: NCSeries, phi_minus: NCSeries) -> NCSeries:
-    """A -> -A, B -> phi_minus^-1 (-B) phi_minus."""
-    ring = f.ring
-    n = min(f.truncation, phi_minus.truncation)
-    minus_one = ring.from_fraction(-1)
-    img_a = NCSeries.letter(ring, "A", n, coeff=minus_one)
-    img_b = phi_minus.invert() * NCSeries.letter(ring, "B", n, coeff=minus_one) * phi_minus
-    return f.substitute(img_a, img_b)
-
-
-def period_substitution(f: NCSeries, phi_kz: NCSeries, two_pi_i=None) -> NCSeries:
-    """A -> 2*pi*i*A, B -> phi_kz^-1 (2*pi*i*B) phi_kz."""
-    ring = f.ring
-    n = min(f.truncation, phi_kz.truncation)
-    mu = two_pi_i if two_pi_i is not None else 2j * math.pi
-    img_a = NCSeries.letter(ring, "A", n, coeff=mu)
-    img_b = phi_kz.invert() * NCSeries.letter(ring, "B", n, coeff=mu) * phi_kz
-    return f.substitute(img_a, img_b)
+    """phi_kz - g * phi_kz(scale*A, g^-1 (scale*B) g); exact zero certifies
+    the twisted-quotient identity."""
+    return phi_kz - g * twisted_substitution(phi_kz, g, scale)
 
 
 # -- fundamental-solution builders ----------------------------------------------
@@ -289,12 +240,12 @@ def g0_symbolic(arg: str, truncation: int, li_flavor: str = "plain") -> NCSeries
     Character values on Lyndon words: A maps to log(arg), B to -Li_1(arg),
     and every other Lyndon word to its (-1)^depth-signed Li symbol.
     """
-    assignments: dict[Word, SymbolPoly] = {
-        Word("A"): SymbolPoly.gen(LogSym(arg)),
-        Word("B"): -SymbolPoly.gen(LiSym(li_flavor, (1,), arg)),
+    assignments: dict[str, SymbolPoly] = {
+        "A": SymbolPoly.gen(LogSym(arg)),
+        "B": -SymbolPoly.gen(LiSym(li_flavor, (1,), arg)),
     }
     for w in lyndon_words(truncation):
-        if w.weight >= 2:
+        if len(w) >= 2:
             entries, sign = index_of_word(w)
             assignments[w] = SymbolPoly.gen(LiSym(li_flavor, entries, arg), Fraction(sign))
     return character_series(assignments, truncation, SYMBOLIC)
@@ -302,7 +253,7 @@ def g0_symbolic(arg: str, truncation: int, li_flavor: str = "plain") -> NCSeries
 
 @lru_cache(maxsize=None)
 def overconvergent_g0(p: int, truncation: int) -> NCSeries:
-    """G0(z) * [G0 at z^p twisted by the Frobenius substitution]^-1.
+    """G0(z) * [G0 at z^p twisted by A -> A/p, B -> phi_de^-1 (B/p) phi_de]^-1.
 
     The word coefficients, sign-adjusted, define the overconvergent
     polylogarithm expressions.
@@ -310,16 +261,16 @@ def overconvergent_g0(p: int, truncation: int) -> NCSeries:
     phi_de = solve_deligne(build_symbolic_associator("p", truncation), p)
     base = g0_symbolic(ARG_Z, truncation)
     shifted = g0_symbolic(ARG_Z_POW_P, truncation)
-    return base * frobenius_substitution(shifted, phi_de, p).invert()
+    return base * twisted_substitution(shifted, phi_de, Fraction(1, p)).invert()
 
 
 @lru_cache(maxsize=None)
 def single_valued_g0(truncation: int) -> NCSeries:
-    """G0(z) * [G0 at zbar twisted by the infinity substitution]^-1."""
+    """G0(z) * [G0 at zbar twisted by A -> -A, B -> phi_minus^-1 (-B) phi_minus]^-1."""
     phi_minus = solve_minus(build_symbolic_associator("c", truncation))
     base = g0_symbolic(ARG_Z, truncation)
     conj = g0_symbolic(ARG_Z_CONJ, truncation)
-    return base * infinity_substitution(conj, phi_minus).invert()
+    return base * twisted_substitution(conj, phi_minus, -1).invert()
 
 
 def dagger_coefficient(index: tuple[int, ...], p: int, truncation: int | None = None) -> SymbolPoly:
@@ -348,8 +299,8 @@ def canonicalize_li_symbols(poly: SymbolPoly) -> SymbolPoly:
     for g in poly.generators():
         if isinstance(g, LiSym):
             word, sign = word_of_index(g.index)
-            if not word.is_lyndon():
-                table = g0_symbolic(g.arg, word.weight, g.flavor)
+            if not is_lyndon(word):
+                table = g0_symbolic(g.arg, len(word), g.flavor)
                 mapping[g] = Fraction(sign) * table[word]
     return poly.substitute(mapping) if mapping else poly
 
@@ -367,10 +318,6 @@ def rewrite_logs(poly: SymbolPoly, p: int | None = None) -> SymbolPoly:
     return poly.substitute(mapping) if mapping else poly
 
 
-def rewrite_series_logs(f: NCSeries, p: int | None = None) -> NCSeries:
-    return NCSeries(f.ring, f.truncation, {w: rewrite_logs(c, p) for w, c in f.coeffs.items()})
-
-
 # -- differential-equation residuals ---------------------------------------------
 
 
@@ -378,8 +325,8 @@ def _kz_operator(truncation: int) -> NCSeries:
     one_over_z = RatFunc(poly_from_coeffs([1]), poly_from_coeffs([0, 1]))
     one_over_zm1 = RatFunc(poly_from_coeffs([1]), poly_from_coeffs([-1, 1]))
     return NCSeries(SYMBOLIC, truncation, {
-        Word("A"): SymbolPoly.constant(one_over_z),
-        Word("B"): SymbolPoly.constant(one_over_zm1),
+        "A": SymbolPoly.constant(one_over_z),
+        "B": SymbolPoly.constant(one_over_zm1),
     })
 
 
@@ -397,10 +344,11 @@ def verify_kz_equation(g: NCSeries, p: int | None = None,
     if frobenius_conjugator is not None:
         if p is None:
             raise ValueError("the modified equation needs the prime p")
-        conj = frobenius_conjugator.invert() * NCSeries.letter(SYMBOLIC, "B", n) * frobenius_conjugator
+        # conj(B) = phi_de^-1 B phi_de: the twisted substitution at scale 1
+        conj = twisted_substitution(NCSeries.letter(SYMBOLIC, "B", n), frobenius_conjugator, 1)
         weight = RatFunc(poly_from_coeffs([0] * (p - 1) + [1]),
                          poly_from_coeffs([-1] + [0] * (p - 1) + [1]))
-        right = NCSeries(SYMBOLIC, n, {Word("A"): SymbolPoly.constant(
+        right = NCSeries(SYMBOLIC, n, {"A": SymbolPoly.constant(
             RatFunc(poly_from_coeffs([1]), poly_from_coeffs([0, 1])))})
         right = right + conj.scale(SymbolPoly.constant(weight))
         residual = residual + g * right
@@ -497,8 +445,7 @@ def ad_power_bracket(m: int, ring: Ring, truncation: int) -> NCSeries:
     """(ad A)^(m-1)(B) expanded in words."""
     coeffs = {}
     for j in range(m):
-        w = Word("A" * (m - 1 - j) + "B" + "A" * j)
-        coeffs[w] = ring.from_fraction(Fraction((-1) ** j * math.comb(m - 1, j)))
+        coeffs["A" * (m - 1 - j) + "B" + "A" * j] = ring.from_fraction(Fraction((-1) ** j * math.comb(m - 1, j)))
     return NCSeries(ring, truncation, coeffs)
 
 
@@ -514,7 +461,7 @@ def lie_leading_term(phi: NCSeries, m: int):
         raise ValueError("need 2 <= m <= truncation")
     ring = phi.ring
     log_phi = phi.log()
-    lead = log_phi[Word("A" * (m - 1) + "B")]
+    lead = log_phi["A" * (m - 1) + "B"]
     bracket = ad_power_bracket(m, ring, phi.truncation)
     for w, c in bracket.coeffs.items():
         got = log_phi[w]

@@ -207,9 +207,6 @@ class BraidElement:
     def commutator(self, other: "BraidElement") -> "BraidElement":
         return self * other - other * self
 
-    def coefficient_magnitudes(self) -> dict[Monomial, float]:
-        return {m: abs(c) for m, c in self.coeffs.items()}
-
     def max_abs(self) -> float:
         return max((abs(c) for c in self.coeffs.values()), default=0.0)
 
@@ -244,7 +241,6 @@ def evaluate_series(series, x: BraidElement, y: BraidElement, degree_cap: int | 
 
     acc = BraidElement(cap, {})
     for w, c in series.coeffs.items():
-        if w.weight > cap:
-            continue
-        acc = acc + image(w.letters).scale(c)
+        if len(w) <= cap:
+            acc = acc + image(w).scale(c)
     return acc

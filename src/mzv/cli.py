@@ -12,7 +12,6 @@ import functools
 import json
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import click
@@ -117,25 +116,19 @@ def mzv_eval(index, tolerance, pretty):
 @click.option("--format", "fmt", default="csv", show_default=True, type=click.Choice(["csv", "json"]))
 @click.option("--check-numeric/--no-check-numeric", default=False,
               help="also evaluate every row numerically (complex flavor)")
-@click.option("--jobs", type=int, default=1, show_default=True)
 @_internal_errors
-def mzv_relations(weight, flavor, fmt, check_numeric, jobs):
+def mzv_relations(weight, flavor, fmt, check_numeric):
     """Double-shuffle relation rows and their exact rank reduction."""
     from .shufflealg import generate_double_shuffle, monomial_str, reduce_relations
 
     rows = generate_double_shuffle(weight, flavor)
     red = reduce_relations(rows, weight)
-    failures = 0
     numeric = {}
     if check_numeric:
         from .arch_eval import evaluate_relation_row
 
-        with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-            vals = list(pool.map(evaluate_relation_row, rows))
-        for i, v in enumerate(vals):
-            numeric[i] = v
-            if abs(v) > 1e-5:
-                failures += 1
+        numeric = {i: evaluate_relation_row(row) for i, row in enumerate(rows)}
+    failures = sum(1 for v in numeric.values() if abs(v) > 1e-5)
     if fmt == "csv":
         click.echo("row,weight,provenance,monomial,coefficient")
         for i, row in enumerate(rows):
@@ -175,21 +168,7 @@ def mzv_relations(weight, flavor, fmt, check_numeric, jobs):
 
 @click.group(context_settings=CONTEXT_SETTINGS)
 def assoc():
-    """Associator-type series: builders and identity verification."""
-
-
-@assoc.command("build")
-@click.option("--flavor", default="padic_KZ", show_default=True,
-              type=click.Choice(["complex_KZ", "padic_KZ", "padic_Deligne", "minus_KZ", "symbolic_lambda"]))
-@click.option("--weight", type=int, default=4, show_default=True)
-@click.option("--p", type=int, default=None)
-@_internal_errors
-def assoc_build(flavor, weight, p):
-    """Build an associator and print its canonical serialization."""
-    from .associator import build_associator
-    from .serialize import series_to_json
-
-    click.echo(series_to_json(build_associator(flavor, weight, p)), nl=False)
+    """Associator-type series: identity verification."""
 
 
 def _verify_identity(identity: str, weight: int, p: int | None, flavor: str, tolerance: float) -> list[dict]:
@@ -296,10 +275,9 @@ def _verify_identity(identity: str, weight: int, p: int | None, flavor: str, tol
 @click.option("--tolerance", default=1e-6, show_default=True)
 @click.option("--format", "fmt", default="json", show_default=True, type=click.Choice(["json", "csv"]),
               help="csv emits one line per check (symbolic constraints land in the detail column)")
-@click.option("--jobs", type=int, default=1, show_default=True, help="parallelism bound for independent checks")
 @click.option("--pretty", is_flag=True)
 @_internal_errors
-def assoc_verify(identity, weight, p, flavor, tolerance, fmt, jobs, pretty):
+def assoc_verify(identity, weight, p, flavor, tolerance, fmt, pretty):
     """Verify one defining identity and report residuals."""
     checks = _verify_identity(identity, weight, p, flavor, tolerance)
     if fmt == "csv":
@@ -357,10 +335,9 @@ def padic_polylog_cmd(p, k, z, prec, dagger, pretty):
 @click.option("--prec", type=int, default=30, show_default=True)
 @click.option("--digits", type=int, default=20, show_default=True, help="required agreement digits")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--jobs", type=int, default=1, show_default=True)
 @click.option("--pretty", is_flag=True)
 @_internal_errors
-def padic_verify_spain(primes, kmax, points, prec, digits, seed, jobs, pretty):
+def padic_verify_spain(primes, kmax, points, prec, digits, seed, pretty):
     """Check the depth-1 overconvergent identity numerically on random points."""
     from .padic_eval import padic_li_dagger, padic_polylog
     from .padics import PadicNumber
@@ -384,8 +361,7 @@ def padic_verify_spain(primes, kmax, points, prec, digits, seed, jobs, pretty):
         return {"name": f"p={p} k={k} z={zq}", "status": "pass" if ok else "fail",
                 "residual": str(diff), "tolerance": f"agreement to {digits} digits"}
 
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        checks = list(pool.map(run, tasks))
+    checks = [run(task) for task in tasks]
     _emit(_report("padic verify-spain", checks), pretty)
 
 

@@ -11,7 +11,7 @@ import json
 
 from .rings import QQ, SYMBOLIC, ZZ, ComplexRing, PadicRing, RationalRing, Ring, IntegerRing, SymbolicRing
 from .series import NCSeries
-from .words import Word
+from .words import Word, word_key
 
 FORMAT = "ncseries/1"
 
@@ -51,8 +51,8 @@ def series_to_dict(f: NCSeries) -> dict:
         "ring": ring_tag(f.ring),
         "truncation": f.truncation,
         "terms": [
-            {"word": w.letters, "coeff": f.ring.coeff_str(f.coeffs[w])}
-            for w in sorted(f.coeffs)
+            {"word": w, "coeff": f.ring.coeff_str(f.coeffs[w])}
+            for w in sorted(f.coeffs, key=word_key)
         ],
     }
 

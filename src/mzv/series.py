@@ -7,12 +7,13 @@ minimum truncation weight of the operands and is weight-exact below it.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
 from .rings import Ring, RingMismatchError
 from .shufflealg import shuffle_many
-from .words import EMPTY, Word, all_words, lyndon_multiplicity_factorization, lyndon_words, words_up_to
+from .words import all_words, is_lyndon, lyndon_multiplicity_factorization, lyndon_words, word_key, words_up_to
 
 DEFAULT_TRUNCATION = 5
 # hard cap; reassign to go higher (word counts double per weight)
@@ -22,14 +23,14 @@ MAX_TRUNCATION = 16
 class NCSeries:
     __slots__ = ("ring", "truncation", "coeffs")
 
-    def __init__(self, ring: Ring, truncation: int, coeffs: dict[Word, object] | None = None):
+    def __init__(self, ring: Ring, truncation: int, coeffs: dict[str, object] | None = None):
         if truncation < 0:
             raise ValueError("truncation weight must be nonnegative")
         if truncation > MAX_TRUNCATION:
             raise ValueError(f"truncation weight {truncation} exceeds the cap {MAX_TRUNCATION}")
         clean = {}
         for w, c in (coeffs or {}).items():
-            if w.weight > truncation:
+            if len(w) > truncation:
                 raise ValueError(f"word {w} exceeds truncation weight {truncation}")
             if not ring.is_zero(c):
                 clean[w] = c
@@ -48,32 +49,27 @@ class NCSeries:
 
     @staticmethod
     def one(ring: Ring, truncation: int = DEFAULT_TRUNCATION) -> "NCSeries":
-        return NCSeries(ring, truncation, {EMPTY: ring.one})
+        return NCSeries(ring, truncation, {"": ring.one})
 
     @staticmethod
     def letter(ring: Ring, name: str, truncation: int = DEFAULT_TRUNCATION, coeff=None) -> "NCSeries":
-        return NCSeries(ring, truncation, {Word(name): ring.one if coeff is None else coeff})
+        return NCSeries(ring, truncation, {name: ring.one if coeff is None else coeff})
 
     # -- access ---------------------------------------------------------
 
-    def __getitem__(self, word) -> object:
-        if isinstance(word, str):
-            word = Word(word)
-        if word.weight > self.truncation:
+    def __getitem__(self, word: str) -> object:
+        if len(word) > self.truncation:
             raise KeyError(f"word {word} is beyond the truncation weight {self.truncation}")
         return self.coeffs.get(word, self.ring.zero)
 
     def words(self):
-        return sorted(self.coeffs)
+        return sorted(self.coeffs, key=word_key)
 
     def constant_term(self):
-        return self[EMPTY]
+        return self[""]
 
-    def weight_part(self, n: int) -> dict[Word, object]:
-        return {w: c for w, c in self.coeffs.items() if w.weight == n}
-
-    def max_weight_stored(self) -> int:
-        return max((w.weight for w in self.coeffs), default=0)
+    def weight_part(self, n: int) -> dict[str, object]:
+        return {w: c for w, c in self.coeffs.items() if len(w) == n}
 
     # -- ring plumbing ----------------------------------------------------
 
@@ -84,18 +80,18 @@ class NCSeries:
             raise RingMismatchError(f"incompatible rings {self.ring} and {other.ring}")
         return min(self.truncation, other.truncation)
 
-    def _from(self, truncation: int, coeffs: dict[Word, object]) -> "NCSeries":
+    def _from(self, truncation: int, coeffs: dict[str, object]) -> "NCSeries":
         return NCSeries(self.ring, truncation, coeffs)
 
     # -- linear structure ---------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = NCSeries(self.ring, self.truncation, {EMPTY: self.ring.from_fraction(other)})
+            other = NCSeries(self.ring, self.truncation, {"": self.ring.from_fraction(other)})
         n = self._join(other)
-        out = {w: c for w, c in self.coeffs.items() if w.weight <= n}
+        out = {w: c for w, c in self.coeffs.items() if len(w) <= n}
         for w, c in other.coeffs.items():
-            if w.weight <= n:
+            if len(w) <= n:
                 out[w] = out[w] + c if w in out else c
         return self._from(n, out)
 
@@ -106,7 +102,7 @@ class NCSeries:
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = NCSeries(self.ring, self.truncation, {EMPTY: self.ring.from_fraction(other)})
+            other = NCSeries(self.ring, self.truncation, {"": self.ring.from_fraction(other)})
         return self + (-other)
 
     def __rsub__(self, other):
@@ -120,7 +116,7 @@ class NCSeries:
 
     def truncate(self, n: int) -> "NCSeries":
         n = min(n, self.truncation)
-        return self._from(n, {w: c for w, c in self.coeffs.items() if w.weight <= n})
+        return self._from(n, {w: c for w, c in self.coeffs.items() if len(w) <= n})
 
     # -- multiplication -----------------------------------------------------
 
@@ -128,12 +124,13 @@ class NCSeries:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         n = self._join(other)
-        out: dict[Word, object] = {}
+        out: dict[str, object] = {}
         for u, cu in self.coeffs.items():
-            if u.weight > n:
+            room = n - len(u)
+            if room < 0:
                 continue
             for v, cv in other.coeffs.items():
-                if u.weight + v.weight > n:
+                if len(v) > room:
                     continue
                 w = u + v
                 add = cu * cv
@@ -152,16 +149,15 @@ class NCSeries:
             raise ValueError("series inverse needs a unit constant term")
         inv0 = self.ring.invert(c0)
         n = self.truncation
-        out: dict[Word, object] = {EMPTY: inv0}
+        out: dict[str, object] = {"": inv0}
         by_weight = [self.weight_part(k) for k in range(n + 1)]
         for weight in range(1, n + 1):
             for w in all_words(weight):
                 acc = None
                 for k in range(1, weight + 1):
                     for u, cu in by_weight[k].items():
-                        if w.letters.startswith(u.letters):
-                            v = Word(w.letters[len(u.letters):])
-                            g = out.get(v)
+                        if w.startswith(u):
+                            g = out.get(w[len(u):])
                             if g is not None:
                                 term = cu * g
                                 acc = term if acc is None else acc + term
@@ -184,17 +180,15 @@ class NCSeries:
         images = {"A": img_a.truncate(n), "B": img_b.truncate(n)}
         memo: dict[str, NCSeries] = {"": NCSeries.one(self.ring, n)}
 
-        def image(word: Word) -> NCSeries:
-            s = word.letters
-            if s not in memo:
-                memo[s] = image(Word(s[:-1])) * images[s[-1]]
-            return memo[s]
+        def image(word: str) -> NCSeries:
+            if word not in memo:
+                memo[word] = image(word[:-1]) * images[word[-1]]
+            return memo[word]
 
         acc = NCSeries.zero(self.ring, n)
         for w, c in self.coeffs.items():
-            if w.weight > n:
-                continue
-            acc = acc + image(w).scale(c)
+            if len(w) <= n:
+                acc = acc + image(w).scale(c)
         return acc
 
     # -- exp / log ------------------------------------------------------------
@@ -249,8 +243,7 @@ class NCSeries:
     def __str__(self):
         if not self.coeffs:
             return "0"
-        parts = [f"({self.ring.coeff_str(c)})*{w}" if w.weight else f"({self.ring.coeff_str(c)})"
-                 for w, c in sorted(self.coeffs.items())]
+        parts = [f"({self.ring.coeff_str(self.coeffs[w])})" + (f"*{w}" if w else "") for w in self.words()]
         return " + ".join(parts)
 
     def __repr__(self):
@@ -262,10 +255,10 @@ class TensorSeries:
 
     __slots__ = ("ring", "truncation", "coeffs")
 
-    def __init__(self, ring: Ring, truncation: int, coeffs: dict[tuple[Word, Word], object] | None = None):
+    def __init__(self, ring: Ring, truncation: int, coeffs: dict[tuple[str, str], object] | None = None):
         clean = {}
         for (u, v), c in (coeffs or {}).items():
-            if u.weight + v.weight > truncation:
+            if len(u) + len(v) > truncation:
                 raise ValueError("tensor term exceeds the truncation weight")
             if not ring.is_zero(c):
                 clean[(u, v)] = c
@@ -276,20 +269,15 @@ class TensorSeries:
     def __setattr__(self, name, value):
         raise AttributeError("TensorSeries is immutable")
 
-    def __getitem__(self, pair):
-        u, v = pair
-        if isinstance(u, str):
-            u = Word(u)
-        if isinstance(v, str):
-            v = Word(v)
-        return self.coeffs.get((u, v), self.ring.zero)
+    def __getitem__(self, pair: tuple[str, str]):
+        return self.coeffs.get(pair, self.ring.zero)
 
     def __sub__(self, other):
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
             out[k] = out[k] - c if k in out else -c
-        return TensorSeries(self.ring, min(self.truncation, other.truncation),
-                            {k: v for k, v in out.items() if k[0].weight + k[1].weight <= min(self.truncation, other.truncation)})
+        n = min(self.truncation, other.truncation)
+        return TensorSeries(self.ring, n, {k: v for k, v in out.items() if len(k[0]) + len(k[1]) <= n})
 
     def is_zero(self) -> bool:
         return all(self.ring.is_zero(c) for c in self.coeffs.values())
@@ -316,20 +304,20 @@ def _word_splits(letters: str) -> tuple[tuple[str, str, int], ...]:
 
 def coproduct(f: NCSeries) -> TensorSeries:
     """The coproduct with A and B primitive, truncated at f's weight."""
-    out: dict[tuple[Word, Word], object] = {}
+    out: dict[tuple[str, str], object] = {}
     for w, c in f.coeffs.items():
-        for left, right, mult in _word_splits(w.letters):
-            key = (Word(left), Word(right))
+        for left, right, mult in _word_splits(w):
+            key = (left, right)
             add = c * mult
             out[key] = out[key] + add if key in out else add
     return TensorSeries(f.ring, f.truncation, out)
 
 
 def tensor_square(f: NCSeries) -> TensorSeries:
-    out: dict[tuple[Word, Word], object] = {}
+    out: dict[tuple[str, str], object] = {}
     for u, cu in f.coeffs.items():
         for v, cv in f.coeffs.items():
-            if u.weight + v.weight <= f.truncation:
+            if len(u) + len(v) <= f.truncation:
                 out[(u, v)] = cu * cv
     return TensorSeries(f.ring, f.truncation, out)
 
@@ -343,7 +331,7 @@ def is_group_like(f: NCSeries, max_weight: int | None = None) -> bool:
     return (coproduct(g) - tensor_square(g)).is_zero()
 
 
-def character_series(assignments: dict[Word, object], truncation: int, ring: Ring) -> NCSeries:
+def character_series(assignments: dict[str, object], truncation: int, ring: Ring) -> NCSeries:
     """The unique group-like series whose shuffle character takes the given
     values on Lyndon words (missing words default to 0).
 
@@ -356,20 +344,20 @@ def character_series(assignments: dict[Word, object], truncation: int, ring: Rin
     if not ring.has_rationals:
         raise ValueError("character extension needs rational scalars in the ring")
     for w in assignments:
-        if not w.is_lyndon():
+        if not is_lyndon(w):
             raise ValueError(f"assignment on non-Lyndon word {w}")
-    values: dict[Word, object] = {EMPTY: ring.one}
+    values: dict[str, object] = {"": ring.one}
     for weight in range(1, truncation + 1):
         for w in all_words(weight):
-            if w.is_lyndon():
+            if is_lyndon(w):
                 values[w] = assignments.get(w, ring.zero)
                 continue
             factors = lyndon_multiplicity_factorization(w)
             product = None
             lead_coeff = 1
-            flat: list[Word] = []
+            flat: list[str] = []
             for l, m in factors:
-                lead_coeff *= _factorial(m)
+                lead_coeff *= math.factorial(m)
                 phi = values[l]
                 for _ in range(m):
                     product = phi if product is None else product * phi
@@ -388,28 +376,19 @@ def character_series(assignments: dict[Word, object], truncation: int, ring: Rin
     return NCSeries(ring, truncation, values)
 
 
-def series_character(f: NCSeries) -> dict[Word, object]:
+def series_character(f: NCSeries) -> dict[str, object]:
     """Restriction of f's coefficients to Lyndon words (the free coordinates)."""
     return {w: f[w] for w in lyndon_words(f.truncation)}
 
 
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
 def random_series(ring: Ring, truncation: int, rng, constant=None, density: float = 0.7) -> NCSeries:
     """A random series for property tests; coefficients are small rationals."""
-    coeffs: dict[Word, object] = {}
+    coeffs: dict[str, object] = {}
     if constant is not None:
-        coeffs[EMPTY] = ring.from_fraction(constant)
+        coeffs[""] = ring.from_fraction(constant)
     elif rng.random() < 0.8:
-        coeffs[EMPTY] = ring.from_fraction(Fraction(rng.randint(-3, 3)))
+        coeffs[""] = ring.from_fraction(Fraction(rng.randint(-3, 3)))
     for w in words_up_to(truncation):
-        if w.weight == 0:
-            continue
-        if rng.random() < density:
+        if w and rng.random() < density:
             coeffs[w] = ring.from_fraction(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
     return NCSeries(ring, truncation, coeffs)

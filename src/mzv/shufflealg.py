@@ -17,12 +17,13 @@ word), then words with trailing A's are resolved symmetrically.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .symbols import SymbolPoly, ZetaSym
-from .words import EMPTY, Word, all_words
+from .words import all_words
 
 # -- indices ---------------------------------------------------------------
 
@@ -54,29 +55,26 @@ class Index:
         return "(" + ",".join(map(str, self.entries)) + ")"
 
 
-def word_of_index(index: tuple[int, ...] | Index) -> tuple[Word, int]:
+def word_of_index(index: tuple[int, ...] | Index) -> tuple[str, int]:
     """The word of an index together with the sign (-1)^depth."""
     entries = tuple(index.entries if isinstance(index, Index) else index)
-    letters = "".join("A" * (k - 1) + "B" for k in reversed(entries))
-    return Word(letters), (-1) ** len(entries)
+    return "".join("A" * (k - 1) + "B" for k in reversed(entries)), (-1) ** len(entries)
 
 
-def index_of_word(word: Word) -> tuple[tuple[int, ...], int]:
+def index_of_word(word: str) -> tuple[tuple[int, ...], int]:
     """Inverse codec; defined exactly on words ending in B."""
-    s = word.letters
-    if not s or not s.endswith("B"):
+    if not word.endswith("B"):
         raise ValueError(f"word {word!r} does not end in B and is not index-encodable")
-    blocks = [len(b) + 1 for b in s.split("B")[:-1]]
+    blocks = [len(b) + 1 for b in word.split("B")[:-1]]
     entries = tuple(reversed(blocks))
     return entries, (-1) ** len(entries)
 
 
-def is_convergent_word(word: Word) -> bool:
-    s = word.letters
-    return len(s) >= 2 and s[0] == "A" and s[-1] == "B"
+def is_convergent_word(word: str) -> bool:
+    return len(word) >= 2 and word[0] == "A" and word[-1] == "B"
 
 
-def convergent_words(weight: int) -> list[Word]:
+def convergent_words(weight: int) -> list[str]:
     return [w for w in all_words(weight) if is_convergent_word(w)]
 
 
@@ -102,14 +100,14 @@ def _shuffle_strings(u: str, v: str) -> tuple[tuple[str, int], ...]:
     return tuple(sorted(acc.items()))
 
 
-def shuffle_words(u: Word, v: Word) -> dict[Word, int]:
+def shuffle_words(u: str, v: str) -> dict[str, int]:
     """Sum over all order-preserving interleavings, with multiplicities."""
-    return {Word(s): c for s, c in _shuffle_strings(u.letters, v.letters)}
+    return dict(_shuffle_strings(u, v))
 
 
-def shuffle_combinations(terms_u: dict[Word, object], terms_v: dict[Word, object]) -> dict[Word, object]:
+def shuffle_combinations(terms_u: dict[str, object], terms_v: dict[str, object]) -> dict[str, object]:
     """Bilinear extension of the shuffle product."""
-    out: dict[Word, object] = {}
+    out: dict[str, object] = {}
     for u, cu in terms_u.items():
         for v, cv in terms_v.items():
             for w, m in shuffle_words(u, v).items():
@@ -118,8 +116,8 @@ def shuffle_combinations(terms_u: dict[Word, object], terms_v: dict[Word, object
     return out
 
 
-def shuffle_many(factors: list[Word]) -> dict[Word, int]:
-    acc = {EMPTY: 1}
+def shuffle_many(factors: list[str]) -> dict[str, int]:
+    acc = {"": 1}
     for f in factors:
         acc = shuffle_combinations(acc, {f: 1})
     return acc
@@ -165,8 +163,8 @@ class InconsistentCharacterError(ValueError):
     pass
 
 
-def recover_character(known: dict[Word, object], c_a, c_b, max_weight: int, ring,
-                      check_consistency: bool = True) -> dict[Word, object]:
+def recover_character(known: dict[str, object], c_a, c_b, max_weight: int, ring,
+                      check_consistency: bool = True) -> dict[str, object]:
     """Extend convergent-word coefficients to the unique shuffle character.
 
     `known` must assign a coefficient to every convergent word of weight
@@ -186,22 +184,22 @@ def recover_character(known: dict[Word, object], c_a, c_b, max_weight: int, ring
     if check_consistency:
         _check_convergent_consistency(known, max_weight, ring)
 
-    coeffs: dict[Word, object] = {EMPTY: ring.one}
+    coeffs: dict[str, object] = {"": ring.one}
     if max_weight >= 1:
-        coeffs[Word("A")] = c_a
-        coeffs[Word("B")] = c_b
+        coeffs["A"] = c_a
+        coeffs["B"] = c_b
     for weight in range(2, max_weight + 1):
         for w in convergent_words(weight):
             coeffs[w] = known[w]
     # pure powers: the shuffle power of a letter is s! times the power word
     for s in range(2, max_weight + 1):
-        fact = ring.from_fraction(Fraction(1, _factorial(s)))
-        coeffs[Word("A" * s)] = _power(c_a, s) * fact
-        coeffs[Word("B" * s)] = _power(c_b, s) * fact
+        fact = ring.from_fraction(Fraction(1, math.factorial(s)))
+        coeffs["A" * s] = c_a**s * fact
+        coeffs["B" * s] = c_b**s * fact
 
     # words with r leading B's followed by a convergent remainder
     for r in range(1, max_weight - 1):
-        br = Word("B" * r)
+        br = "B" * r
         phi_br = coeffs[br]
         for rest_weight in range(2, max_weight - r + 1):
             for v in convergent_words(rest_weight):
@@ -215,11 +213,11 @@ def recover_character(known: dict[Word, object], c_a, c_b, max_weight: int, ring
 
     # words with s trailing A's; the prefix ends in B and is already known
     for s in range(1, max_weight):
-        a_s = Word("A" * s)
+        a_s = "A" * s
         phi_as = coeffs[a_s]
         for prefix_weight in range(1, max_weight - s + 1):
             for x in all_words(prefix_weight):
-                if not x.letters.endswith("B"):
+                if not x.endswith("B"):
                     continue
                 target = x + a_s
                 acc = phi_as * coeffs[x]
@@ -248,30 +246,16 @@ def _check_convergent_consistency(known, max_weight, ring):
                         )
 
 
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
-def _power(x, n: int):
-    out = None
-    for _ in range(n):
-        out = x if out is None else out * x
-    return out
-
-
 # -- regularized zeta expressions --------------------------------------------
 
 
 @lru_cache(maxsize=None)
-def _shuffle_reg_table(max_weight: int) -> dict[Word, SymbolPoly]:
+def _shuffle_reg_table(max_weight: int) -> dict[str, SymbolPoly]:
     """Character table with convergent words mapped to their zeta symbols
     and both letter coefficients set to zero (shuffle regularization)."""
     from .rings import SYMBOLIC
 
-    known: dict[Word, SymbolPoly] = {}
+    known: dict[str, SymbolPoly] = {}
     for weight in range(2, max_weight + 1):
         for w in convergent_words(weight):
             entries, sign = index_of_word(w)
@@ -496,9 +480,7 @@ def reduce_relations(rows: list[RelationRow], weight: int) -> ReductionResult:
     col_of = {m: k for k, m in enumerate(monos)}
     matrix: list[list[int]] = []
     for row in rows:
-        denom = 1
-        for c in row.coeffs.values():
-            denom = denom * c.denominator // _gcd(denom, c.denominator)
+        denom = math.lcm(*(c.denominator for c in row.coeffs.values()))
         vec = [0] * len(monos)
         for m, c in row.coeffs.items():
             vec[col_of[m]] = int(c * denom)
@@ -545,9 +527,3 @@ def reduce_relations(rows: list[RelationRow], weight: int) -> ReductionResult:
                 expr[tgt] = expr.get(tgt, Fraction(0)) + coeff
         expressions[monos[cc]] = {m: c for m, c in expr.items() if c}
     return ReductionResult(weight, len(pivots), basis, expressions)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a if a > 0 else -a

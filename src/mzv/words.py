@@ -1,9 +1,9 @@
 """Words in the two non-commuting letters A and B.
 
-A word is an immutable string over the alphabet {A, B}; its weight is its
+A word is a plain ``str`` over the alphabet {A, B}; its weight is its
 length.  Words are totally ordered first by weight, then lexicographically
-with A < B, which fixes the canonical iteration order used everywhere else
-(series printing, serialization, triangular solves).
+with A < B (`word_key`), which fixes the canonical iteration order used
+everywhere else (series printing, serialization, triangular solves).
 """
 
 from __future__ import annotations
@@ -14,83 +14,32 @@ from functools import lru_cache
 ALPHABET = "AB"
 
 
-class Word:
-    """An immutable word over {A, B}, ordered by (weight, lexicographic)."""
+class Word(str):
+    """A str checked to be a word over {A, B}; for words read from outside."""
 
-    __slots__ = ("letters",)
+    __slots__ = ()
 
     def __init__(self, letters: str = ""):
-        if not all(c in ALPHABET for c in letters):
+        if self.strip(ALPHABET):
             raise ValueError(f"word may only contain letters A and B, got {letters!r}")
-        object.__setattr__(self, "letters", letters)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Word is immutable")
-
-    @property
-    def weight(self) -> int:
-        return len(self.letters)
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __iter__(self):
-        return iter(self.letters)
-
-    def __getitem__(self, i):
-        got = self.letters[i]
-        return Word(got) if isinstance(i, slice) else got
-
-    def __add__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
-
-    def __hash__(self):
-        return hash(self.letters)
-
-    def __eq__(self, other):
-        return isinstance(other, Word) and self.letters == other.letters
-
-    def _key(self):
-        return (len(self.letters), self.letters)
-
-    def __lt__(self, other):
-        return self._key() < other._key()
-
-    def __le__(self, other):
-        return self._key() <= other._key()
-
-    def __gt__(self, other):
-        return self._key() > other._key()
-
-    def __ge__(self, other):
-        return self._key() >= other._key()
-
-    def __repr__(self):
-        return self.letters if self.letters else "e"
-
-    def count(self, letter: str) -> int:
-        return self.letters.count(letter)
-
-    def is_lyndon(self) -> bool:
-        """True iff the word is strictly smaller than all its proper rotations."""
-        s = self.letters
-        n = len(s)
-        if n == 0:
-            return False
-        return all(s < s[i:] + s[:i] for i in range(1, n))
 
 
-EMPTY = Word("")
-A = Word("A")
-B = Word("B")
+def word_key(word: str) -> tuple[int, str]:
+    """Sort key of the canonical order: weight, then lexicographic."""
+    return len(word), word
 
 
-def all_words(weight: int) -> list[Word]:
+def is_lyndon(word: str) -> bool:
+    """True iff the word is strictly smaller than all its proper rotations."""
+    return bool(word) and all(word < word[i:] + word[:i] for i in range(1, len(word)))
+
+
+def all_words(weight: int) -> list[str]:
     """All words of the given weight in canonical (lexicographic) order."""
-    return [Word("".join(t)) for t in itertools.product(ALPHABET, repeat=weight)]
+    return ["".join(t) for t in itertools.product(ALPHABET, repeat=weight)]
 
 
-def words_up_to(max_weight: int) -> list[Word]:
+def words_up_to(max_weight: int) -> list[str]:
     """All words of weight <= max_weight in canonical order."""
     out = []
     for w in range(max_weight + 1):
@@ -99,35 +48,34 @@ def words_up_to(max_weight: int) -> list[Word]:
 
 
 @lru_cache(maxsize=None)
-def lyndon_words(max_weight: int) -> tuple[Word, ...]:
+def lyndon_words(max_weight: int) -> tuple[str, ...]:
     """All Lyndon words of weight 1..max_weight, in canonical order."""
-    return tuple(w for w in words_up_to(max_weight) if w.is_lyndon())
+    return tuple(w for w in words_up_to(max_weight) if is_lyndon(w))
 
 
-def duval_factorization(word: Word) -> list[Word]:
+def duval_factorization(word: str) -> list[str]:
     """Chen-Fox-Lyndon factorization into a non-increasing product of Lyndon words.
 
-    Duval's algorithm; the returned factors l1 >= l2 >= ... (lexicographic on
-    the letter strings) concatenate to the input.
+    Duval's algorithm; the returned factors l1 >= l2 >= ... (lexicographic)
+    concatenate to the input.
     """
-    s = word.letters
     factors = []
     k = 0
-    n = len(s)
+    n = len(word)
     while k < n:
         i, j = k, k + 1
-        while j < n and s[i] <= s[j]:
-            i = k if s[i] < s[j] else i + 1
+        while j < n and word[i] <= word[j]:
+            i = k if word[i] < word[j] else i + 1
             j += 1
         while k <= i:
-            factors.append(Word(s[k : k + j - i]))
+            factors.append(word[k : k + j - i])
             k += j - i
     return factors
 
 
-def lyndon_multiplicity_factorization(word: Word) -> list[tuple[Word, int]]:
+def lyndon_multiplicity_factorization(word: str) -> list[tuple[str, int]]:
     """CFL factorization with equal adjacent factors collected as (factor, power)."""
-    out: list[tuple[Word, int]] = []
+    out: list[tuple[str, int]] = []
     for f in duval_factorization(word):
         if out and out[-1][0] == f:
             out[-1] = (f, out[-1][1] + 1)

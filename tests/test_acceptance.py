@@ -205,9 +205,9 @@ def test_criterion_7_property_suites():
     # brute-force shuffle oracle up to weight 3 + 3
     def brute(u, v):
         out = {}
-        for pos in itertools.combinations(range(u.weight + v.weight), u.weight):
-            it_u, it_v, s = iter(u.letters), iter(v.letters), []
-            for i in range(u.weight + v.weight):
+        for pos in itertools.combinations(range(len(u) + len(v)), len(u)):
+            it_u, it_v, s = iter(u), iter(v), []
+            for i in range(len(u) + len(v)):
                 s.append(next(it_u) if i in pos else next(it_v))
             w = Word("".join(s))
             out[w] = out.get(w, 0) + 1
@@ -235,7 +235,7 @@ def test_criterion_7_property_suites():
         pairs = []
         for _ in range(3):
             assignments = {w: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                           for w in lyndon_words(4) if w.weight >= 2}
+                           for w in lyndon_words(4) if len(w) >= 2}
             pairs.append(GTPair(Fraction(rng.choice([1, 2, -2, 3])),
                                 character_series(assignments, 4, QQ)))
         x, y, z = pairs

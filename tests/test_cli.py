@@ -1,6 +1,8 @@
+import hashlib
 import json
 
 import jsonschema
+import pytest
 from click.testing import CliRunner
 
 from mzv.cli import assoc, mzv, padic, series, sv
@@ -120,3 +122,43 @@ def test_series_dump_parse_round_trip():
 def test_series_parse_rejects_garbage():
     parsed = _run(series, ["parse", "-"], input="{}")
     assert parsed.exit_code == 2
+
+
+# sha256 of `series dump` stdout for every flavor at weights 4-6 (p = 3 for
+# the Deligne flavor); the canonical serialization must not move by a byte
+DUMP_SHA256 = {
+    ("complex_KZ", 4): "bf5d22b5358d30346b2510e501eefdd2732eaa642b48b3483215fb06d56510bf",
+    ("complex_KZ", 5): "f645b0a7608480203189134f546e2035c59b19fb0952a4229041d7ac045e522a",
+    ("complex_KZ", 6): "217b5963476aa471a8455c8a4ef605ce2a18404b19a9530f64de6056d3ff2d90",
+    ("padic_KZ", 4): "4230e05ebe9a6ed371de192d53784ccd21fbcbf3505cbc587a8b0b26251e7928",
+    ("padic_KZ", 5): "1d644ab928430f46c902ae9b7699a252b6ec25453db89d2385508c3ec04e283a",
+    ("padic_KZ", 6): "035936927fe3504248352ebff3c7d6c2ffc6e064558235ef6b1df11a0d6ebc68",
+    ("padic_Deligne", 4): "bcfcd2070ffe3b48dc4d2f718d8a7e2d8e139b2bfe323c2c17b1b0d66e2056c5",
+    ("padic_Deligne", 5): "f71ece99e9bc12ece9ce84d3841f41887021dffcb84160499d7cd0d959fc48c0",
+    ("padic_Deligne", 6): "de744adbab4f4ae996473fa4be01c24b04cdda11c2deb3c91579dadd1bfa58dc",
+    ("minus_KZ", 4): "e9501c317da9604a99391ff782daad5221252aa855f7b6b2541380884e83cd79",
+    ("minus_KZ", 5): "ac3e1654863ddd8cc95c9894648a18f2c653f1117a1b8454e2e7757f1c68c9c2",
+    ("minus_KZ", 6): "5d9753a3d4becc79520e6f517573151dfbbf557b8142bf430a04878fb3357f0c",
+    ("symbolic_lambda", 4): "7f7f8c3e3d5fad4a3dc9c6aa2b31760b68e842b7bdc343b05d30427f1e623a4c",
+    ("symbolic_lambda", 5): "1213b5d5ee8726d86ea49d90aa54d0681c8783fad1db2a1518869bf1329f5b10",
+    ("symbolic_lambda", 6): "af0579970579dacdebfc94618fa7d70b990695ad6ccbb622588559b0f418d178",
+}
+
+
+@pytest.mark.parametrize("flavor,weight", sorted(DUMP_SHA256))
+def test_series_dump_golden(flavor, weight):
+    args = ["dump", "--flavor", flavor, "--weight", str(weight)]
+    if flavor == "padic_Deligne":
+        args += ["--p", "3"]
+    result = _run(series, args)
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.output.encode()).hexdigest() == DUMP_SHA256[(flavor, weight)]
+
+
+@pytest.mark.parametrize("word", ["AXB", "ABAB"])
+def test_series_parse_rejects_bad_words(word):
+    """A letter outside {A, B} or a word past the truncation is a usage error."""
+    text = json.dumps({"format": "ncseries/1", "ring": "Q", "truncation": 3,
+                       "terms": [{"word": word, "coeff": "1"}]})
+    parsed = _run(series, ["parse", "-"], input=text)
+    assert parsed.exit_code == 2, parsed.output
