@@ -5,10 +5,28 @@ Generators X_ij = X_ji (1 <= i < j <= 5) subject to the five linear
 relations sum_j X_ij = 0 and the commutation [X_ij, X_kl] = 0 of disjoint
 pairs.  The linear relations are eliminated up front: X_i5 is solved from
 row i and the residual fifth row removes X_34, leaving the five free
-letters X12, X13, X14, X23, X24.  The quadratic relations generate a
-two-sided ideal that is reduced degree by degree: the span of m1*r*m2 is
-put in reduced row echelon form over the rationals once per degree and
-every element is normalized against it on construction.
+letters X12, X13, X14, X23, X24 (their span is V).  The quadratic relations
+R generate a two-sided ideal I, and every element is normalized against it
+on construction, one degree at a time.
+
+Monomials of one degree are ordered lexicographically.  A pivot is the
+least monomial of some element of I_d, the degree-d slice of I; the other
+monomials are standard (N_d), and the normal form NF_d writes a pivot in
+standard monomials.  Lex order is compatible with concatenation, so every
+degree d-1 pivot times a letter is a degree-d pivot, and I_d is
+I_{d-1}*V + N_{d-2}*R.  The degree-d table is therefore built from the
+degree d-1 one:
+
+- modulo I_{d-1}*V, whose quotient has the basis N_{d-1}*V, each row n*r
+  (n in N_{d-2}, r in R) is the sum of c*NF_{d-1}(n*x)*y over the terms
+  c*xy of r; these rows are put in reduced row echelon form with lex-least
+  pivots, which are the new pivots;
+- a pivot m*y with m a degree d-1 pivot has the normal form
+  NF_{d-1}(m)*y with the new pivots replaced.
+
+Pivots and expressions are those of the reduced row echelon form of the
+whole span of m1*r*m2, which is unique, so the basis and every exact
+coefficient do not depend on how the table is built.
 """
 
 from __future__ import annotations
@@ -19,8 +37,10 @@ import itertools
 
 FREE_LETTERS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4))
 _LETTER_ID = {pair: k for k, pair in enumerate(FREE_LETTERS)}
+_LETTERS = range(len(FREE_LETTERS))
 
 Monomial = tuple[int, ...]
+Rational = int | Fraction
 
 
 @lru_cache(maxsize=None)
@@ -70,76 +90,116 @@ def _quadratic_relations() -> tuple[dict[Monomial, Fraction], ...]:
 
 
 @lru_cache(maxsize=None)
-def _reduction_table(degree: int) -> dict[Monomial, dict[Monomial, Fraction]]:
-    """RREF pivot rows for the degree-d slice of the relation ideal.
+def _reduction_table(degree: int) -> dict[Monomial, dict[Monomial, Rational]]:
+    """Normal forms of the degree-d pivot monomials.
 
-    Maps each pivot monomial to its expression in non-pivot monomials.
+    Maps each pivot to its expression in standard monomials, sorted by
+    monomial so that sums over it follow the normal form.  Coefficients are
+    exact rationals, held as int where the arithmetic keeps them integral
+    (int arithmetic is an order of magnitude faster than Fraction's).
+    Built from the degree d-1 table: see the module docstring.
     """
     if degree < 2:
         return {}
-    rows: list[dict[Monomial, Fraction]] = []
-    letters = range(len(FREE_LETTERS))
-    for rel in _quadratic_relations():
-        for left_len in range(degree - 1):
-            right_len = degree - 2 - left_len
-            for m1 in itertools.product(letters, repeat=left_len):
-                for m2 in itertools.product(letters, repeat=right_len):
-                    rows.append({m1 + mid + m2: c for mid, c in rel.items()})
-    pivots: dict[Monomial, dict[Monomial, Fraction]] = {}
-    for row in rows:
-        row = _reduce_row(row, pivots)
-        if not row:
-            continue
-        lead = min(row)
-        inv = Fraction(1) / row[lead]
-        expr = {m: -c * inv for m, c in row.items() if m != lead}
-        # keep earlier pivot rows fully reduced against the new pivot
-        for piv, pexpr in pivots.items():
-            if lead in pexpr:
-                scale = pexpr.pop(lead)
-                for m, c in expr.items():
-                    pexpr[m] = pexpr.get(m, Fraction(0)) + scale * c
-                    if not pexpr[m]:
-                        del pexpr[m]
-        pivots[lead] = expr
-    return pivots
+    lower = _reduction_table(degree - 1)
+    rels = [{m: _exact(c) for m, c in rel.items()} for rel in _quadratic_relations()]
+
+    def times_letter(m: Monomial, y: int) -> dict[Monomial, Rational]:
+        """NF_{d-1}(m)*y, an element of span(N_{d-1}*V)."""
+        expr = lower.get(m)
+        if expr is None:
+            return {m + (y,): 1}
+        return {n + (y,): c for n, c in expr.items()}
+
+    # RREF of the rows n*r (n standard of degree d-2, r a relation) in the
+    # quotient by I_{d-1}*V, whose basis is N_{d-1}*V
+    pivots: dict[Monomial, dict[Monomial, Rational]] = {}
+    for n in _standard_monomials(degree - 2):
+        for rel in rels:
+            row: dict[Monomial, Rational] = {}
+            for (x, y), c in rel.items():
+                for m, c2 in times_letter(n + (x,), y).items():
+                    row[m] = row.get(m, 0) + c * c2
+            row = _reduce_row(row, pivots)
+            if not row:
+                continue
+            lead = min(row)
+            inv = _exact(Fraction(-1) / row.pop(lead))
+            expr = {m: c * inv for m, c in row.items()}
+            # keep earlier pivot rows fully reduced against the new pivot
+            for pexpr in pivots.values():
+                if lead in pexpr:
+                    scale = pexpr.pop(lead)
+                    for m, c in expr.items():
+                        c = pexpr.get(m, 0) + scale * c
+                        if c:
+                            pexpr[m] = c
+                        else:
+                            del pexpr[m]
+            pivots[lead] = expr
+    table = {m + (y,): _reduce_row(times_letter(m, y), pivots) for m in lower for y in _LETTERS}
+    table.update(pivots)
+    return {m: dict(sorted(expr.items())) for m, expr in table.items()}
 
 
-def _reduce_row(row: dict[Monomial, Fraction], pivots) -> dict[Monomial, Fraction]:
-    out = dict(row)
-    changed = True
-    while changed:
-        changed = False
-        for m in sorted(out):
-            if m in pivots and out.get(m):
-                c = out.pop(m)
-                for m2, c2 in pivots[m].items():
-                    out[m2] = out.get(m2, Fraction(0)) + c * c2
-                    if not out[m2]:
-                        del out[m2]
-                changed = True
-                break
+def _exact(q: Fraction) -> Rational:
+    return q.numerator if q.denominator == 1 else q
+
+
+def _reduce_row(row: dict[Monomial, Rational], pivots) -> dict[Monomial, Rational]:
+    """Replace each pivot of `row` by its expression, in one pass: the
+    expressions hold no pivots."""
+    out: dict[Monomial, Rational] = {}
+    for m, c in row.items():
+        expr = pivots.get(m)
+        if expr is None:
+            out[m] = out.get(m, 0) + c
+        else:
+            for m2, c2 in expr.items():
+                out[m2] = out.get(m2, 0) + c * c2
     return {m: c for m, c in out.items() if c}
+
+
+@lru_cache(maxsize=None)
+def _standard_monomials(degree: int) -> tuple[Monomial, ...]:
+    """N_d, the degree-d monomials that are not pivots, in lex order."""
+    if degree == 0:
+        return ((),)
+    table = _reduction_table(degree)
+    return tuple(m for n in _standard_monomials(degree - 1) for y in _LETTERS if (m := n + (y,)) not in table)
+
+
+@lru_cache(maxsize=None)
+def _float_table(degree: int) -> dict[Monomial, dict[Monomial, float]]:
+    """The degree-d table with float coefficients.
+
+    Python evaluates complex * q and float * q for a rational q as
+    complex * float(q) and float * float(q), so multiplying by this copy is
+    bit-identical to multiplying by the exact table, without the Fraction
+    dispatch on every term.
+    """
+    return {m: {m2: float(c) for m2, c in expr.items()} for m, expr in _reduction_table(degree).items()}
 
 
 def reduce_monomial_dict(coeffs: dict[Monomial, object]) -> dict[Monomial, object]:
     """Normalize an element against the per-degree reduction tables.
 
-    Coefficients may be floats, fractions, or symbolic polynomials; the
-    pivot rows are rational so the replacement works for any of them.
+    Coefficients may be floats, complex numbers, fractions, or symbolic
+    polynomials; the table entries are rational so the replacement works
+    for any of them.  Table expressions hold only standard monomials, so
+    one substitution per monomial suffices.
     """
     out: dict[Monomial, object] = {}
-
-    def add(m, c):
-        table = _reduction_table(len(m))
-        if m in table:
-            for m2, c2 in table[m].items():
-                add(m2, c * c2)
-        else:
-            out[m] = out[m] + c if m in out else c
-
     for m, c in coeffs.items():
-        add(m, c)
+        kind = type(c)
+        table = _float_table(len(m)) if kind is float or kind is complex else _reduction_table(len(m))
+        expr = table.get(m)
+        if expr is None:
+            out[m] = out[m] + c if m in out else c
+        else:
+            for m2, c2 in expr.items():
+                add = c * c2
+                out[m2] = out[m2] + add if m2 in out else add
     return out
 
 
@@ -194,11 +254,14 @@ class BraidElement:
         if not isinstance(other, BraidElement):
             return NotImplemented
         cap = min(self.degree_cap, other.degree_cap)
+        # the terms of `other` that fit beside a left factor of each degree, in their own order
+        fits = [[(m2, c2) for m2, c2 in other.coeffs.items() if len(m2) <= room] for room in range(cap + 1)]
         out: dict[Monomial, object] = {}
         for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                if len(m1) + len(m2) > cap:
-                    continue
+            room = cap - len(m1)
+            if room < 0:
+                continue
+            for m2, c2 in fits[room]:
                 m = m1 + m2
                 add = c1 * c2
                 out[m] = out[m] + add if m in out else add

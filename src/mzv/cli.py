@@ -68,6 +68,55 @@ def _internal_errors(fn):
     return wrapper
 
 
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve prime bases, exact for n < 3.18e23."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    if n in bases:
+        return True
+    if any(n % b == 0 for b in bases):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _prime(ctx, param, p):
+    if p is not None and not _is_prime(p):
+        raise click.BadParameter(f"p = {p} is not prime")
+    return p
+
+
+def _primes(ctx, param, text):
+    try:
+        primes = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise click.BadParameter(f"cannot parse {text!r}; expected e.g. 3,5,7")
+    for p in primes:
+        _prime(ctx, param, p)
+    return primes
+
+
+def _weight(ctx, param, weight):
+    from .series import MAX_TRUNCATION
+
+    if not 1 <= weight <= MAX_TRUNCATION:
+        raise click.BadParameter(f"weight {weight} is outside 1..{MAX_TRUNCATION}")
+    return weight
+
+
 def _parse_index(text: str) -> tuple[int, ...]:
     try:
         entries = tuple(int(x) for x in text.replace(" ", "").split(","))
@@ -268,8 +317,8 @@ def _verify_identity(identity: str, weight: int, p: int | None, flavor: str, tol
 
 @assoc.command("verify")
 @click.option("--identity", required=True, type=click.Choice(_IDENTITIES))
-@click.option("--weight", type=int, default=4, show_default=True)
-@click.option("--p", type=int, default=None)
+@click.option("--weight", type=int, default=4, show_default=True, callback=_weight)
+@click.option("--p", type=int, default=None, callback=_prime)
 @click.option("--flavor", default="complex_KZ", show_default=True,
               type=click.Choice(["complex_KZ", "padic_KZ"]))
 @click.option("--tolerance", default=1e-6, show_default=True)
@@ -301,7 +350,7 @@ def padic():
 
 
 @padic.command("polylog")
-@click.option("--p", type=int, required=True)
+@click.option("--p", type=int, required=True, callback=_prime)
 @click.option("--k", type=int, required=True)
 @click.option("--z", required=True, help="rational point, e.g. 5/7")
 @click.option("--prec", type=int, default=30, show_default=True)
@@ -329,7 +378,7 @@ def padic_polylog_cmd(p, k, z, prec, dagger, pretty):
 
 
 @padic.command("verify-spain")
-@click.option("--primes", default="3,5,7", show_default=True)
+@click.option("--primes", default="3,5,7", show_default=True, callback=_primes)
 @click.option("--kmax", type=int, default=4, show_default=True)
 @click.option("--points", type=int, default=20, show_default=True)
 @click.option("--prec", type=int, default=30, show_default=True)
@@ -344,7 +393,7 @@ def padic_verify_spain(primes, kmax, points, prec, digits, seed, pretty):
 
     rng = random.Random(seed)
     tasks = []
-    for p in (int(x) for x in primes.split(",")):
+    for p in primes:
         for k in range(1, kmax + 1):
             for _ in range(points):
                 num = p * rng.randint(1, 50)
@@ -408,8 +457,8 @@ def series():
 @series.command("dump")
 @click.option("--flavor", default="padic_KZ", show_default=True,
               type=click.Choice(["complex_KZ", "padic_KZ", "padic_Deligne", "minus_KZ", "symbolic_lambda"]))
-@click.option("--weight", type=int, default=4, show_default=True)
-@click.option("--p", type=int, default=None)
+@click.option("--weight", type=int, default=4, show_default=True, callback=_weight)
+@click.option("--p", type=int, default=None, callback=_prime)
 @_internal_errors
 def series_dump(flavor, weight, p):
     """Serialize a built series to canonical JSON on stdout."""

@@ -1,5 +1,9 @@
 import itertools
 import random
+from fractions import Fraction
+
+import pytest
+from click.testing import CliRunner
 
 from mzv.braid import (
     FREE_LETTERS,
@@ -7,10 +11,61 @@ from mzv.braid import (
     evaluate_series,
     generator_form,
     graded_dimension,
+    reduce_monomial_dict,
     _quadratic_relations,
+    _reduction_table,
 )
+from mzv.cli import assoc
 from mzv.rings import QQ
 from mzv.series import NCSeries
+
+
+def _rref_reduce_row(row, pivots):
+    out = dict(row)
+    changed = True
+    while changed:
+        changed = False
+        for m in sorted(out):
+            if m in pivots and out.get(m):
+                c = out.pop(m)
+                for m2, c2 in pivots[m].items():
+                    out[m2] = out.get(m2, Fraction(0)) + c * c2
+                    if not out[m2]:
+                        del out[m2]
+                changed = True
+                break
+    return {m: c for m, c in out.items() if c}
+
+
+def _rref_table(degree):
+    """Reference: reduced row echelon form of every m1*r*m2 of one degree."""
+    if degree < 2:
+        return {}
+    rows = []
+    letters = range(len(FREE_LETTERS))
+    for rel in _quadratic_relations():
+        for left_len in range(degree - 1):
+            right_len = degree - 2 - left_len
+            for m1 in itertools.product(letters, repeat=left_len):
+                for m2 in itertools.product(letters, repeat=right_len):
+                    rows.append({m1 + mid + m2: c for mid, c in rel.items()})
+    pivots = {}
+    for row in rows:
+        row = _rref_reduce_row(row, pivots)
+        if not row:
+            continue
+        lead = min(row)
+        inv = Fraction(1) / row[lead]
+        expr = {m: -c * inv for m, c in row.items() if m != lead}
+        for pexpr in pivots.values():
+            if lead in pexpr:
+                scale = pexpr.pop(lead)
+                for m, c in expr.items():
+                    pexpr[m] = pexpr.get(m, Fraction(0)) + scale * c
+                    if not pexpr[m]:
+                        del pexpr[m]
+        pivots[lead] = expr
+    return pivots
 
 
 def test_generators_are_symmetric():
@@ -63,6 +118,45 @@ def test_reduction_is_confluent_on_random_products():
 def test_graded_dimensions_are_stable():
     assert graded_dimension(1) == 5
     assert [graded_dimension(d) for d in (2, 3, 4)] == [19, 65, 211]
+    # the Hilbert series of U(f_3) (x) U(f_2), from t_{0,5} = f_3 x| f_2
+    assert [graded_dimension(d) for d in range(6)] == [3 ** (d + 1) - 2 ** (d + 1) for d in range(6)]
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4])
+def test_reduction_table_equals_rref_of_the_whole_ideal(degree):
+    table = _reduction_table(degree)
+    assert table == _rref_table(degree)
+    for expr in table.values():
+        assert list(expr) == sorted(expr)
+
+
+def test_float_reduction_is_bit_identical_to_exact_table():
+    rng = random.Random(5)
+    coeffs = {}
+    for _ in range(300):
+        m = tuple(rng.randrange(len(FREE_LETTERS)) for _ in range(rng.randint(0, 5)))
+        c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        coeffs[m] = c if rng.random() < 0.8 else c.real
+    want = {}
+    for m, c in coeffs.items():
+        expr = _reduction_table(len(m)).get(m)
+        if expr is None:
+            want[m] = want[m] + c if m in want else c
+            continue
+        for m2, c2 in expr.items():
+            add = c * Fraction(c2)
+            want[m2] = want[m2] + add if m2 in want else add
+
+    def bits(reduced):
+        return [(m, type(c), c.real.hex(), c.imag.hex()) for m, c in reduced.items()]
+
+    assert bits(reduce_monomial_dict(coeffs)) == bits(want)
+
+
+def test_cli_pentagon_weight5_passes():
+    result = CliRunner().invoke(assoc, ["verify", "--identity", "pentagon", "--weight", "5"])
+    assert result.exit_code == 0, result.output
+    assert '"status": "pass"' in result.output
 
 
 def test_evaluate_series_unit_and_letter():

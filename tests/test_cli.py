@@ -1,11 +1,12 @@
 import hashlib
 import json
+import time
 
 import jsonschema
 import pytest
 from click.testing import CliRunner
 
-from mzv.cli import assoc, mzv, padic, series, sv
+from mzv.cli import _is_prime, assoc, mzv, padic, series, sv
 
 try:
     from importlib.resources import files
@@ -67,6 +68,40 @@ def test_assoc_verify_exact_zero_and_exit_codes():
 def test_assoc_verify_requires_prime():
     result = _run(assoc, ["verify", "--identity", "netherland", "--weight", "3"])
     assert result.exit_code == 2
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(-2, 3000):
+        assert _is_prime(n) == (n >= 2 and all(n % k for k in range(2, int(n**0.5) + 1))), n
+    # Carmichael numbers, a strong pseudoprime to bases 2, 3, 5, 7, and large primes
+    assert not any(_is_prime(n) for n in (561, 41041, 3215031751, (2**61 - 1) * (2**31 - 1)))
+    assert _is_prime(2**61 - 1) and _is_prime(10**18 + 9)
+
+
+@pytest.mark.parametrize("group,args", [
+    (assoc, ["verify", "--identity", "netherland", "--weight", "3", "--p", "4"]),
+    (series, ["dump", "--flavor", "padic_Deligne", "--weight", "3", "--p", "4"]),
+    (padic, ["polylog", "--p", "4", "--k", "2", "--z", "4/7"]),
+    (padic, ["verify-spain", "--primes", "3,4", "--kmax", "1", "--points", "1"]),
+])
+def test_composite_p_is_a_usage_error(group, args):
+    result = _run(group, args)
+    assert result.exit_code == 2, result.output
+    assert "p = 4 is not prime" in result.output
+
+
+@pytest.mark.parametrize("group,args", [
+    (assoc, ["verify", "--identity", "netherland", "--weight", "20", "--p", "5"]),
+    (assoc, ["verify", "--identity", "pentagon", "--weight", "20"]),
+    (assoc, ["verify", "--identity", "dual", "--weight", "0"]),
+    (series, ["dump", "--weight", "17"]),
+])
+def test_weight_past_the_cap_fails_before_any_work(group, args):
+    start = time.monotonic()
+    result = _run(group, args)
+    assert result.exit_code == 2, result.output
+    assert "--weight" in result.output
+    assert time.monotonic() - start < 5.0
 
 
 def test_assoc_verify_numeric_identities():
