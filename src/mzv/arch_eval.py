@@ -157,10 +157,17 @@ def bernoulli(n: int) -> Fraction:
 # -- disk polylogarithms ------------------------------------------------------
 
 
+# the most terms a disk series may sum; near |z| = 1 the count blows up
+MAX_SERIES_TERMS = 1_000_000
+
+
 def _series_cutoff(abs_z: float, tolerance: float) -> int:
     if abs_z >= 1:
         raise ValueError("polylogarithm series need |z| < 1")
     n = max(8, int(math.log(tolerance * (1 - abs_z)) / math.log(abs_z)) + 2)
+    if n > MAX_SERIES_TERMS:
+        raise ValueError(f"the polylogarithm series at |z| = {abs_z!r} needs {n:.3g} terms, "
+                         f"past the cap of {MAX_SERIES_TERMS}")
     return n
 
 

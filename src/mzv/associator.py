@@ -146,7 +146,10 @@ def build_numeric_kz(truncation: int, tolerance: float = 1e-9) -> NCSeries:
     return character_series(assignments, truncation, ring)
 
 
+@lru_cache(maxsize=None)
 def build_associator(flavor: str, truncation: int, p: int | None = None) -> NCSeries:
+    """The associator of the given flavor; each (flavor, truncation, p) is
+    built once per process, so a command solves each twisted quotient once."""
     if flavor == COMPLEX_KZ:
         return build_numeric_kz(truncation)
     if flavor in (PADIC_KZ,):
@@ -169,29 +172,32 @@ def zeta_lambda_expr(series: NCSeries, index: tuple[int, ...]) -> SymbolPoly:
     return Fraction(sign) * series[word]
 
 
+_ZETA_SERIES = {"p-adic": PADIC_KZ, "complex": SYMBOLIC_LAMBDA, "p-adic-Deligne": PADIC_DELIGNE}
+
+
 @lru_cache(maxsize=None)
-def _zeta_substitution_table(truncation: int, p: int | None):
+def _zeta_substitution_table(flavor: str, truncation: int, p: int | None):
+    """Lambda expressions of one zeta flavor at every admissible index of
+    weight 2..truncation; empty for the Deligne flavor without a prime."""
     from .shufflealg import admissible_indices
 
-    table: dict[object, SymbolPoly] = {}
-    phi_p = build_symbolic_associator("p", truncation)
-    phi_c = build_symbolic_associator("c", truncation)
-    per_flavor = {"p-adic": phi_p, "complex": phi_c}
-    if p is not None:
-        per_flavor["p-adic-Deligne"] = solve_deligne(phi_p, p)
-    for flavor, series in per_flavor.items():
-        for weight in range(2, truncation + 1):
-            for idx in admissible_indices(weight):
-                table[ZetaSym(flavor, idx)] = zeta_lambda_expr(series, idx)
-    return table
+    if flavor == "p-adic-Deligne" and p is None:
+        return {}
+    series = build_associator(_ZETA_SERIES[flavor], truncation, p)
+    return {ZetaSym(flavor, idx): zeta_lambda_expr(series, idx)
+            for weight in range(2, truncation + 1) for idx in admissible_indices(weight)}
 
 
 def substitute_zeta_symbols(poly: SymbolPoly, truncation: int, p: int | None = None) -> SymbolPoly:
     """Replace every zeta symbol by its lambda expression; zeta at index (1)
-    of any flavor is regularized to zero."""
-    mapping = dict(_zeta_substitution_table(truncation, p))
-    for g in poly.generators():
-        if isinstance(g, ZetaSym) and g.index == (1,):
+    of any flavor is regularized to zero.  Only the flavors that occur in
+    `poly` have their tables built."""
+    zetas = [g for g in poly.generators() if isinstance(g, ZetaSym)]
+    mapping: dict[object, SymbolPoly] = {}
+    for flavor in sorted({g.flavor for g in zetas}):
+        mapping.update(_zeta_substitution_table(flavor, truncation, p))
+    for g in zetas:
+        if g.index == (1,):
             mapping[g] = SymbolPoly.ZERO
     return poly.substitute(mapping)
 
@@ -200,17 +206,18 @@ def substitute_zeta_symbols(poly: SymbolPoly, truncation: int, p: int | None = N
 
 
 def _solve_twisted(phi: NCSeries, scale) -> NCSeries:
-    """Solve G = phi * substitute(phi, scale*A, G^-1 (scale*B) G)^-1.
+    """Solve G = phi * phi(scale*A, G^-1 (scale*B) G)^-1, one weight per pass.
 
-    The conjugation by G only involves strictly lower weights of G, so
-    iterating from G = 1 fixes one extra weight per pass.
+    Invariant: the weight-k part of the right-hand side depends on G only
+    through its weights < k, because every G factor of the conjugated letter
+    sits next to a B of weight one.  So with G exact at truncation k-1, the
+    right-hand side evaluated at truncation k is G exact at truncation k.
     """
-    g = NCSeries.one(phi.ring, phi.truncation)
-    for _ in range(phi.truncation + 1):
-        nxt = phi * twisted_substitution(phi, g, scale).invert()
-        if nxt == g:
-            return g
-        g = nxt
+    ring = phi.ring
+    g = NCSeries.one(ring, 0)
+    for k in range(1, phi.truncation + 1):
+        phi_k = phi.truncate(k)
+        g = phi_k * twisted_substitution(phi_k, NCSeries(ring, k, g.coeffs), scale).invert()
     return g
 
 
@@ -258,7 +265,7 @@ def overconvergent_g0(p: int, truncation: int) -> NCSeries:
     The word coefficients, sign-adjusted, define the overconvergent
     polylogarithm expressions.
     """
-    phi_de = solve_deligne(build_symbolic_associator("p", truncation), p)
+    phi_de = build_associator(PADIC_DELIGNE, truncation, p)
     base = g0_symbolic(ARG_Z, truncation)
     shifted = g0_symbolic(ARG_Z_POW_P, truncation)
     return base * twisted_substitution(shifted, phi_de, Fraction(1, p)).invert()
@@ -267,7 +274,7 @@ def overconvergent_g0(p: int, truncation: int) -> NCSeries:
 @lru_cache(maxsize=None)
 def single_valued_g0(truncation: int) -> NCSeries:
     """G0(z) * [G0 at zbar twisted by A -> -A, B -> phi_minus^-1 (-B) phi_minus]^-1."""
-    phi_minus = solve_minus(build_symbolic_associator("c", truncation))
+    phi_minus = build_associator(MINUS_KZ, truncation)
     base = g0_symbolic(ARG_Z, truncation)
     conj = g0_symbolic(ARG_Z_CONJ, truncation)
     return base * twisted_substitution(conj, phi_minus, -1).invert()

@@ -42,6 +42,10 @@ _LETTERS = range(len(FREE_LETTERS))
 Monomial = tuple[int, ...]
 Rational = int | Fraction
 
+# highest degree whose normal-form table is affordable: degree 6 builds in
+# about 2 s, degree 7 expands 71,820 pivots into ~12 M terms (~65 s, GBs)
+MAX_TABLE_DEGREE = 6
+
 
 @lru_cache(maxsize=None)
 def generator_form(i: int, j: int) -> tuple[tuple[int, Fraction], ...]:
@@ -101,6 +105,8 @@ def _reduction_table(degree: int) -> dict[Monomial, dict[Monomial, Rational]]:
     """
     if degree < 2:
         return {}
+    if degree > MAX_TABLE_DEGREE:
+        raise ValueError(f"the braid normal form is built up to degree {MAX_TABLE_DEGREE}, not {degree}")
     lower = _reduction_table(degree - 1)
     rels = [{m: _exact(c) for m, c in rel.items()} for rel in _quadratic_relations()]
 

@@ -234,6 +234,11 @@ def _verify_identity(identity: str, weight: int, p: int | None, flavor: str, tol
                        "residual": residual, "tolerance": tolerance})
 
     if identity in ("dual", "hexagon", "pentagon"):
+        from .braid import MAX_TABLE_DEGREE
+
+        if identity == "pentagon" and weight > MAX_TABLE_DEGREE:
+            raise click.UsageError(f"--weight {weight} is past the pentagon's limit of {MAX_TABLE_DEGREE}: "
+                                   f"the braid normal form is built up to degree {MAX_TABLE_DEGREE}")
         if flavor == "padic_KZ":
             if weight != 2 or identity != "hexagon":
                 raise click.UsageError("the symbolic relations are exposed at weight 2 for the hexagon")
@@ -261,7 +266,7 @@ def _verify_identity(identity: str, weight: int, p: int | None, flavor: str, tol
         if p is None:
             raise click.UsageError("--p is required for this identity")
         phi = asc.build_symbolic_associator("p", weight)
-        de = asc.solve_deligne(phi, p)
+        de = asc.build_associator(asc.PADIC_DELIGNE, weight, p)
         exact(f"comparison identity at weight {weight}, p={p}",
               asc.comparison_residual(phi, de, Fraction(1, p)).is_zero())
         for k in (2, 3, 4):
@@ -307,7 +312,7 @@ def _verify_identity(identity: str, weight: int, p: int | None, flavor: str, tol
     if identity == "princeton":
         if p is None:
             raise click.UsageError("--p is required for this identity")
-        phi_de = asc.solve_deligne(asc.build_symbolic_associator("p", weight), p)
+        phi_de = asc.build_associator(asc.PADIC_DELIGNE, weight, p)
         res = asc.verify_kz_equation(asc.overconvergent_g0(p, weight), p=p, frobenius_conjugator=phi_de)
         exact(f"modified differential equation residual at weight {weight}, p={p}", res.is_zero())
         return checks

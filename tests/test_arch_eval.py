@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from mzv import arch_eval
 from mzv.arch_eval import (
     InadmissibleIndexError,
     bernoulli,
@@ -108,6 +109,17 @@ def test_domain_errors():
         sv_polylog(2, 1.2)
     with pytest.raises(ValueError):
         zagier_p(2, 0)
+
+
+def test_series_cutoff_is_capped_near_the_unit_circle(monkeypatch):
+    def no_arange(*args, **kwargs):
+        raise AssertionError("the series was summed instead of refused")
+
+    monkeypatch.setattr(arch_eval.np, "arange", no_arange)
+    z = 0.999999999j
+    for evaluate in (lambda: polylog(2, z), lambda: polylog2(1, 2, z)):
+        with pytest.raises(ValueError, match=r"\|z\| = 0\.999999999 needs \d\.\d+e\+10 terms"):
+            evaluate()
 
 
 def test_bernoulli_projection_consistency():

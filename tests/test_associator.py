@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import mzv.associator as asc
 from mzv.arch_eval import mzv
 from mzv.associator import (
     COMPLEX_KZ,
@@ -34,15 +35,17 @@ from mzv.associator import (
     single_valued_g0,
     solve_deligne,
     solve_minus,
+    substitute_zeta_symbols,
     twisted_substitution,
     verify_grt_relations,
     verify_kz_equation,
     zeta_lambda_expr,
     grt_residual_norm,
 )
+from mzv.cli import _verify_identity
 from mzv.rings import QQ, SYMBOLIC, complex_ring
-from mzv.series import NCSeries, character_series, is_group_like
-from mzv.symbols import ARG_Z, ARG_Z_CONJ, LiSym, LogSym, SymbolPoly
+from mzv.series import NCSeries, character_series, is_group_like, random_series
+from mzv.symbols import ARG_Z, ARG_Z_CONJ, LiSym, LogSym, SymbolPoly, ZetaSym
 from mzv.words import lyndon_words
 
 
@@ -123,6 +126,83 @@ def test_solver_fixes_the_identity_exactly():
 def test_solver_trivial_input():
     one = NCSeries.one(SYMBOLIC, 4)
     assert solve_deligne(one, 5) == one
+
+
+def _fixed_point_solve(phi, scale):
+    """Reference: iterate G <- phi * twisted_substitution(phi, G, scale)^-1
+    at full truncation from G = 1 until it stops changing."""
+    g = NCSeries.one(phi.ring, phi.truncation)
+    for _ in range(phi.truncation + 1):
+        nxt = phi * twisted_substitution(phi, g, scale).invert()
+        if nxt == g:
+            return g
+        g = nxt
+    raise AssertionError("the fixed-point loop did not settle")
+
+
+SOLVER_SCALES = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(1, 7), Fraction(-1)]
+
+
+@pytest.mark.parametrize("scale", SOLVER_SCALES, ids=str)
+@pytest.mark.parametrize("weight", [2, 3, 4, 5, 6])
+def test_graded_solver_equals_fixed_point_loop(weight, scale):
+    rng = random.Random(weight)
+    assignments = {w: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                   for w in lyndon_words(weight) if len(w) >= 2}
+    group_like = character_series(assignments, weight, QQ)
+    # letter terms and a constant term other than 1 exercise the general recursion
+    general = random_series(QQ, weight, rng, constant=Fraction(2, 3))
+    for phi in (group_like, general):
+        got, want = asc._solve_twisted(phi, scale), _fixed_point_solve(phi, scale)
+        assert got.truncation == want.truncation == weight
+        assert got.coeffs == want.coeffs
+    if weight <= 4:
+        phi = build_symbolic_associator("p", weight)
+        assert asc._solve_twisted(phi, scale).coeffs == _fixed_point_solve(phi, scale).coeffs
+
+
+def _clear_associator_caches():
+    for fn in (asc.build_associator, asc._zeta_substitution_table,
+               asc.overconvergent_g0, asc.single_valued_g0):
+        fn.cache_clear()
+
+
+def _count_solves(monkeypatch):
+    calls = []
+    solve = asc._solve_twisted
+
+    def counted(phi, scale):
+        calls.append((phi.truncation, scale))
+        return solve(phi, scale)
+
+    _clear_associator_caches()
+    monkeypatch.setattr(asc, "_solve_twisted", counted)
+    return calls
+
+
+@pytest.mark.parametrize("identity, weight, p", [
+    ("netherland", 5, 5), ("czech", 5, 5), ("princeton", 4, 3), ("moldova", 5, None),
+])
+def test_verify_identity_solves_once(monkeypatch, identity, weight, p):
+    calls = _count_solves(monkeypatch)
+    checks = _verify_identity(identity, weight, p, "complex_KZ", 1e-6)
+    assert checks and all(c["status"] == "exact-zero" for c in checks)
+    assert len(calls) == 1
+    _clear_associator_caches()
+
+
+def test_zeta_substitution_builds_only_the_flavors_used(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    poly = SymbolPoly.gen(ZetaSym("p-adic", (2,))) + SymbolPoly.gen(ZetaSym("p-adic", (1,)))
+    want = zeta_lambda_expr(build_symbolic_associator("p", 4), (2,))
+    assert (substitute_zeta_symbols(poly, 4, 5) - want).is_zero()
+    assert calls == []
+    assert asc._zeta_substitution_table.cache_info().currsize == 1
+    # the Deligne flavor without a prime stays a symbol
+    zeta_de = SymbolPoly.gen(ZetaSym("p-adic-Deligne", (2,)))
+    assert (substitute_zeta_symbols(zeta_de, 4) - zeta_de).is_zero()
+    assert calls == []
+    _clear_associator_caches()
 
 
 def test_depth1_and_depth2_comparison_formulas():

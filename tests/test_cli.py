@@ -6,6 +6,7 @@ import jsonschema
 import pytest
 from click.testing import CliRunner
 
+from mzv import arch_eval
 from mzv.cli import _is_prime, assoc, mzv, padic, series, sv
 
 try:
@@ -93,6 +94,7 @@ def test_composite_p_is_a_usage_error(group, args):
 @pytest.mark.parametrize("group,args", [
     (assoc, ["verify", "--identity", "netherland", "--weight", "20", "--p", "5"]),
     (assoc, ["verify", "--identity", "pentagon", "--weight", "20"]),
+    (assoc, ["verify", "--identity", "pentagon", "--weight", "7"]),
     (assoc, ["verify", "--identity", "dual", "--weight", "0"]),
     (series, ["dump", "--weight", "17"]),
 ])
@@ -146,6 +148,18 @@ def test_sv_polylog_output():
     assert result.exit_code == 2
 
 
+def test_sv_polylog_near_the_unit_circle_is_refused(monkeypatch):
+    def no_arange(*args, **kwargs):
+        raise AssertionError("the series was summed instead of refused")
+
+    monkeypatch.setattr(arch_eval.np, "arange", no_arange)
+    start = time.monotonic()
+    result = _run(sv, ["polylog", "--k", "2", "--z", "0.999999999"])
+    assert result.exit_code == 2, result.output
+    assert "terms" in result.output
+    assert time.monotonic() - start < 5.0
+
+
 def test_series_dump_parse_round_trip():
     dump = _run(series, ["dump", "--flavor", "padic_KZ", "--weight", "3"])
     assert dump.exit_code == 0
@@ -188,6 +202,27 @@ def test_series_dump_golden(flavor, weight):
     result = _run(series, args)
     assert result.exit_code == 0, result.output
     assert hashlib.sha256(result.output.encode()).hexdigest() == DUMP_SHA256[(flavor, weight)]
+
+
+# sha256 of `assoc verify` stdout for the symbolic identities, recorded
+# before the twisted solver became graded and memoized
+VERIFY_SHA256 = {
+    ("netherland", 5, 3): "0eb024bb0521be4911a90d6eb032e9bf458b4d63b56b015b032dbd32a233fc3a",
+    ("czech", 5, 5): "693c5eaafb8ec882814fc64a23f66e49680c87b2d3a0c0d3e73f04ac753ab438",
+    ("princeton", 4, 3): "bcac6cdb63b943e92ec6f4733afd33d75f5f302bc368413f56de69fa1ccd439c",
+    ("moldova", 5, None): "fc5b7b3bcc396230ba97734ff3b23be60b87d26eafb6cc648c2a300b6cdbf9ae",
+    ("kz", 5, None): "4e3306b452d8859fc6900d0977414678a92299310a96b42d1d3a2cfa45af1506",
+}
+
+
+@pytest.mark.parametrize("identity,weight,p", sorted(VERIFY_SHA256, key=str))
+def test_assoc_verify_golden(identity, weight, p):
+    args = ["verify", "--identity", identity, "--weight", str(weight)]
+    if p is not None:
+        args += ["--p", str(p)]
+    result = _run(assoc, args)
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.output.encode()).hexdigest() == VERIFY_SHA256[(identity, weight, p)]
 
 
 @pytest.mark.parametrize("word", ["AXB", "ABAB"])
