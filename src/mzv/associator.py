@@ -89,28 +89,27 @@ def gt_compose(p2: GTPair, p1: GTPair) -> GTPair:
 
 
 def substitution_preimage(target: NCSeries, g: NCSeries, s) -> NCSeries:
-    """Solve twisted_substitution(h, g, s) == target by weight recursion.
+    """Solve twisted_substitution(h, g, s) == target, one weight per pass.
 
-    The scale s must be a unit; a word w then maps to s^|w| w plus
-    higher-weight terms, so the substitution is weight-triangular and the
-    preimage unique.
+    The scale s must be a unit.  Invariant: a word w maps to s^|w| w plus
+    words of higher weight, so the weight-k part of the substitution of h
+    is s^k h_k plus terms that depend on h only through its weights < k.
+    With h exact below weight k, the weight-k part of target minus the
+    substitution of h at truncation k, divided by s^k, is h_k; the preimage
+    is unique.
     """
     ring = target.ring
-    n = target.truncation
     if not ring.is_unit(s):
         raise ValueError("the twisted substitution needs a unit scale")
     s_inv = ring.invert(s)
-    h = NCSeries.zero(ring, n)
-    for _ in range(n + 2):
-        r = target - twisted_substitution(h, g, s)
-        if r.is_zero():
-            return h
-        low = min(len(w) for w in r.coeffs)
-        scale = ring.one
-        for _ in range(low):
-            scale = scale * s_inv
-        h = h + NCSeries(ring, n, {w: c * scale for w, c in r.weight_part(low).items()})
-    raise AssertionError("substitution preimage did not converge")
+    coeffs = target.weight_part(0)  # the substitution fixes the constant term
+    scale = s_inv  # s^-k
+    for k in range(1, target.truncation + 1):
+        image = twisted_substitution(NCSeries(ring, k, coeffs), g, s)
+        residual = (target.truncate(k) - image).weight_part(k)
+        coeffs.update((w, c * scale) for w, c in residual.items())
+        scale = scale * s_inv
+    return NCSeries(ring, target.truncation, coeffs)
 
 
 def gt_invert(p: GTPair) -> GTPair:

@@ -117,6 +117,14 @@ def _weight(ctx, param, weight):
     return weight
 
 
+def _relations_weight(ctx, param, weight):
+    from .shufflealg import MAX_RELATIONS_WEIGHT
+
+    if not 2 <= weight <= MAX_RELATIONS_WEIGHT:
+        raise click.BadParameter(f"weight {weight} is outside 2..{MAX_RELATIONS_WEIGHT}")
+    return weight
+
+
 def _parse_index(text: str) -> tuple[int, ...]:
     try:
         entries = tuple(int(x) for x in text.replace(" ", "").split(","))
@@ -159,7 +167,7 @@ def mzv_eval(index, tolerance, pretty):
 
 
 @mzv.command("relations")
-@click.option("--weight", type=int, required=True)
+@click.option("--weight", type=int, required=True, callback=_relations_weight)
 @click.option("--flavor", default="complex", show_default=True,
               type=click.Choice(["complex", "p-adic", "p-adic-Deligne"]))
 @click.option("--format", "fmt", default="csv", show_default=True, type=click.Choice(["csv", "json"]))

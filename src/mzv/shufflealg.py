@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .symbols import SymbolPoly, ZetaSym
+from .symbols import ZetaSym
 from .words import all_words
 
 # -- indices ---------------------------------------------------------------
@@ -169,11 +169,10 @@ def recover_character(known: dict[str, object], c_a, c_b, max_weight: int, ring,
 
     `known` must assign a coefficient to every convergent word of weight
     <= max_weight and be shuffle-multiplicative on convergent words (this
-    is checked unless `check_consistency` is disabled, which the
-    regularization tables need because they treat the convergent
-    coefficients as free symbols).  `c_a` and `c_b` are the prescribed
-    single-letter coefficients.  Returns the full coefficient map on all
-    words of weight <= max_weight.
+    is checked unless `check_consistency` is disabled, as it must be when
+    the convergent coefficients are free symbols).  `c_a` and `c_b` are the
+    prescribed single-letter coefficients.  Returns the full coefficient map
+    on all words of weight <= max_weight.
     """
     if not ring.has_rationals:
         raise ValueError("divergent-coefficient recovery needs rational scalars in the ring")
@@ -250,40 +249,46 @@ def _check_convergent_consistency(known, max_weight, ring):
 
 
 @lru_cache(maxsize=None)
-def _shuffle_reg_table(max_weight: int) -> dict[str, SymbolPoly]:
-    """Character table with convergent words mapped to their zeta symbols
-    and both letter coefficients set to zero (shuffle regularization)."""
-    from .rings import SYMBOLIC
+def _shuffle_reg_word(word: str) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
+    """The shuffle-regularized coefficient of a word ending in B, with both
+    letter coefficients zero, as (admissible index, coefficient) pairs.
 
-    known: dict[str, SymbolPoly] = {}
-    for weight in range(2, max_weight + 1):
-        for w in convergent_words(weight):
-            entries, sign = index_of_word(w)
-            known[w] = SymbolPoly.gen(ZetaSym("complex", entries), Fraction(sign))
-    return recover_character(known, SymbolPoly.ZERO, SymbolPoly.ZERO, max_weight, SYMBOLIC,
-                             check_consistency=False)
-
-
-def _linear_poly_to_index_dict(poly: SymbolPoly) -> dict[tuple[int, ...], Fraction]:
-    out: dict[tuple[int, ...], Fraction] = {}
-    for mono, c in poly.terms.items():
-        if len(mono) != 1 or mono[0][1] != 1 or not isinstance(mono[0][0], ZetaSym):
-            raise ValueError("expected a linear combination of zeta symbols")
-        out[mono[0][0].index] = out.get(mono[0][0].index, Fraction(0)) + Fraction(c)
-    return {k: v for k, v in out.items() if v}
+    Such a word is B^r v with v convergent or empty.  The character
+    vanishes on B^r, so 0 = sum over u in B^r sh v of m_u reg(u), where
+    B^r v itself appears once and every other u has fewer leading B's.
+    Terms are added in shuffle order and a coefficient that cancels is
+    dropped, so the pairs come out in the order `recover_character` with
+    free zeta symbols would hold them.
+    """
+    if is_convergent_word(word):
+        entries, sign = index_of_word(word)
+        return ((entries, Fraction(sign)),)
+    v = word.lstrip("B")
+    if not v:
+        return ()
+    acc: dict[tuple[int, ...], Fraction] = {}
+    for u, m in shuffle_words("B" * (len(word) - len(v)), v).items():
+        if u == word:
+            continue
+        for idx, c in _shuffle_reg_word(u):
+            c = acc.get(idx, 0) - c * m
+            if c:
+                acc[idx] = c
+            else:
+                acc.pop(idx, None)
+    return tuple(acc.items())
 
 
 def shuffle_regularized(index: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
     """The shuffle-regularized value of a (possibly divergent) index as a
     linear combination of admissible indices, with zeta(1) sent to 0."""
     idx = tuple(index)
-    if idx and idx[-1] >= 2:
+    if not idx:
+        raise ValueError("the empty index has no zeta value")
+    if idx[-1] >= 2:
         return {idx: Fraction(1)}
-    if idx == (1,):
-        return {}
     word, sign = word_of_index(idx)
-    table = _shuffle_reg_table(sum(idx))
-    return _linear_poly_to_index_dict(Fraction(sign) * table[word])
+    return {k: sign * c for k, c in _shuffle_reg_word(word)}
 
 
 @lru_cache(maxsize=None)
@@ -312,6 +317,10 @@ def stuffle_regularized(index: tuple[int, ...]) -> dict[tuple[int, ...], "Fracti
 # -- relation rows ------------------------------------------------------------
 
 Monomial = tuple[tuple[int, ...], ...]  # sorted multiset of admissible indices
+
+# the monomial and row counts grow exponentially with the weight; weight 12
+# is the highest the command line accepts
+MAX_RELATIONS_WEIGHT = 12
 
 
 def _mono(*indices: tuple[int, ...]) -> Monomial:
@@ -467,63 +476,92 @@ class ReductionResult:
 
 
 def reduce_relations(rows: list[RelationRow], weight: int) -> ReductionResult:
-    """Exact fraction-free row reduction of the relation rows.
+    """Exact fraction-free sparse row reduction of the relation rows.
 
-    Rows are scaled to integers and eliminated Bareiss-style over the
-    monomial axis sorted by pivot preference; the quotient basis is the
-    set of monomials that never lead a row, and every pivot monomial gets
-    an expression in the basis.
+    Rows are scaled to integers and held as {column: int} dicts over the
+    monomial axis sorted by pivot preference.  Column by column, the pivot
+    is the first pending row, in the current order, with a nonzero entry
+    there; it swaps places with the first pending row, as in a dense
+    Bareiss elimination.  Every other pending row with a nonzero entry in
+    the column becomes a*v - b*pivot divided by the gcd of its entries;
+    rows with a zero there are left alone.  So each echelon row is a
+    nonzero multiple of the dense Bareiss row with the same zero pattern,
+    and the pivots, the quotient basis (the monomials that never lead a
+    row) and the exact back-substituted expression of every pivot monomial
+    are the ones the dense elimination gives.
     """
     if any(r.weight != weight for r in rows):
         raise ValueError("rows must be homogeneous of the stated weight")
     monos = sorted(zeta_monomials(weight), key=_pivot_key, reverse=True)
     col_of = {m: k for k, m in enumerate(monos)}
-    matrix: list[list[int]] = []
+    matrix: list[dict[int, int]] = []
     for row in rows:
         denom = math.lcm(*(c.denominator for c in row.coeffs.values()))
-        vec = [0] * len(monos)
-        for m, c in row.coeffs.items():
-            vec[col_of[m]] = int(c * denom)
-        matrix.append(vec)
+        matrix.append({col_of[m]: int(c * denom) for m, c in row.coeffs.items()})
 
-    # Bareiss fraction-free forward elimination
-    pivots: list[tuple[int, int]] = []  # (row, col)
-    r = 0
-    prev = 1
+    # a pending row is zero left of the current column, so the rows with a
+    # nonzero entry there are the ones it leads; order[i] is the row at
+    # position i and pos its inverse
+    order = list(range(len(matrix)))
+    pos = list(range(len(matrix)))
+    by_lead: dict[int, set[int]] = {}
+    for i, vec in enumerate(matrix):
+        by_lead.setdefault(min(vec), set()).add(i)
+    pivots: list[tuple[dict[int, int], int]] = []  # (row, col)
     for col in range(len(monos)):
-        sel = next((i for i in range(r, len(matrix)) if matrix[i][col] != 0), None)
-        if sel is None:
+        led = by_lead.pop(col, None)
+        if not led:
             continue
-        matrix[r], matrix[sel] = matrix[sel], matrix[r]
-        for i in range(r + 1, len(matrix)):
-            if all(x == 0 for x in matrix[i]):
+        sel = min(led, key=pos.__getitem__)
+        r, j = len(pivots), pos[sel]
+        other = order[r]
+        order[r], order[j] = sel, other
+        pos[sel], pos[other] = r, j
+        pivot = matrix[sel]
+        a = pivot[col]
+        for i in led:
+            if i == sel:
                 continue
-            for c2 in range(len(monos)):
-                if c2 == col:
-                    continue
-                matrix[i][c2] = (matrix[r][col] * matrix[i][c2] - matrix[i][col] * matrix[r][c2]) // prev
-            matrix[i][col] = 0
-        prev = matrix[r][col]
-        pivots.append((r, col))
-        r += 1
+            vec = matrix[i]
+            b = vec[col]
+            g = math.gcd(a, b)
+            sa, sb = a // g, b // g
+            new = {k: sa * x for k, x in vec.items()}
+            for k, x in pivot.items():
+                y = new.get(k, 0) - sb * x
+                if y:
+                    new[k] = y
+                else:
+                    del new[k]
+            if new:
+                g = math.gcd(*new.values())
+                if g > 1:
+                    new = {k: x // g for k, x in new.items()}
+                by_lead.setdefault(min(new), set()).add(i)
+            matrix[i] = new
+        pivots.append((pivot, col))
 
-    pivot_cols = [c for _, c in pivots]
+    pivot_cols = {c for _, c in pivots}
     basis = sorted((m for k, m in enumerate(monos) if k not in pivot_cols), key=_pivot_key)
-    # back-substitution with exact fractions for the expression table
+    # back-substitution: each pivot monomial's expression is held as integer
+    # numerators over one denominator and turned into fractions once
+    scaled: dict[int, tuple[dict[Monomial, int], int]] = {}  # col -> (numerators, denominator)
     expressions: dict[Monomial, dict[Monomial, Fraction]] = {}
-    for rr, cc in reversed(pivots):
-        expr: dict[Monomial, Fraction] = {}
-        lead = Fraction(matrix[rr][cc])
-        for c2 in range(cc + 1, len(monos)):
-            val = Fraction(matrix[rr][c2])
-            if not val:
-                continue
-            coeff = -val / lead
-            tgt = monos[c2]
-            if tgt in expressions:
-                for bm, bc in expressions[tgt].items():
-                    expr[bm] = expr.get(bm, Fraction(0)) + coeff * bc
+    for row, cc in reversed(pivots):
+        terms = [(c2, -row[c2]) for c2 in sorted(k for k in row if k > cc)]
+        den = math.lcm(*(scaled[c2][1] for c2, _ in terms if c2 in scaled))
+        acc: dict[Monomial, int] = {}
+        for c2, x in terms:
+            if c2 in scaled:
+                nums, d = scaled[c2]
+                x *= den // d
+                for bm, n in nums.items():
+                    acc[bm] = acc.get(bm, 0) + x * n
             else:
-                expr[tgt] = expr.get(tgt, Fraction(0)) + coeff
-        expressions[monos[cc]] = {m: c for m, c in expr.items() if c}
+                acc[monos[c2]] = acc.get(monos[c2], 0) + x * den
+        acc = {m: n for m, n in acc.items() if n}
+        den *= row[cc]
+        g = math.gcd(den, *acc.values())
+        scaled[cc] = ({m: n // g for m, n in acc.items()}, den // g)
+        expressions[monos[cc]] = {m: Fraction(n, den) for m, n in acc.items()}
     return ReductionResult(weight, len(pivots), basis, expressions)

@@ -161,6 +161,41 @@ def test_graded_solver_equals_fixed_point_loop(weight, scale):
         assert asc._solve_twisted(phi, scale).coeffs == _fixed_point_solve(phi, scale).coeffs
 
 
+def _fixed_point_preimage(target, g, s):
+    """Reference: the full-truncation loop that adds the lowest-weight part
+    of target - twisted_substitution(h, g, s), divided by s^weight."""
+    ring = target.ring
+    n = target.truncation
+    s_inv = ring.invert(s)
+    h = NCSeries.zero(ring, n)
+    for _ in range(n + 2):
+        r = target - twisted_substitution(h, g, s)
+        if r.is_zero():
+            return h
+        low = min(len(w) for w in r.coeffs)
+        scale = ring.one
+        for _ in range(low):
+            scale = scale * s_inv
+        h = h + NCSeries(ring, n, {w: c * scale for w, c in r.weight_part(low).items()})
+    raise AssertionError("the fixed-point preimage loop did not settle")
+
+
+@pytest.mark.parametrize("scale", [Fraction(1, 2), Fraction(1, 3), Fraction(-1)], ids=str)
+@pytest.mark.parametrize("weight", [2, 3, 4, 5, 6])
+def test_graded_preimage_equals_fixed_point_loop(weight, scale):
+    rng = random.Random(100 + weight)
+    assignments = {w: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                   for w in lyndon_words(weight) if len(w) >= 2}
+    g = character_series(assignments, weight, QQ)
+    # a group-like target (the gt_invert case) and a general one with letter terms
+    for target in (g.invert(), random_series(QQ, weight, rng, constant=Fraction(2, 3))):
+        got = asc.substitution_preimage(target, g, scale)
+        want = _fixed_point_preimage(target, g, scale)
+        assert got.truncation == want.truncation == weight
+        assert got.coeffs == want.coeffs
+        assert twisted_substitution(got, g, scale) == target
+
+
 def _clear_associator_caches():
     for fn in (asc.build_associator, asc._zeta_substitution_table,
                asc.overconvergent_g0, asc.single_valued_g0):

@@ -97,6 +97,7 @@ def test_composite_p_is_a_usage_error(group, args):
     (assoc, ["verify", "--identity", "pentagon", "--weight", "7"]),
     (assoc, ["verify", "--identity", "dual", "--weight", "0"]),
     (series, ["dump", "--weight", "17"]),
+    (mzv, ["relations", "--weight", "13"]),
 ])
 def test_weight_past_the_cap_fails_before_any_work(group, args):
     start = time.monotonic()
@@ -223,6 +224,27 @@ def test_assoc_verify_golden(identity, weight, p):
     result = _run(assoc, args)
     assert result.exit_code == 0, result.output
     assert hashlib.sha256(result.output.encode()).hexdigest() == VERIFY_SHA256[(identity, weight, p)]
+
+
+# sha256 of `mzv relations` stdout, recorded before the row reduction became
+# sparse and the shuffle regularization direct
+RELATIONS_SHA256 = {
+    ("json", 6, "complex"): "e74082662440ca7f468cd7938d7d86993fa7308ea1e62024c3dd99d7fd554fb4",
+    ("json", 6, "p-adic-Deligne"): "2afbe259f8e8d26b820bc7be47c46b347354ed30054a246abfa06af2ce659b1b",
+    ("json", 7, "complex"): "3ec130126957e1aa7a586ed1841f70d8404c5e2d3169e0898a72770d073aa5c9",
+    ("json", 7, "p-adic-Deligne"): "d956e8d9d2d49a74f2e0d0e823c04b1cd519230f7533606207b451a47b0f24b6",
+    ("json", 8, "complex"): "1eb7becd3107d0db83ee3c535f99e3ed7455f5f53b0919d25e69a6bb803c0307",
+    ("json", 8, "p-adic-Deligne"): "a9b6c5823d08cb34f75f0b424e4d857e9ce570e909b9d385a0ab17d6d215c198",
+    ("csv", 8, "complex"): "a1810bfd227209e780cd72fa7d3d2a410451a3c8fe76462f5093141b1680ad20",
+}
+
+
+@pytest.mark.parametrize("fmt,weight,flavor", sorted(RELATIONS_SHA256))
+def test_mzv_relations_golden(fmt, weight, flavor):
+    args = ["relations", "--weight", str(weight), "--format", fmt, "--flavor", flavor]
+    result = _run(mzv, args)
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.output.encode()).hexdigest() == RELATIONS_SHA256[(fmt, weight, flavor)]
 
 
 @pytest.mark.parametrize("word", ["AXB", "ABAB"])

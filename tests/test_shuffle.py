@@ -10,6 +10,8 @@ from mzv.series import NCSeries, character_series, is_group_like
 from mzv.shufflealg import (
     InconsistentCharacterError,
     Index,
+    ReductionResult,
+    _pivot_key,
     admissible_indices,
     convergent_words,
     generate_double_shuffle,
@@ -314,3 +316,96 @@ def test_reduce_relations_empty_input():
 def test_monomial_str():
     assert monomial_str(((2,), (2,))) == "zeta[2]^2"
     assert monomial_str(((1, 2),), "p-adic") == "zeta_p[1,2]"
+
+
+def _dense_reduce(rows, weight):
+    """The dense Bareiss reduction over every monomial column, kept as the
+    reference for the sparse elimination."""
+    monos = sorted(zeta_monomials(weight), key=_pivot_key, reverse=True)
+    col_of = {m: k for k, m in enumerate(monos)}
+    matrix = []
+    for row in rows:
+        denom = math.lcm(*(c.denominator for c in row.coeffs.values()))
+        vec = [0] * len(monos)
+        for m, c in row.coeffs.items():
+            vec[col_of[m]] = int(c * denom)
+        matrix.append(vec)
+    pivots = []
+    r = 0
+    prev = 1
+    for col in range(len(monos)):
+        sel = next((i for i in range(r, len(matrix)) if matrix[i][col] != 0), None)
+        if sel is None:
+            continue
+        matrix[r], matrix[sel] = matrix[sel], matrix[r]
+        for i in range(r + 1, len(matrix)):
+            if all(x == 0 for x in matrix[i]):
+                continue
+            for c2 in range(len(monos)):
+                if c2 == col:
+                    continue
+                matrix[i][c2] = (matrix[r][col] * matrix[i][c2] - matrix[i][col] * matrix[r][c2]) // prev
+            matrix[i][col] = 0
+        prev = matrix[r][col]
+        pivots.append((r, col))
+        r += 1
+    pivot_cols = [c for _, c in pivots]
+    basis = sorted((m for k, m in enumerate(monos) if k not in pivot_cols), key=_pivot_key)
+    expressions = {}
+    for rr, cc in reversed(pivots):
+        expr = {}
+        lead = Fraction(matrix[rr][cc])
+        for c2 in range(cc + 1, len(monos)):
+            val = Fraction(matrix[rr][c2])
+            if not val:
+                continue
+            coeff = -val / lead
+            tgt = monos[c2]
+            if tgt in expressions:
+                for bm, bc in expressions[tgt].items():
+                    expr[bm] = expr.get(bm, Fraction(0)) + coeff * bc
+            else:
+                expr[tgt] = expr.get(tgt, Fraction(0)) + coeff
+        expressions[monos[cc]] = {m: c for m, c in expr.items() if c}
+    return ReductionResult(weight, len(pivots), basis, expressions)
+
+
+@pytest.mark.parametrize("weight", range(2, 9))
+def test_sparse_reduction_equals_dense_bareiss(weight):
+    rows = generate_double_shuffle(weight)
+    got = reduce_relations(rows, weight)
+    want = _dense_reduce(rows, weight)
+    assert got.rank == want.rank
+    assert got.basis == want.basis
+    # same pivots in the same order, and every expression term by term in order
+    assert list(got.expressions) == list(want.expressions)
+    for mono, expr in want.expressions.items():
+        assert list(got.expressions[mono].items()) == list(expr.items()), mono
+
+
+def _table_regularized(index, table):
+    """shuffle_regularized through the full character table that
+    recover_character builds from free zeta symbols."""
+    word, sign = word_of_index(index)
+    out = {}
+    for mono, c in table[word].terms.items():
+        ((sym, _),) = mono
+        out[sym.index] = out.get(sym.index, Fraction(0)) + sign * c
+    return {k: v for k, v in out.items() if v}
+
+
+def test_regularization_equals_character_table():
+    top = 8
+    table = recover_character(_zeta_known(top), SymbolPoly.ZERO, SymbolPoly.ZERO, top, SYMBOLIC,
+                              check_consistency=False)
+    for wt in range(2, top):
+        for j in admissible_indices(wt):
+            for ones in ((1,), (1, 1)):
+                d = tuple(j) + ones
+                if sum(d) > top:
+                    continue
+                want = _table_regularized(d, table)
+                assert list(shuffle_regularized(d).items()) == list(want.items()), d
+    assert shuffle_regularized((1, 1)) == {}
+    with pytest.raises(ValueError):
+        shuffle_regularized(())
