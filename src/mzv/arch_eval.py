@@ -31,8 +31,8 @@ from .symbols import (
     LogSym,
     SymbolPoly,
     ZetaSym,
+    ZSym,
 )
-from .ratfunc import RatFunc
 
 MZV_TOLERANCE = 1e-6
 _CUTOFF = 2_000_000
@@ -302,6 +302,10 @@ def evaluate_symbol_poly(poly: SymbolPoly, z: complex | None = None, lambda_tag:
             if g.tag != lambda_tag:
                 raise ValueError(f"lambda symbol {g} does not match tag {lambda_tag!r}")
             return lambda_value(g.word)
+        if isinstance(g, ZSym):
+            if ARG_Z not in args:
+                raise ValueError("no numeric value for z")
+            return args[ARG_Z]
         if isinstance(g, LogSym):
             if g.arg == ARG_ABS_Z_SQ:
                 return log_abs_sq(args[ARG_Z])
@@ -325,24 +329,11 @@ def evaluate_symbol_poly(poly: SymbolPoly, z: complex | None = None, lambda_tag:
 
     total = 0.0 + 0.0j
     for mono, c in poly.terms.items():
-        if isinstance(c, RatFunc):
-            num = _eval_poly(c.num, args[ARG_Z])
-            den = _eval_poly(c.den, args[ARG_Z])
-            scalar = num / den
-        else:
-            scalar = complex(Fraction(c))
-        term = scalar
+        term = complex(c)
         for g, e in mono:
             term *= gen_value(g) ** e
         total += term
     return total
-
-
-def _eval_poly(coeffs, z: complex) -> complex:
-    acc = 0.0 + 0.0j
-    for c in reversed(coeffs):
-        acc = acc * z + complex(c)
-    return acc
 
 
 def evaluate_monomial(mono: Monomial) -> float:

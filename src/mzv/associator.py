@@ -19,7 +19,6 @@ from functools import lru_cache
 
 from .braid import BraidElement, evaluate_series
 from .rings import SYMBOLIC, Ring, complex_ring
-from .ratfunc import RatFunc, poly_from_coeffs
 from .series import NCSeries, character_series, is_group_like
 from .shufflealg import index_of_word, is_convergent_word, word_of_index
 from .symbols import (
@@ -32,7 +31,9 @@ from .symbols import (
     LogSym,
     SymbolPoly,
     ZetaSym,
+    derivative_kernels,
     formal_derivative,
+    z_poly,
 )
 from .words import is_lyndon, lyndon_words
 
@@ -327,36 +328,37 @@ def rewrite_logs(poly: SymbolPoly, p: int | None = None) -> SymbolPoly:
 # -- differential-equation residuals ---------------------------------------------
 
 
-def _kz_operator(truncation: int) -> NCSeries:
-    one_over_z = RatFunc(poly_from_coeffs([1]), poly_from_coeffs([0, 1]))
-    one_over_zm1 = RatFunc(poly_from_coeffs([1]), poly_from_coeffs([-1, 1]))
-    return NCSeries(SYMBOLIC, truncation, {
-        "A": SymbolPoly.constant(one_over_z),
-        "B": SymbolPoly.constant(one_over_zm1),
-    })
+def _kz_operator(truncation: int, p: int | None) -> NCSeries:
+    """D (A/z + B/(z-1)) = A D/z - B D/(1-z), with D as in `formal_derivative`."""
+    _, a, b = derivative_kernels(p)
+    return NCSeries(SYMBOLIC, truncation, {"A": a, "B": -b})
 
 
 def verify_kz_equation(g: NCSeries, p: int | None = None,
                        frobenius_conjugator: NCSeries | None = None) -> NCSeries:
     """Residual of the differential equation satisfied by a fundamental
-    solution: dG - (A/z + B/(z-1)) G, minus the right-multiplier term
+    solution, dG - (A/z + B/(z-1)) G, minus the right-multiplier term
     G (A dz^p/(p z^p) + conj(B) dz^p/(p(z^p-1))) when a Frobenius
     conjugator is supplied (the modified equation for the overconvergent
-    solution).  The result must be identically zero in the symbol ring.
+    solution), all multiplied by D = z(1-z), or z(1-z^p) when p is given.
+
+    D clears every denominator, so the scaled residual is a polynomial in z
+    and the symbols: the right-multiplier term becomes
+    G (A (1-z^p) - conj(B) z^p).  D is a nonzero polynomial, so the scaled
+    residual is identically zero in the symbol ring exactly when the
+    residual is; the Li canonicalization does not touch z, so it commutes
+    with the scaling.
     """
     n = g.truncation
     dg = NCSeries(SYMBOLIC, n, {w: formal_derivative(c, p) for w, c in g.coeffs.items()})
-    residual = dg - _kz_operator(n) * g
+    residual = dg - _kz_operator(n, p) * g
     if frobenius_conjugator is not None:
         if p is None:
             raise ValueError("the modified equation needs the prime p")
         # conj(B) = phi_de^-1 B phi_de: the twisted substitution at scale 1
         conj = twisted_substitution(NCSeries.letter(SYMBOLIC, "B", n), frobenius_conjugator, 1)
-        weight = RatFunc(poly_from_coeffs([0] * (p - 1) + [1]),
-                         poly_from_coeffs([-1] + [0] * (p - 1) + [1]))
-        right = NCSeries(SYMBOLIC, n, {"A": SymbolPoly.constant(
-            RatFunc(poly_from_coeffs([1]), poly_from_coeffs([0, 1])))})
-        right = right + conj.scale(SymbolPoly.constant(weight))
+        z_p = z_poly([0] * p + [1])
+        right = NCSeries(SYMBOLIC, n, {"A": 1 - z_p}) - conj.scale(z_p)
         residual = residual + g * right
     # derivatives mint Li symbols at non-Lyndon indices; reduce them to the
     # Lyndon parameterization so that exact zero is decidable
@@ -485,10 +487,6 @@ def _zeta_p(index) -> SymbolPoly:
     if idx == (1,):
         return SymbolPoly.ZERO
     return SymbolPoly.gen(ZetaSym("p-adic", idx))
-
-
-def _zeta_de(index) -> SymbolPoly:
-    return SymbolPoly.gen(ZetaSym("p-adic-Deligne", tuple(index)))
 
 
 def deligne_depth1_formula(k: int, p: int) -> SymbolPoly:

@@ -1,6 +1,6 @@
 """Commutative polynomials in tagged transcendental symbols.
 
-Generators come in four kinds:
+Generators come in five kinds:
 
 * zeta symbols  -- multiple zeta values of a given flavor (complex, p-adic,
   p-adic Deligne), indexed by an admissible index tuple;
@@ -10,21 +10,21 @@ Generators come in four kinds:
 * log symbols   -- logarithms of the argument tags plus 1-z, 1-zbar, |z|^2;
 * lambda symbols -- free character coordinates attached to Lyndon words,
   used to parameterize group-like series before any zeta relations are
-  imposed.
+  imposed;
+* the variable z itself (weight 0), so that a polynomial in z is an
+  ordinary SymbolPoly; only the differential-equation checks mint it.
 
 A SymbolPoly is a finite map {monomial: scalar} with monomials sorted
-tuples of (generator, exponent).  Scalars are exact: `fractions.Fraction`
-by default, promoted to `ratfunc.RatFunc` as soon as a z-dependent scalar
-enters (only the differential-equation checks do that).
+tuples of (generator, exponent).  Scalars are `fractions.Fraction` only;
+all z-dependence lives in the generators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 import re
-
-from .ratfunc import RatFunc
 
 # argument tags for function symbols
 ARG_Z = "z"
@@ -92,7 +92,21 @@ class LambdaSym:
         return f"lam_{self.tag}[{self.word}]"
 
 
-_KIND_RANK = {ZetaSym: 0, LiSym: 1, LogSym: 2, LambdaSym: 3}
+@dataclass(frozen=True, order=True)
+class ZSym:
+    """The variable z."""
+
+    @property
+    def weight(self) -> int:
+        return 0
+
+    def __str__(self):
+        return "z"
+
+
+Z = ZSym()
+
+_KIND_RANK = {ZetaSym: 0, LiSym: 1, LogSym: 2, LambdaSym: 3, ZSym: 4}
 
 
 def _gen_key(g):
@@ -100,26 +114,6 @@ def _gen_key(g):
 
 
 Monomial = tuple[tuple[object, int], ...]
-
-
-def _scalar_zero(x) -> bool:
-    if isinstance(x, RatFunc):
-        return x.is_zero()
-    return x == 0
-
-
-def _scalar_mul(x, y):
-    if isinstance(x, RatFunc) or isinstance(y, RatFunc):
-        x = x if isinstance(x, RatFunc) else RatFunc.from_fraction(x)
-        y = y if isinstance(y, RatFunc) else RatFunc.from_fraction(y)
-    return x * y
-
-
-def _scalar_add(x, y):
-    if isinstance(x, RatFunc) or isinstance(y, RatFunc):
-        x = x if isinstance(x, RatFunc) else RatFunc.from_fraction(x)
-        y = y if isinstance(y, RatFunc) else RatFunc.from_fraction(y)
-    return x + y
 
 
 class SymbolPoly:
@@ -132,7 +126,7 @@ class SymbolPoly:
         for mono, c in (terms or {}).items():
             if isinstance(c, int):
                 c = Fraction(c)
-            if not _scalar_zero(c):
+            if c:
                 clean[mono] = c
         object.__setattr__(self, "terms", clean)
 
@@ -179,7 +173,7 @@ class SymbolPoly:
     def _coerce(self, other):
         if isinstance(other, SymbolPoly):
             return other
-        if isinstance(other, (int, Fraction, RatFunc)):
+        if isinstance(other, (int, Fraction)):
             return SymbolPoly.constant(other)
         return None
 
@@ -189,7 +183,7 @@ class SymbolPoly:
             return NotImplemented
         out = dict(self.terms)
         for m, c in o.terms.items():
-            out[m] = _scalar_add(out[m], c) if m in out else c
+            out[m] = out[m] + c if m in out else c
         return SymbolPoly(out)
 
     __radd__ = __add__
@@ -214,8 +208,8 @@ class SymbolPoly:
         for m1, c1 in self.terms.items():
             for m2, c2 in o.terms.items():
                 m = _merge_monomials(m1, m2)
-                c = _scalar_mul(c1, c2)
-                out[m] = _scalar_add(out[m], c) if m in out else c
+                c = c1 * c2
+                out[m] = out[m] + c if m in out else c
         return SymbolPoly(out)
 
     __rmul__ = __mul__
@@ -225,8 +219,6 @@ class SymbolPoly:
             other = Fraction(other)
         if isinstance(other, Fraction):
             return self * (Fraction(1) / other)
-        if isinstance(other, RatFunc):
-            return self * (RatFunc.from_fraction(1) / other)
         return NotImplemented
 
     def __pow__(self, k: int):
@@ -304,9 +296,6 @@ def _term_str(mono: Monomial, c) -> str:
     for g, e in mono:
         factors.append(str(g) if e == 1 else f"{str(g)}^{e}")
     body = "*".join(factors)
-    if isinstance(c, RatFunc):
-        cs = f"({c})"
-        return f"{cs}*{body}" if body else cs
     if not body:
         return str(c)
     if c == 1:
@@ -316,80 +305,75 @@ def _term_str(mono: Monomial, c) -> str:
     return f"{c}*{body}"
 
 
-# -- the formal d/dz derivative ------------------------------------------
+# -- the formal derivative D d/dz -------------------------------------------
 
 
 class NotDifferentiableError(ValueError):
     pass
 
 
-def _dlog(arg: str, p: int | None) -> RatFunc:
-    z = RatFunc.z_power(1)
-    one = RatFunc.from_fraction(1)
-    if arg == ARG_Z:
-        return one / z
-    if arg == ARG_ONE_MINUS_Z:
-        return -(one / (one - z))
-    if arg == ARG_Z_POW_P:
-        if p is None:
-            raise NotDifferentiableError("differentiating a z^p symbol needs the prime p")
-        return RatFunc.from_fraction(p) / z
-    raise NotDifferentiableError(f"log({arg}) is not differentiable in z")
+def z_poly(coeffs) -> SymbolPoly:
+    """The polynomial sum_i coeffs[i] z^i."""
+    return SymbolPoly({((Z, i),) if i else (): Fraction(c) for i, c in enumerate(coeffs) if c})
 
 
-def _dli(g: LiSym, p: int | None) -> SymbolPoly:
-    """Derivative of a single Li generator as a SymbolPoly over RatFunc."""
-    z = RatFunc.z_power(1)
-    one = RatFunc.from_fraction(1)
+@lru_cache(maxsize=None)
+def derivative_kernels(p: int | None) -> tuple[SymbolPoly, SymbolPoly, SymbolPoly]:
+    """(D, D/z, D/(1-z)) with D = z(1-z), or z(1-z^p) when p is given."""
+    if p is None:
+        return z_poly([0, 1, -1]), z_poly([1, -1]), z_poly([0, 1])
+    return z_poly([0, 1] + [0] * (p - 1) + [-1]), z_poly([1] + [0] * (p - 1) + [-1]), z_poly([0] + [1] * p)
+
+
+@lru_cache(maxsize=None)
+def _d_generator(g, p: int | None) -> SymbolPoly:
+    """D d/dz of one generator (see `formal_derivative`)."""
+    d, d_over_z, d_over_1mz = derivative_kernels(p)
+    if isinstance(g, ZSym):
+        return d
+    if isinstance(g, LogSym) and g.arg == ARG_ONE_MINUS_Z:
+        return -d_over_1mz
+    if g.arg not in (ARG_Z, ARG_Z_POW_P):
+        raise NotDifferentiableError(f"{g} is not differentiable in z")
+    at_zp = g.arg == ARG_Z_POW_P
+    if at_zp and p is None:
+        raise NotDifferentiableError("differentiating a z^p symbol needs the prime p")
+    dlog = p * d_over_z if at_zp else d_over_z  # D dx/x for x = z^p or z
+    if isinstance(g, LogSym):
+        return dlog
     idx = g.index
-    if g.arg == ARG_Z:
-        inner, dz_over = one, None
-    elif g.arg == ARG_Z_POW_P:
-        if p is None:
-            raise NotDifferentiableError("differentiating a z^p symbol needs the prime p")
-        pz = RatFunc.z_power(p)
-        inner, dz_over = RatFunc.from_fraction(p) * RatFunc.z_power(p - 1), pz
-    else:
-        raise NotDifferentiableError(f"Li symbol with argument {g.arg} is not differentiable")
     if idx[-1] >= 2:
-        dropped = LiSym(g.flavor, idx[:-1] + (idx[-1] - 1,), g.arg)
-        denom = z if g.arg == ARG_Z else dz_over
-        return SymbolPoly.gen(dropped, inner / denom)
-    # last exponent 1: strip it; Li of the empty index is 1
-    denom = (one - z) if g.arg == ARG_Z else (one - dz_over)
-    rest = idx[:-1]
-    if rest:
-        return SymbolPoly.gen(LiSym(g.flavor, rest, g.arg), inner / denom)
-    return SymbolPoly.constant(inner / denom)
+        kernel, rest = dlog, idx[:-1] + (idx[-1] - 1,)
+    else:
+        # D dx/(1-x): p z^(p-1) z(1-z^p)/(1-z^p) = p z^p at x = z^p
+        kernel, rest = (z_poly([0] * p + [p]) if at_zp else d_over_1mz), idx[:-1]
+    # Li of the empty index is 1
+    return kernel * SymbolPoly.gen(LiSym(g.flavor, rest, g.arg)) if rest else kernel
 
 
 def formal_derivative(q: SymbolPoly, p: int | None = None) -> SymbolPoly:
-    """d/dz applied with the Leibniz rule; zeta and lambda symbols are constants.
+    """D d/dz applied with the Leibniz rule, where D = z(1-z) when p is None
+    and D = z(1-z^p) when p is given; zeta and lambda symbols are constants.
 
-    The derivative acts on the last index entry of an Li symbol (the
-    exponent of the outermost summation variable): Li[...,k](z) maps to
-    Li[...,k-1](z)/z for k >= 2 and to Li[...](z)/(1-z) for k == 1.
-    Symbols with conjugate arguments are rejected.
+    The denominators of d/dz are z, 1-z, z^p and 1-z^p, and 1-z divides
+    1-z^p, so D clears them all: the result is a polynomial in z and the
+    symbols.  The derivative acts on the last index entry of an Li symbol
+    (the exponent of the outermost summation variable): with x = z or z^p,
+    Li[...,k](x) maps to Li[...,k-1](x) dx/x for k >= 2 and to Li[...](x)
+    dx/(1-x) for k == 1.  Symbols with conjugate arguments are rejected,
+    and z^p symbols need p.
     """
-    for g in q.generators():
-        if isinstance(g, (LiSym, LogSym)) and g.arg in (ARG_Z_CONJ, ARG_ONE_MINUS_Z_CONJ, ARG_ABS_Z_SQ):
-            raise NotDifferentiableError(f"{g} is not differentiable in z")
-    out = SymbolPoly.ZERO
+    out: dict[Monomial, Fraction] = {}
     for mono, c in q.terms.items():
         for i, (g, e) in enumerate(mono):
             if isinstance(g, (ZetaSym, LambdaSym)):
                 continue
-            rest = list(mono[:i] + mono[i + 1 :])
-            if e > 1:
-                rest.append((g, e - 1))
-            rest_mono = tuple(sorted(rest, key=lambda ge: _gen_key(ge[0])))
-            coeff = _scalar_mul(c, Fraction(e))
-            if isinstance(g, LogSym):
-                dg = SymbolPoly.constant(_dlog(g.arg, p))
-            else:
-                dg = _dli(g, p)
-            out = out + SymbolPoly({rest_mono: coeff}) * dg
-    return out
+            rest = mono[:i] + (((g, e - 1),) if e > 1 else ()) + mono[i + 1 :]
+            ce = c * e
+            for m2, c2 in _d_generator(g, p).terms.items():
+                m = _merge_monomials(rest, m2)
+                out[m] = out.get(m, 0) + ce * c2
+    return SymbolPoly(out)
 
 
 # -- canonical parsing --------------------------------------------------
@@ -401,9 +385,13 @@ _GEN_RE = re.compile(
     r"(?:\^(?P<exp>\d+))?"
 )
 _LOG_RE = re.compile(r"log(?:\((?P<arg>[^)]*)\)|\|z\|\^2)(?:\^(?P<exp>\d+))?")
+_Z_RE = re.compile(r"z(?:\^(?P<exp>\d+))?")
 
 
 def _parse_generator(tok: str):
+    m = _Z_RE.fullmatch(tok)
+    if m:
+        return Z, int(m.group("exp") or 1)
     m = _LOG_RE.fullmatch(tok)
     if m:
         arg = m.group("arg") if m.group("arg") else ARG_ABS_Z_SQ

@@ -165,6 +165,19 @@ def test_sv_cross_module_depth1():
         assert abs(evaluate_symbol_poly(poly, z=z) - sv_polylog(k, z)) < 1e-9
 
 
+def test_scaled_derivative_matches_a_finite_difference():
+    """D d/dz of Li_k(z) and log(1-z), evaluated with z as a generator,
+    against D(z) = z(1-z) times a central difference of the numeric value."""
+    from mzv.symbols import ARG_ONE_MINUS_Z, ARG_Z, LiSym, LogSym, SymbolPoly, formal_derivative
+
+    z, h = 0.3 + 0.2j, 1e-5
+    cases = [(LiSym("plain", (k,), ARG_Z), lambda x, k=k: polylog(k, x)) for k in (1, 2, 3)]
+    cases.append((LogSym(ARG_ONE_MINUS_Z), lambda x: cmath.log(1 - x)))
+    for g, f in cases:
+        scaled = evaluate_symbol_poly(formal_derivative(SymbolPoly.gen(g)), z=z)
+        assert abs(scaled - z * (1 - z) * (f(z + h) - f(z - h)) / (2 * h)) < 1e-8
+
+
 def test_relation_rows_vanish_within_tolerance():
     from mzv.shufflealg import generate_double_shuffle
 

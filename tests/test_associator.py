@@ -45,7 +45,7 @@ from mzv.associator import (
 from mzv.cli import _verify_identity
 from mzv.rings import QQ, SYMBOLIC, complex_ring
 from mzv.series import NCSeries, character_series, is_group_like, random_series
-from mzv.symbols import ARG_Z, ARG_Z_CONJ, LiSym, LogSym, SymbolPoly, ZetaSym
+from mzv.symbols import ARG_Z, ARG_Z_CONJ, LiSym, LogSym, SymbolPoly, ZetaSym, z_poly
 from mzv.words import lyndon_words
 
 
@@ -317,21 +317,37 @@ def test_single_valued_formulas():
 
 
 def test_kz_residuals():
-    from mzv.ratfunc import RatFunc, poly_from_coeffs
-
     assert verify_kz_equation(g0_symbolic(ARG_Z, 4)).is_zero()
     one = NCSeries.one(SYMBOLIC, 3)
     res = verify_kz_equation(one)
-    # constants are not solutions: residual is minus the connection applied to 1
-    minus_inv_z = SymbolPoly.constant(RatFunc(poly_from_coeffs([-1]), poly_from_coeffs([0, 1])))
-    minus_inv_zm1 = SymbolPoly.constant(RatFunc(poly_from_coeffs([-1]), poly_from_coeffs([-1, 1])))
-    assert (res["A"] - minus_inv_z).is_zero()
-    assert (res["B"] - minus_inv_zm1).is_zero()
+    # constants are not solutions: the residual is minus the connection
+    # applied to 1, -A/z - B/(z-1), times D = z(1-z)
+    assert (res["A"] - z_poly([-1, 1])).is_zero()
+    assert (res["B"] - z_poly([0, 1])).is_zero()
     assert all(res[w].is_zero() for w in res.words() if len(w) > 1)
     p = 3
     phi_de = solve_deligne(build_symbolic_associator("p", 4), p)
     res2 = verify_kz_equation(overconvergent_g0(p, 4), p=p, frobenius_conjugator=phi_de)
     assert res2.is_zero()
+
+
+@pytest.mark.parametrize("word", ["A", "B", "AB", "BBA", "ABAB", "AABBB", "BABAB"])
+def test_kz_residual_detects_a_corrupted_coefficient(word):
+    g = g0_symbolic(ARG_Z, 5)
+    assert not g[word].is_zero()
+    bad = NCSeries(SYMBOLIC, 5, {**g.coeffs, word: 2 * g[word]})
+    assert not verify_kz_equation(bad).is_zero()
+
+
+@pytest.mark.parametrize("p,other", [(3, None), (3, 5), (5, 3), (7, None)])
+def test_princeton_residual_detects_a_wrong_conjugator(p, other):
+    """The modified equation fails for the Frobenius conjugator 1 and for the
+    Deligne associator of another prime."""
+    n = 4
+    g = overconvergent_g0(p, n)
+    conj = NCSeries.one(SYMBOLIC, n) if other is None else build_associator(PADIC_DELIGNE, n, other)
+    assert verify_kz_equation(g, p=p, frobenius_conjugator=build_associator(PADIC_DELIGNE, n, p)).is_zero()
+    assert not verify_kz_equation(g, p=p, frobenius_conjugator=conj).is_zero()
 
 
 def test_grt_trivial_input():

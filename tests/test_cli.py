@@ -206,13 +206,18 @@ def test_series_dump_golden(flavor, weight):
 
 
 # sha256 of `assoc verify` stdout for the symbolic identities, recorded
-# before the twisted solver became graded and memoized
+# before the twisted solver became graded and memoized (kz w6/w7 and
+# princeton w5: before the residuals were scaled by D)
 VERIFY_SHA256 = {
     ("netherland", 5, 3): "0eb024bb0521be4911a90d6eb032e9bf458b4d63b56b015b032dbd32a233fc3a",
     ("czech", 5, 5): "693c5eaafb8ec882814fc64a23f66e49680c87b2d3a0c0d3e73f04ac753ab438",
     ("princeton", 4, 3): "bcac6cdb63b943e92ec6f4733afd33d75f5f302bc368413f56de69fa1ccd439c",
     ("moldova", 5, None): "fc5b7b3bcc396230ba97734ff3b23be60b87d26eafb6cc648c2a300b6cdbf9ae",
     ("kz", 5, None): "4e3306b452d8859fc6900d0977414678a92299310a96b42d1d3a2cfa45af1506",
+    ("kz", 6, None): "f609ff3031f9510c77d29a06549ade6ea21c9bde53d77471e248611d7bcb0638",
+    ("kz", 7, None): "26cd7dd6dfbadc9d75c9c0cebd8db9c803cf2066d11be26e92857a0667e761cb",
+    ("princeton", 5, 3): "4fb9c2f22076546d4347f496f7bda28a634334c5504dfff8ae5d7cc41a72e80d",
+    ("princeton", 5, 7): "2d322d60336ce6239d3f485b936b920f02eefa1bd68f8ac4375442c239e9c1dc",
 }
 
 
