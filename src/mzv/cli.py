@@ -109,12 +109,13 @@ def _primes(ctx, param, text):
     return primes
 
 
-def _weight(ctx, param, weight):
+def _weight(ctx, param, value):
+    """A weight or polylog index: 1..MAX_TRUNCATION, like the series truncation."""
     from .series import MAX_TRUNCATION
 
-    if not 1 <= weight <= MAX_TRUNCATION:
-        raise click.BadParameter(f"weight {weight} is outside 1..{MAX_TRUNCATION}")
-    return weight
+    if not 1 <= value <= MAX_TRUNCATION:
+        raise click.BadParameter(f"{param.name} {value} is outside 1..{MAX_TRUNCATION}")
+    return value
 
 
 def _relations_weight(ctx, param, weight):
@@ -242,11 +243,10 @@ def _verify_identity(identity: str, weight: int, p: int | None, flavor: str, tol
                        "residual": residual, "tolerance": tolerance})
 
     if identity in ("dual", "hexagon", "pentagon"):
-        from .braid import MAX_TABLE_DEGREE
+        from .braid import MAX_PENTAGON_WEIGHT
 
-        if identity == "pentagon" and weight > MAX_TABLE_DEGREE:
-            raise click.UsageError(f"--weight {weight} is past the pentagon's limit of {MAX_TABLE_DEGREE}: "
-                                   f"the braid normal form is built up to degree {MAX_TABLE_DEGREE}")
+        if identity == "pentagon" and weight > MAX_PENTAGON_WEIGHT:
+            raise click.UsageError(f"--weight {weight} is past the pentagon's limit of {MAX_PENTAGON_WEIGHT}")
         if flavor == "padic_KZ":
             if weight != 2 or identity != "hexagon":
                 raise click.UsageError("the symbolic relations are exposed at weight 2 for the hexagon")
@@ -364,7 +364,7 @@ def padic():
 
 @padic.command("polylog")
 @click.option("--p", type=int, required=True, callback=_prime)
-@click.option("--k", type=int, required=True)
+@click.option("--k", type=int, required=True, callback=_weight)
 @click.option("--z", required=True, help="rational point, e.g. 5/7")
 @click.option("--prec", type=int, default=30, show_default=True)
 @click.option("--dagger", is_flag=True, help="sum only over n prime to p")
@@ -392,7 +392,7 @@ def padic_polylog_cmd(p, k, z, prec, dagger, pretty):
 
 @padic.command("verify-spain")
 @click.option("--primes", default="3,5,7", show_default=True, callback=_primes)
-@click.option("--kmax", type=int, default=4, show_default=True)
+@click.option("--kmax", type=int, default=4, show_default=True, callback=_weight)
 @click.option("--points", type=int, default=20, show_default=True)
 @click.option("--prec", type=int, default=30, show_default=True)
 @click.option("--digits", type=int, default=20, show_default=True, help="required agreement digits")
@@ -436,7 +436,7 @@ def sv():
 
 
 @sv.command("polylog")
-@click.option("--k", type=int, required=True)
+@click.option("--k", type=int, required=True, callback=_weight)
 @click.option("--z", required=True, help="complex point, e.g. 0.3+0.2i")
 @click.option("--tolerance", default=1e-9, show_default=True)
 @click.option("--zagier", is_flag=True, help="also print the Bernoulli-weighted projection")

@@ -86,10 +86,6 @@ class PadicNumber:
             raise ValueError(f"valuation of O({self.p}^{self.aprec}) is not known")
         return self.val
 
-    def lift(self) -> Fraction:
-        """A rational representative p**val * unit."""
-        return Fraction(self.unit) * Fraction(self.p) ** self.val
-
     # -- arithmetic ----------------------------------------------------
 
     def _check(self, other: "PadicNumber"):

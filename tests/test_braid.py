@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
+from mzv.associator import build_numeric_kz, verify_grt_relations
 from mzv.braid import (
     FREE_LETTERS,
     BraidElement,
@@ -13,7 +15,6 @@ from mzv.braid import (
     graded_dimension,
     reduce_monomial_dict,
     _quadratic_relations,
-    _reduction_table,
 )
 from mzv.cli import assoc
 from mzv.rings import QQ
@@ -122,35 +123,50 @@ def test_graded_dimensions_are_stable():
     assert [graded_dimension(d) for d in range(6)] == [3 ** (d + 1) - 2 ** (d + 1) for d in range(6)]
 
 
+def _standard(m):
+    """Every fibre letter (0, 1, 2) before every base letter (3, 4)."""
+    return list(m) == sorted(m, key=lambda x: x >= 3)
+
+
 @pytest.mark.parametrize("degree", [2, 3, 4])
-def test_reduction_table_equals_rref_of_the_whole_ideal(degree):
-    table = _reduction_table(degree)
-    assert table == _rref_table(degree)
-    for expr in table.values():
-        assert list(expr) == sorted(expr)
+def test_normal_form_kernel_is_the_ideal(degree):
+    letters = range(len(FREE_LETTERS))
+    # every m1*r*m2 of the degree reduces to exactly zero
+    for rel in _quadratic_relations():
+        for left_len in range(degree - 1):
+            for m1 in itertools.product(letters, repeat=left_len):
+                for m2 in itertools.product(letters, repeat=degree - 2 - left_len):
+                    reduced = reduce_monomial_dict({m1 + mid + m2: Fraction(c) for mid, c in rel.items()})
+                    assert all(c == 0 for c in reduced.values()), (m1, rel, m2)
+    # standard monomials are fixed, and there are as many as the ideal has non-pivots
+    standard = [m for m in itertools.product(letters, repeat=degree) if _standard(m)]
+    for m in standard:
+        assert reduce_monomial_dict({m: Fraction(1)}) == {m: Fraction(1)}
+    assert len(standard) == 5 ** degree - len(_rref_table(degree)) == 3 ** (degree + 1) - 2 ** (degree + 1)
 
 
-def test_float_reduction_is_bit_identical_to_exact_table():
-    rng = random.Random(5)
-    coeffs = {}
-    for _ in range(300):
-        m = tuple(rng.randrange(len(FREE_LETTERS)) for _ in range(rng.randint(0, 5)))
-        c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        coeffs[m] = c if rng.random() < 0.8 else c.real
-    want = {}
-    for m, c in coeffs.items():
-        expr = _reduction_table(len(m)).get(m)
-        if expr is None:
-            want[m] = want[m] + c if m in want else c
-            continue
-        for m2, c2 in expr.items():
-            add = c * Fraction(c2)
-            want[m2] = want[m2] + add if m2 in want else add
+def _elements(cap):
+    word = st.lists(st.integers(0, len(FREE_LETTERS) - 1), max_size=3).map(tuple)
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    return st.dictionaries(word, coeff, max_size=4).map(lambda d: BraidElement(cap, d))
 
-    def bits(reduced):
-        return [(m, type(c), c.real.hex(), c.imag.hex()) for m, c in reduced.items()]
 
-    assert bits(reduce_monomial_dict(coeffs)) == bits(want)
+@settings(max_examples=60, deadline=None)
+@given(a=_elements(5), b=_elements(5), c=_elements(5))
+def test_product_is_associative(a, b, c):
+    assert ((a * b) * c - a * (b * c)).is_zero()
+    assert all(_standard(m) for m in (a * b).coeffs)
+
+
+@pytest.mark.parametrize("weight", [4, 5])
+def test_pentagon_catches_a_perturbed_coefficient(weight):
+    phi = build_numeric_kz(weight)
+    assert verify_grt_relations(phi, weight)["rel_iii"].max_abs() < 1e-9
+    word = "A" * (weight - 1) + "B"
+    coeffs = dict(phi.coeffs)
+    coeffs[word] = coeffs.get(word, 0) + 0.01
+    bad = NCSeries(phi.ring, phi.truncation, coeffs)
+    assert verify_grt_relations(bad, weight)["rel_iii"].max_abs() > 1e-3
 
 
 def test_cli_pentagon_weight5_passes():

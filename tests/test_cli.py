@@ -94,7 +94,7 @@ def test_composite_p_is_a_usage_error(group, args):
 @pytest.mark.parametrize("group,args", [
     (assoc, ["verify", "--identity", "netherland", "--weight", "20", "--p", "5"]),
     (assoc, ["verify", "--identity", "pentagon", "--weight", "20"]),
-    (assoc, ["verify", "--identity", "pentagon", "--weight", "7"]),
+    (assoc, ["verify", "--identity", "pentagon", "--weight", "8"]),
     (assoc, ["verify", "--identity", "dual", "--weight", "0"]),
     (series, ["dump", "--weight", "17"]),
     (mzv, ["relations", "--weight", "13"]),
@@ -104,6 +104,21 @@ def test_weight_past_the_cap_fails_before_any_work(group, args):
     result = _run(group, args)
     assert result.exit_code == 2, result.output
     assert "--weight" in result.output
+    assert time.monotonic() - start < 5.0
+
+
+@pytest.mark.parametrize("group,args,option", [
+    (sv, ["polylog", "--k", "200", "--z", "0.5"], "--k"),
+    (sv, ["polylog", "--k", "0", "--z", "0.5", "--zagier"], "--k"),
+    (padic, ["polylog", "--p", "5", "--k", "100000", "--z", "5/7"], "--k"),
+    (padic, ["polylog", "--p", "5", "--k", "-1", "--z", "5/7"], "--k"),
+    (padic, ["verify-spain", "--primes", "5", "--kmax", "10000", "--points", "1"], "--kmax"),
+])
+def test_polylog_index_past_the_cap_fails_before_any_work(group, args, option):
+    start = time.monotonic()
+    result = _run(group, args)
+    assert result.exit_code == 2, result.output
+    assert option in result.output and "outside 1..16" in result.output
     assert time.monotonic() - start < 5.0
 
 
@@ -250,6 +265,37 @@ def test_mzv_relations_golden(fmt, weight, flavor):
     result = _run(mzv, args)
     assert result.exit_code == 0, result.output
     assert hashlib.sha256(result.output.encode()).hexdigest() == RELATIONS_SHA256[(fmt, weight, flavor)]
+
+
+# sha256 of the numeric evaluators' stdout at a few fixed inputs, recorded
+# before the polylog index got its range check
+NUMERIC_SHA256 = {
+    ("mzv", "eval", "--index", "2"): "a853a94adef6c17fdb3a2f3e3e1b4b8daa54eb357505f389d7ee8437b52ad744",
+    ("mzv", "eval", "--index", "1,2"): "dfda1a5d41f41241a08b3f393f94443cf342ceb9fe0bcab8eef7cf91d95a9b40",
+    ("mzv", "eval", "--index", "2,3", "--tolerance", "1e-9"):
+        "72c7d28a9ed71b3fcaef1dd0d37e71c0b478bf083fd5ef6b129e839731576699",
+    ("mzv", "eval", "--index", "1,1,3"): "ce8a643c50c3eb1e0fdc56756263bb75434d1d0fdb255a09107bcc3f19e88f32",
+    ("padic", "polylog", "--p", "5", "--k", "2", "--z", "5/7", "--prec", "20"):
+        "9f7f034334ff58ee276bb8fe8abd0c70f86794a9c378d0c24af23911bf6c0521",
+    ("padic", "polylog", "--p", "3", "--k", "4", "--z", "3/2"):
+        "134928f6a4d6f45e87c8d096f29e44abda93b80ac98145783f72953ef373acf3",
+    ("padic", "polylog", "--p", "7", "--k", "3", "--z", "14/5", "--dagger"):
+        "4e5fcd0197b7be79d1d0e82ae52a1379c23c065b67b1a31be484e3bcb5fcf7dc",
+    ("sv", "polylog", "--k", "2", "--z", "0.3+0.2i", "--zagier"):
+        "cdaded524a0b383af0c2b3d80aadb0a7183adedf3aaa11b0efb9eeccfbf2723b",
+    ("sv", "polylog", "--k", "3", "--z", "-0.5i", "--zagier"):
+        "34d4ba06416e10c58c69a132d92c425ad115b0a8a0b5c792152e0a8e42731fa8",
+    ("sv", "polylog", "--k", "5", "--z", "0.7", "--zagier"):
+        "76203436c8b6ad8b9f24b19526a34302b80d25eaa9a29ec70d8df789328dc9fb",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(NUMERIC_SHA256))
+def test_numeric_evaluators_golden(argv):
+    group = {"mzv": mzv, "padic": padic, "sv": sv}[argv[0]]
+    result = _run(group, list(argv[1:]))
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.output.encode()).hexdigest() == NUMERIC_SHA256[argv]
 
 
 @pytest.mark.parametrize("word", ["AXB", "ABAB"])

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mzv.rings import QQ, SYMBOLIC, ZZ, RingMismatchError, complex_ring, padic_ring
 from mzv.series import (
@@ -252,3 +253,37 @@ def test_truncation_hard_cap():
         assert NCSeries.one(QQ, 18).truncation == 18
     finally:
         series_mod.MAX_TRUNCATION = old
+
+
+_TRUNC = 4
+_COEFF = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_WORD = st.text(alphabet="AB", max_size=_TRUNC)
+_SERIES = st.dictionaries(_WORD, _COEFF, max_size=8).map(lambda d: NCSeries(QQ, _TRUNC, d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=_SERIES, g=_SERIES, h=_SERIES)
+def test_ring_axioms_over_qq(f, g, h):
+    assert (f * g) * h == f * (g * h)
+    assert f * (g + h) == f * g + f * h
+    assert (f + g) * h == f * h + g * h
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=_SERIES, c=_COEFF.filter(bool))
+def test_invert_is_two_sided(f, c):
+    unit = NCSeries(QQ, _TRUNC, {**f.coeffs, "": c})
+    one = NCSeries.one(QQ, _TRUNC)
+    inv = unit.invert()
+    assert unit * inv == one and inv * unit == one
+
+
+@settings(max_examples=40, deadline=None)
+@given(steps=st.lists(st.tuples(st.sampled_from("AB"), _COEFF), max_size=4))
+def test_exp_log_round_trip_on_group_like(steps):
+    # a product of exponentials of letters is group-like
+    f = NCSeries.one(QQ, _TRUNC)
+    for letter, c in steps:
+        f = f * NCSeries.letter(QQ, letter, _TRUNC, coeff=c).exp()
+    assert is_group_like(f)
+    assert f.log().exp() == f
