@@ -8,6 +8,13 @@ larger last exponent, and the depth-one base case is Euler-Maclaurin with
 three terms.  Everything is elementary summation; no acceleration beyond
 the integral comparison is used, and the reported error bound adds the
 analytic remainder to a float-roundoff allowance.
+
+One pass serves a whole batch of indices at the same cutoff: each distinct
+prefix is summed once and each power n^-k once per block.  The pass works
+in physical blocks of _BLOCK terms nested in logical chunks of _CHUNK
+terms; within a chunk the cumulative sum is sequential and continued across
+blocks, and the carry from earlier chunks is added per element, so a value
+is bit-identical whichever batch it was computed in.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from .symbols import (
 MZV_TOLERANCE = 1e-6
 _CUTOFF = 2_000_000
 _CHUNK = 250_000
+_BLOCK = 16_384
 
 
 class InadmissibleIndexError(ValueError):
@@ -52,37 +60,57 @@ def _power_tail_error(k: int, m: float) -> float:
     return k * (k + 1) * (k + 2) / 720.0 * m ** (-k - 3)
 
 
-def _stream_prefixes(entries: tuple[int, ...], cutoff: int) -> list[float]:
-    """F_j(cutoff) for j = 1..depth, where F_j(n) sums the depth-j nested
-    prefix of the index over n_j <= n.
+def _stream_prefixes(indices, cutoff: int) -> dict[tuple[int, ...], float]:
+    """F_p(cutoff) for every prefix p = (k_1..k_j) of every index, where
+    F_p(n) = sum_{n_1 < ... < n_j <= n} n_1^-k_1 ... n_j^-k_j.
 
-    Every level and chunk works in the same two buffers: a fresh
-    multi-megabyte temporary per operation makes the allocator return and
-    re-fault its pages each time.
+    One pass over n <= cutoff serves the whole batch.  Each distinct prefix
+    is accumulated once, in sorted order, so it comes right after its parent
+    and each n^-k is computed once per block for every prefix ending in k.
+
+    The floats are those of a per-index loop over logical chunks of _CHUNK
+    terms (cumsum within the chunk, then add the carry F_p(chunk start - 1)),
+    worked in physical blocks of _BLOCK terms: np.cumsum is sequential, so
+    adding the chunk's running sum into a block's first element continues
+    the chunk's cumsum exactly, and the carry is added per element as before.
     """
-    carries = [0.0] * len(entries)
-    g_buf, prev_buf = np.empty(_CHUNK), np.empty(_CHUNK)
-    lo = 1
-    while lo <= cutoff:
-        hi = min(lo + _CHUNK, cutoff + 1)
-        n = np.arange(lo, hi, dtype=np.float64)
-        g, prev_excl = g_buf[: hi - lo], prev_buf[: hi - lo]
-        for j, k in enumerate(entries):
-            g[:] = n
-            g **= -float(k)
-            if j:
-                g *= prev_excl
-            np.cumsum(g, out=g)
-            g += carries[j]
-            # exclusive prefix F_j(n-1) feeding the next level
-            prev_excl[0] = carries[j]
-            prev_excl[1:] = g[:-1]
-            carries[j] = float(g[-1])
-        lo = hi
-    return carries
+    prefixes = sorted({e[:j] for e in indices for j in range(1, len(e) + 1)})
+    powers = {k: np.empty(_BLOCK) for k in {p[-1] for p in prefixes}}
+    # levels[j][0] holds F_p(block start - 1) and levels[j][1:] holds F_p(n)
+    # over the block, for the last prefix p of depth j + 1: levels[j][:-1] is
+    # the exclusive prefix F_p(n - 1) that its children multiply by
+    levels = [np.empty(_BLOCK + 1) for _ in range(max(map(len, prefixes)))]
+    steps = [(levels[len(p) - 1], powers[p[-1]], levels[len(p) - 2] if len(p) > 1 else None)
+             for p in prefixes]
+    carries = [0.0] * len(prefixes)  # F_p at the end of the last whole chunk
+    runs = [0.0] * len(prefixes)     # cumsum of the current chunk so far
+    for lo in range(1, cutoff + 1, _CHUNK):
+        chunk_hi = min(lo + _CHUNK, cutoff + 1)
+        for block_lo in range(lo, chunk_hi, _BLOCK):
+            size = min(_BLOCK, chunk_hi - block_lo)
+            n = np.arange(block_lo, block_lo + size, dtype=np.float64)
+            for k, buf in powers.items():
+                power = buf[:size]
+                power[:] = n
+                power **= -float(k)
+            for i, (level, power, parent) in enumerate(steps):
+                g = level[1 : size + 1]
+                if parent is None:
+                    g[:] = power[:size]
+                else:
+                    np.multiply(power[:size], parent[:size], out=g)
+                run, carry = runs[i], carries[i]
+                level[0] = run + carry
+                g[0] += run
+                np.cumsum(g, out=g)
+                runs[i] = float(g[-1])
+                g += carry
+        carries = [r + c for r, c in zip(runs, carries)]
+        runs = [0.0] * len(prefixes)
+    return dict(zip(prefixes, carries))
 
 
-def _tail(entries: tuple[int, ...], prefixes: list[float], cutoff: int) -> tuple[float, float]:
+def _tail(entries: tuple[int, ...], prefixes: dict, cutoff: int) -> tuple[float, float]:
     """(tail value, error bound) of sum_{n>cutoff} F_{d-1}(n-1) n^-k_d.
 
     Telescopes F_{d-1}(n-1) = F_{d-1}(M) + increments, swaps the order of
@@ -94,8 +122,9 @@ def _tail(entries: tuple[int, ...], prefixes: list[float], cutoff: int) -> tuple
     k = entries[-1]
     if depth == 1:
         return _power_tail(k, m), _power_tail_error(k, m)
-    base = prefixes[depth - 2] * _power_tail(k, m)
-    base_err = prefixes[depth - 2] * _power_tail_error(k, m)
+    head = prefixes[entries[:-1]]
+    base = head * _power_tail(k, m)
+    base_err = head * _power_tail_error(k, m)
     kp = entries[-2]
     rest = entries[:-2]
     t1, e1 = _tail(rest + (kp + k - 1,), prefixes, cutoff)
@@ -109,27 +138,55 @@ def _tail(entries: tuple[int, ...], prefixes: list[float], cutoff: int) -> tuple
     return value, err
 
 
-@lru_cache(maxsize=None)
+# (entries, cutoff) -> (value, error bound); a batch fills it in one pass
+_BOUNDS: dict[tuple[tuple[int, ...], int], tuple[float, float]] = {}
+
+
+def _stream_batch(indices, cutoff: int) -> None:
+    missing = sorted({e for e in indices if (e, cutoff) not in _BOUNDS})
+    if not missing:
+        return
+    prefixes = _stream_prefixes(missing, cutoff)
+    for entries in missing:
+        tail, err = _tail(entries, prefixes, cutoff)
+        roundoff = 5e-11 * (cutoff / 1e6 + 1) * len(entries)
+        _BOUNDS[entries, cutoff] = (prefixes[entries] + tail, err + roundoff)
+
+
 def _mzv_with_bound(entries: tuple[int, ...], cutoff: int) -> tuple[float, float]:
-    prefixes = _stream_prefixes(entries, cutoff)
-    tail, err = _tail(entries, prefixes, cutoff)
-    roundoff = 5e-11 * (cutoff / 1e6 + 1) * len(entries)
-    return prefixes[-1] + tail, err + roundoff
+    _stream_batch([entries], cutoff)
+    return _BOUNDS[entries, cutoff]
 
 
-def mzv_numeric(index, tolerance: float = MZV_TOLERANCE) -> tuple[float, float]:
-    """Numeric value of an admissible multiple zeta value with an error bound.
-
-    The achieved bound is far below the requested tolerance at desk scale
-    (weight <= 5, depth <= 4); a ValueError is raised if the cutoff cannot
-    meet the tolerance.
-    """
+def _admissible(index) -> tuple[int, ...]:
     entries = tuple(getattr(index, "entries", index))
     if not entries or entries[-1] < 2:
         raise InadmissibleIndexError(f"index {entries} is not admissible")
     if any(k < 1 for k in entries):
         raise InadmissibleIndexError(f"index {entries} has nonpositive entries")
-    cutoff = 100_000 if len(entries) == 1 else _CUTOFF
+    return entries
+
+
+def _cutoff(entries: tuple[int, ...]) -> int:
+    return 100_000 if len(entries) == 1 else _CUTOFF
+
+
+def mzv_numeric(index, tolerance: float = MZV_TOLERANCE, batch=()) -> tuple[float, float]:
+    """Numeric value of an admissible multiple zeta value with an error bound.
+
+    The indices in `batch` are streamed in the same shared-prefix pass as
+    `index` (one pass per cutoff: 100,000 at depth one, _CUTOFF deeper) and
+    kept, so later calls for them are lookups; the floats do not depend on
+    the batch.  The achieved bound is far below the default tolerance for
+    every index the commands use (`mzv relations --check-numeric` reaches
+    depth 6 at weight 7); a ValueError is raised if the cutoff cannot meet
+    the tolerance.
+    """
+    entries = _admissible(index)
+    wanted = {entries, *map(_admissible, batch)}
+    for c in {_cutoff(e) for e in wanted}:
+        _stream_batch([e for e in wanted if _cutoff(e) == c], c)
+    cutoff = _cutoff(entries)
     value, err = _mzv_with_bound(entries, cutoff)
     if err > tolerance:
         raise ValueError(f"cutoff {cutoff} only reaches error {err:g} > {tolerance:g}")
@@ -138,6 +195,15 @@ def mzv_numeric(index, tolerance: float = MZV_TOLERANCE) -> tuple[float, float]:
 
 def mzv(index) -> float:
     return mzv_numeric(index)[0]
+
+
+def prefetch_mzvs(indices) -> None:
+    """Evaluate these admissible indices in one shared-prefix pass per cutoff,
+    so that later mzv/mzv_numeric calls for them are lookups.  The pass runs
+    inside mzv_numeric, so a profile of that function includes it."""
+    indices = list(indices)
+    if indices:
+        mzv_numeric(indices[0], batch=indices[1:])
 
 
 # -- Bernoulli numbers -------------------------------------------------------
@@ -346,6 +412,12 @@ def evaluate_monomial(mono: Monomial) -> float:
 def evaluate_relation_row(row: RelationRow) -> float:
     """Numeric residual of a relation row under the complex MZV evaluator."""
     return sum(float(c) * evaluate_monomial(m) for m, c in row.coeffs.items())
+
+
+def evaluate_relation_rows(rows: list[RelationRow]) -> list[float]:
+    """Numeric residuals of relation rows, every MZV from one batch."""
+    prefetch_mzvs({idx for row in rows for mono in row.coeffs for idx in mono})
+    return [evaluate_relation_row(row) for row in rows]
 
 
 def sv_depth2_book_residual(a: int, b: int, z: complex) -> float:

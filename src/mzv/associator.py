@@ -135,14 +135,12 @@ def build_symbolic_associator(tag: str, truncation: int) -> NCSeries:
 @lru_cache(maxsize=None)
 def build_numeric_kz(truncation: int, tolerance: float = 1e-9) -> NCSeries:
     """The complex associator with numeric multiple zeta value coefficients."""
-    from .arch_eval import mzv
+    from .arch_eval import mzv, prefetch_mzvs
 
     ring = complex_ring(tolerance)
-    assignments = {}
-    for w in lyndon_words(truncation):
-        if is_convergent_word(w):
-            entries, sign = index_of_word(w)
-            assignments[w] = complex(sign * mzv(entries))
+    signed = {w: index_of_word(w) for w in lyndon_words(truncation) if is_convergent_word(w)}
+    prefetch_mzvs(entries for entries, _ in signed.values())
+    assignments = {w: complex(sign * mzv(entries)) for w, (entries, sign) in signed.items()}
     return character_series(assignments, truncation, ring)
 
 

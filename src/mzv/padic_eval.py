@@ -8,6 +8,7 @@ increasing, but not monotonically, so a single-term test is unsafe).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .padics import DEFAULT_PRECISION, PadicNumber, _int_valuation
@@ -69,6 +70,26 @@ def padic_li_dagger(k: int, z: PadicNumber) -> PadicNumber:
     return padic_polylog(k, z, skip_p_multiples=True)
 
 
+def known_to(prec: int, series, k: int, z_rational, p: int) -> PadicNumber:
+    """series(k, z) for an exact rational z on the open disk, known at least
+    modulo p^prec: z is given the digits the series loses to the p-power
+    denominators n^k on top of prec.
+
+    With z known to W digits and v = v_p(z) >= 1, the term z^n / n^k for
+    n = p^j m is known to W + (n-1)v - kj digits, and n^k read at the
+    precision of z^n costs kj - nv more where that is positive; both are
+    worst at m = 1, and no digit is lost once p^j v > 2kj.
+    """
+    z = Fraction(z_rational)
+    _require_disk(PadicNumber.from_rational(z, p, 1))
+    v = _int_valuation(z.numerator, p) - _int_valuation(z.denominator, p) if z else prec
+    loss, j = 0, 1
+    while p**j * v <= 2 * k * j:
+        loss = max(loss, k * j - (p**j - 1) * v, 2 * k * j - (2 * p**j - 1) * v)
+        j += 1
+    return series(k, PadicNumber.from_rational(z, p, prec + loss))
+
+
 def padic_mpl2(a: int, b: int, z: PadicNumber) -> PadicNumber:
     """Depth-2 multiple polylogarithm sum_{n1<n2} z^n2 / (n1^a n2^b)."""
     _require_disk(z)
@@ -102,8 +123,10 @@ def polylog_reference(k: int, z_rational, p: int, aprec: int = DEFAULT_PRECISION
     vz = _int_valuation(z.numerator, p) - _int_valuation(z.denominator, p)
     if vz < 1:
         raise OutsideDiskError("the reference series needs |z|_p < 1")
+    # a dropped term n > top has valuation n*vz - k*v_p(n) >= n*vz - k*log_p(n),
+    # which increases once n > k / (vz ln p): past that, checking top suffices
     top = aprec + k * _log_floor(p, aprec) + 8
-    while top * vz - k * _log_floor(p, top) < aprec + 2:
+    while top * vz * math.log(p) <= k or top * vz - k * math.log(top, p) < aprec + 2:
         top += 8
     acc = Fraction(0)
     for n in range(top, 0, -1):

@@ -168,6 +168,10 @@ class PadicNumber:
         o = self._coerce(other)
         return o / self
 
+    def shift(self, n: int) -> "PadicNumber":
+        """self * p**n, exactly: the absolute precision moves with the value."""
+        return PadicNumber(self.p, self.val + n, self.unit, self.aprec + n)
+
     def __pow__(self, k: int):
         if k < 0:
             return 1 / self ** (-k)

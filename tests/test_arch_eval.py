@@ -184,3 +184,123 @@ def test_relation_rows_vanish_within_tolerance():
     for w in (3, 4, 5):
         for row in generate_double_shuffle(w):
             assert abs(evaluate_relation_row(row)) < 1e-5
+
+
+def _stream_prefixes_per_index(entries, cutoff):
+    """The per-index streaming loop the batched pass replaced, kept as the
+    reference its floats must match: F_j(cutoff) for j = 1..depth."""
+    np = arch_eval.np
+    chunk = arch_eval._CHUNK
+    carries = [0.0] * len(entries)
+    g_buf, prev_buf = np.empty(chunk), np.empty(chunk)
+    lo = 1
+    while lo <= cutoff:
+        hi = min(lo + chunk, cutoff + 1)
+        n = np.arange(lo, hi, dtype=np.float64)
+        g, prev_excl = g_buf[: hi - lo], prev_buf[: hi - lo]
+        for j, k in enumerate(entries):
+            g[:] = n
+            g **= -float(k)
+            if j:
+                g *= prev_excl
+            np.cumsum(g, out=g)
+            g += carries[j]
+            prev_excl[0] = carries[j]
+            prev_excl[1:] = g[:-1]
+            carries[j] = float(g[-1])
+        lo = hi
+    return carries
+
+
+def test_batched_stream_is_bit_identical_to_the_per_index_loop():
+    from mzv.shufflealg import admissible_indices
+
+    # crosses three chunk seams and many block seams, and ends mid-block
+    cutoff = 3 * arch_eval._CHUNK + 12_345
+    assert cutoff % arch_eval._BLOCK and arch_eval._CHUNK % arch_eval._BLOCK
+    indices = [e for w in range(2, 8) for e in admissible_indices(w)]
+    batched = arch_eval._stream_prefixes(indices, cutoff)
+    for entries in indices:
+        want = _stream_prefixes_per_index(entries, cutoff)
+        got = [batched[entries[: j + 1]] for j in range(len(entries))]
+        assert got == want, entries
+
+
+def test_batch_and_single_index_give_the_same_bounds(monkeypatch):
+    from mzv.shufflealg import admissible_indices
+
+    cutoff = arch_eval._CHUNK + 4_321
+    indices = [e for w in range(2, 7) for e in admissible_indices(w)]
+    monkeypatch.setattr(arch_eval, "_BOUNDS", {})
+    arch_eval._stream_batch(indices, cutoff)
+    batched = dict(arch_eval._BOUNDS)
+    assert len(batched) == len(indices)
+    monkeypatch.setattr(arch_eval, "_BOUNDS", {})
+    for entries in indices:
+        assert arch_eval._mzv_with_bound(entries, cutoff) == batched[entries, cutoff], entries
+
+
+def test_mzv_numeric_batch_is_cached_and_unchanged(monkeypatch):
+    indices = [(2,), (3,), (1, 2), (2, 3), (1, 1, 3)]
+    monkeypatch.setattr(arch_eval, "_BOUNDS", {})
+    single = [mzv_numeric(e) for e in indices]
+    monkeypatch.setattr(arch_eval, "_BOUNDS", {})
+    arch_eval.prefetch_mzvs(indices)
+    assert len(arch_eval._BOUNDS) == len(indices)
+    assert [mzv_numeric(e) for e in indices] == single
+    with pytest.raises(InadmissibleIndexError):
+        arch_eval.prefetch_mzvs([(2,), (2, 1)])
+
+
+# -- independent oracles from mpmath ------------------------------------------
+
+
+def _disk_points(seed, count, radius=0.9):
+    rng = random.Random(seed)
+    points = []
+    while len(points) < count:
+        z = complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius))
+        if 0.05 < abs(z) < radius:
+            points.append(z)
+    return points
+
+
+def test_polylog_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    for z in _disk_points(11, 12):
+        for k in range(1, 7):
+            want = complex(mpmath.polylog(k, z))
+            assert abs(polylog(k, z) - want) < 1e-11 * max(1.0, abs(want)), (k, z)
+
+
+def test_zagier_p_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    for z in _disk_points(12, 8):
+        ell = mpmath.log(abs(mpmath.mpc(z)) ** 2)
+        for k in range(1, 6):
+            acc = sum(mpmath.bernoulli(a) / mpmath.factorial(a) * ell**a * mpmath.polylog(k - a, z)
+                      for a in range(k))
+            want = float(acc.real if k % 2 == 1 else acc.imag)
+            assert abs(zagier_p(k, z) - want) < 1e-10, (k, z)
+
+
+def test_sv_polylog_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    for z in _disk_points(13, 8):
+        ell = mpmath.log(abs(mpmath.mpc(z)) ** 2)
+        zb = mpmath.conj(mpmath.mpc(z))
+        for k in range(1, 6):
+            want = mpmath.polylog(k, z) - sum(
+                (-1) ** (k - a) * ell**a / mpmath.factorial(a) * mpmath.polylog(k - a, zb)
+                for a in range(k))
+            assert abs(sv_polylog(k, z) - complex(want)) < 1e-10, (k, z)
+        # weight one is -log|1 - z|^2
+        assert abs(sv_polylog(1, z) + float(mpmath.log(abs(1 - mpmath.mpc(z)) ** 2))) < 1e-11
+
+
+def test_depth1_mzv_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    for k in range(2, 17):
+        value, bound = mzv_numeric((k,))
+        assert bound < 1e-9
+        assert abs(value - float(mpmath.zeta(k))) <= bound, k

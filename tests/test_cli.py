@@ -155,6 +155,45 @@ def test_padic_verify_spain_small_grid():
     assert len(payload["checks"]) == 4
 
 
+def _certified_digits(residual):
+    # "... + O(3^30)" is known modulo 3^30
+    return int(residual.rsplit("^", 1)[1].rstrip(")"))
+
+
+@pytest.mark.parametrize("kmax", [12, 16])
+def test_padic_verify_spain_passes_are_certified(kmax):
+    # k >= 8 used to pass on differences known to fewer than 20 digits, and
+    # k = 16 raised "division by a p-adic zero"
+    result = _run(padic, ["verify-spain", "--primes", "3", "--kmax", str(kmax), "--points", "1"])
+    assert result.exit_code == 0, result.output
+    payload = _validated(result)
+    assert len(payload["checks"]) == kmax
+    for check in payload["checks"]:
+        assert check["status"] == "pass", check
+        assert _certified_digits(check["residual"]) >= 20, check
+
+
+def test_padic_verify_spain_fails_an_agreement_it_cannot_certify(monkeypatch):
+    from mzv import padic_eval
+    from mzv.padics import PadicNumber
+
+    # summed with no extra digits for z, the series lose them at large k
+    monkeypatch.setattr(padic_eval, "known_to",
+                        lambda prec, series, k, z, p: series(k, PadicNumber.from_rational(z, p, prec)))
+    result = _run(padic, ["verify-spain", "--primes", "3", "--kmax", "12", "--points", "1"])
+    assert result.exit_code == 1, result.output
+    checks = {c["name"].split()[1]: c for c in json.loads(result.output)["checks"]}
+    assert checks["k=1"]["status"] == "pass"
+    assert checks["k=12"]["status"] == "fail"
+    assert _certified_digits(checks["k=12"]["residual"]) < 20
+
+
+def test_padic_verify_spain_digits_past_the_precision_is_a_usage_error():
+    result = _run(padic, ["verify-spain", "--prec", "10", "--digits", "20"])
+    assert result.exit_code == 2, result.output
+    assert "--digits 20" in result.output
+
+
 def test_sv_polylog_output():
     result = _run(sv, ["polylog", "--k", "3", "--z", "0.3+0.2i", "--zagier"])
     assert result.exit_code == 0
@@ -305,3 +344,23 @@ def test_series_parse_rejects_bad_words(word):
                        "terms": [{"word": word, "coeff": "1"}]})
     parsed = _run(series, ["parse", "-"], input=text)
     assert parsed.exit_code == 2, parsed.output
+
+
+# sha256 of the stdout of the commands that evaluate many multiple zeta
+# values, recorded before those values came from one shared-prefix pass
+BATCHED_NUMERIC_SHA256 = {
+    ("mzv", "relations", "--weight", "7", "--check-numeric", "--format", "json"):
+        "a4c70107fb020e51bc71e7f6bd8824388ffdaaf8e2e118642c781259afc5e305",
+    ("assoc", "verify", "--identity", "pentagon", "--weight", "5"):
+        "8d7c74a9f56a07e551bd181fc830a771413acbd580ed1293d041b85600a916c5",
+    ("assoc", "verify", "--identity", "hexagon", "--weight", "6"):
+        "f206e1538e54c3e7515f1368369a97bc210e5239da572f4f86efb88d35cf5c78",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(BATCHED_NUMERIC_SHA256))
+def test_batched_numeric_golden(argv):
+    group = {"mzv": mzv, "assoc": assoc}[argv[0]]
+    result = _run(group, list(argv[1:]))
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.output.encode()).hexdigest() == BATCHED_NUMERIC_SHA256[argv]

@@ -5,6 +5,7 @@ import pytest
 
 from mzv.padic_eval import (
     OutsideDiskError,
+    known_to,
     padic_li_dagger,
     padic_mpl2,
     padic_polylog,
@@ -50,6 +51,12 @@ def test_against_independent_reference():
         direct = padic_polylog(k, z)
         ref = polylog_reference(k, zq, p, 20)
         assert (direct - ref).is_zero()
+    # at p = 2, k = 16 the term n = 128 has valuation 128 - 16*7 = 16, so a
+    # partial sum that stops before it is wrong modulo 2^20
+    zq, acc = Fraction(38, 7), Fraction(0)
+    for n in range(600, 0, -1):
+        acc = acc * zq + Fraction(1, n**16)
+    assert polylog_reference(16, zq, 2, 20) == PadicNumber.from_rational(acc * zq, 2, 20)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -107,3 +114,30 @@ def test_higher_precision_confirms_claimed_digits():
     lo = padic_polylog(k, PadicNumber.from_rational(zq, p, 18))
     hi = padic_polylog(k, PadicNumber.from_rational(zq, p, 34))
     assert (hi - lo).is_zero()  # compared at min precision
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_known_to_keeps_the_requested_digits(p):
+    # at large k the series lose digits of z to the denominators n^k; known_to
+    # gives an exact z enough digits, checked against the exact partial sum
+    rng = random.Random(40 + p)
+    for k in (6, 11, 16):
+        den = rng.choice([d for d in range(1, 40) if d % p])
+        zq = Fraction(p ** rng.randint(1, 2) * rng.randint(1, 20), den)
+        value = known_to(20, padic_polylog, k, zq, p)
+        assert value.aprec >= 20
+        assert value == polylog_reference(k, zq, p, 20)
+        assert known_to(20, padic_li_dagger, k, zq, p).aprec >= 20
+    assert known_to(20, padic_polylog, 16, Fraction(0), p).is_zero()
+    with pytest.raises(OutsideDiskError):
+        known_to(20, padic_polylog, 3, Fraction(1, p + 1), p)
+
+
+def test_shift_multiplies_by_a_power_of_p_exactly():
+    x = PadicNumber.from_rational(Fraction(10, 7), 5, 12)
+    y = x.shift(-3)
+    assert (y.val, y.aprec) == (x.val - 3, x.aprec - 3)
+    assert y == PadicNumber.from_rational(Fraction(10, 7 * 125), 5, 9)
+    assert y.shift(3) == x
+    zero = PadicNumber.zero(5, 12).shift(2)
+    assert zero.is_zero() and zero.aprec == 14
