@@ -159,7 +159,7 @@ def _mzv_with_bound(entries: tuple[int, ...], cutoff: int) -> tuple[float, float
 
 
 def _admissible(index) -> tuple[int, ...]:
-    entries = tuple(getattr(index, "entries", index))
+    entries = tuple(index)
     if not entries or entries[-1] < 2:
         raise InadmissibleIndexError(f"index {entries} is not admissible")
     if any(k < 1 for k in entries):

@@ -10,6 +10,7 @@ A monomial is standard when its fibre letters come before its base letters
 (3^(d+1) - 2^(d+1) of degree d).  A product only moves a base letter y right
 past a fibre letter x, by y*x = x*y + [y, x] with [y, x] quadratic in the
 fibre letters, so every coefficient it introduces is an integer.
+`evaluate_series` is the letter substitution of `series` with braid images.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 import itertools
+
+from .series import _substitute_letters
 
 # letters 0, 1, 2 are the fibre letters X15, X25, X35; 3, 4 the base letters X12, X23
 FREE_LETTERS = ((1, 5), (2, 5), (3, 5), (1, 2), (2, 3))
@@ -223,18 +226,5 @@ def _is_exact_zero(c) -> bool:
 def evaluate_series(series, x: BraidElement, y: BraidElement, degree_cap: int | None = None) -> BraidElement:
     """Substitute braid elements for the letters of an NCSeries."""
     cap = degree_cap if degree_cap is not None else min(series.truncation, x.degree_cap, y.degree_cap)
-    images = {"A": x, "B": y}
-    memo: dict[str, BraidElement] = {"": BraidElement.one(cap)}
-
-    def image(letters: str) -> BraidElement:
-        if letters not in memo:
-            memo[letters] = image(letters[:-1]) * images[letters[-1]]
-        return memo[letters]
-
-    out: dict[Monomial, object] = {}
-    for w, c in series.coeffs.items():
-        if len(w) <= cap:
-            for m, v in image(w).coeffs.items():
-                add = v * c
-                out[m] = out[m] + add if m in out else add
-    return BraidElement(cap, out, _reduced=True)
+    coeffs = _substitute_letters(series, {"A": x, "B": y}, BraidElement.one(cap), cap)
+    return BraidElement(cap, coeffs, _reduced=True)

@@ -372,16 +372,14 @@ def padic():
 @_internal_errors
 def padic_polylog_cmd(p, k, z, prec, dagger, pretty):
     """Evaluate Li_k (or its prime-to-p variant) at a rational disk point."""
-    from .padic_eval import OutsideDiskError, padic_li_dagger, padic_polylog
-    from .padics import PadicNumber
+    from .padic_eval import OutsideDiskError, known_to, padic_li_dagger, padic_polylog
 
     try:
         zq = Fraction(z)
     except ValueError:
         raise click.UsageError(f"cannot parse rational {z!r}")
-    zp = PadicNumber.from_rational(zq, p, prec)
     try:
-        val = padic_li_dagger(k, zp) if dagger else padic_polylog(k, zp)
+        val = known_to(prec, padic_li_dagger if dagger else padic_polylog, k, zq, p)
     except OutsideDiskError as exc:
         raise click.UsageError(str(exc))
     name = f"Li{'_dagger' if dagger else ''}[{k}]({z})"

@@ -3,6 +3,8 @@
 All values are immutable after construction and every operation is a pure
 function, so series can be shared freely.  Arithmetic truncates at the
 minimum truncation weight of the operands and is weight-exact below it.
+Coefficients are a flat {word: coefficient} dict; the inverse is a prefix
+recursion, and one letter substitution also serves `braid.evaluate_series`.
 """
 
 from __future__ import annotations
@@ -143,26 +145,24 @@ class NCSeries:
         return NotImplemented
 
     def invert(self) -> "NCSeries":
-        """Two-sided inverse by weight recursion; the constant term must be a unit."""
+        """Two-sided inverse by prefix recursion, out[w] = -inv0 sum_k self[w[:k]] out[w[k:]];
+        the constant term must be a unit."""
         c0 = self.constant_term()
         if not self.ring.is_unit(c0):
             raise ValueError("series inverse needs a unit constant term")
         inv0 = self.ring.invert(c0)
         n = self.truncation
         out: dict[str, object] = {"": inv0}
-        by_weight = [self.weight_part(k) for k in range(n + 1)]
-        for weight in range(1, n + 1):
-            for w in all_words(weight):
-                acc = None
-                for k in range(1, weight + 1):
-                    for u, cu in by_weight[k].items():
-                        if w.startswith(u):
-                            g = out.get(w[len(u):])
-                            if g is not None:
-                                term = cu * g
-                                acc = term if acc is None else acc + term
-                if acc is not None:
-                    out[w] = -(inv0 * acc)
+        for w in words_up_to(n)[1:]:
+            acc = None
+            for k in range(1, len(w) + 1):
+                cu = self.coeffs.get(w[:k])
+                g = out.get(w[k:]) if cu is not None else None
+                if g is not None:
+                    term = cu * g
+                    acc = term if acc is None else acc + term
+            if acc is not None:
+                out[w] = -(inv0 * acc)
         return self._from(n, out)
 
     def substitute(self, img_a: "NCSeries", img_b: "NCSeries") -> "NCSeries":
@@ -172,24 +172,12 @@ class NCSeries:
         is weight-nondecreasing and truncation stays exact.
         """
         n = min(self.truncation, img_a.truncation, img_b.truncation)
-        self._join(img_a)
-        self._join(img_b)
         for img in (img_a, img_b):
+            self._join(img)
             if not self.ring.is_zero(img.constant_term()):
                 raise ValueError("substitution images must have zero constant term")
         images = {"A": img_a.truncate(n), "B": img_b.truncate(n)}
-        memo: dict[str, NCSeries] = {"": NCSeries.one(self.ring, n)}
-
-        def image(word: str) -> NCSeries:
-            if word not in memo:
-                memo[word] = image(word[:-1]) * images[word[-1]]
-            return memo[word]
-
-        acc = NCSeries.zero(self.ring, n)
-        for w, c in self.coeffs.items():
-            if len(w) <= n:
-                acc = acc + image(w).scale(c)
-        return acc
+        return self._from(n, _substitute_letters(self, images, NCSeries.one(self.ring, n), n))
 
     # -- exp / log ------------------------------------------------------------
 
@@ -250,43 +238,24 @@ class NCSeries:
         return f"NCSeries(N={self.truncation}, {self})"
 
 
-class TensorSeries:
-    """A truncated element of the completed tensor square, used by the coproduct."""
+def _substitute_letters(series: NCSeries, images: dict, one, cap: int) -> dict:
+    """The coefficients of sum c * image(w) over the words w of `series` up to
+    weight cap, for letter images of any type with `coeffs` and `*` (`one` its
+    unit); each prefix image is built once and the terms sum into one dict."""
+    memo = {"": one}
 
-    __slots__ = ("ring", "truncation", "coeffs")
+    def image(word: str):
+        if word not in memo:
+            memo[word] = image(word[:-1]) * images[word[-1]]
+        return memo[word]
 
-    def __init__(self, ring: Ring, truncation: int, coeffs: dict[tuple[str, str], object] | None = None):
-        clean = {}
-        for (u, v), c in (coeffs or {}).items():
-            if len(u) + len(v) > truncation:
-                raise ValueError("tensor term exceeds the truncation weight")
-            if not ring.is_zero(c):
-                clean[(u, v)] = c
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "truncation", truncation)
-        object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TensorSeries is immutable")
-
-    def __getitem__(self, pair: tuple[str, str]):
-        return self.coeffs.get(pair, self.ring.zero)
-
-    def __sub__(self, other):
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out[k] - c if k in out else -c
-        n = min(self.truncation, other.truncation)
-        return TensorSeries(self.ring, n, {k: v for k, v in out.items() if len(k[0]) + len(k[1]) <= n})
-
-    def is_zero(self) -> bool:
-        return all(self.ring.is_zero(c) for c in self.coeffs.values())
-
-    def __eq__(self, other):
-        return isinstance(other, TensorSeries) and (self - other).is_zero()
-
-    def __hash__(self):
-        raise TypeError("TensorSeries is unhashable")
+    out: dict = {}
+    for w, c in series.coeffs.items():
+        if len(w) <= cap:
+            for m, v in image(w).coeffs.items():
+                add = v * c
+                out[m] = out[m] + add if m in out else add
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -302,33 +271,28 @@ def _word_splits(letters: str) -> tuple[tuple[str, str, int], ...]:
     return tuple((l, r, m) for (l, r), m in acc.items())
 
 
-def coproduct(f: NCSeries) -> TensorSeries:
-    """The coproduct with A and B primitive, truncated at f's weight."""
+def coproduct(f: NCSeries) -> dict[tuple[str, str], object]:
+    """The coproduct with A and B primitive, truncated at f's weight, as
+    {(left, right): coefficient}."""
     out: dict[tuple[str, str], object] = {}
     for w, c in f.coeffs.items():
         for left, right, mult in _word_splits(w):
             key = (left, right)
             add = c * mult
             out[key] = out[key] + add if key in out else add
-    return TensorSeries(f.ring, f.truncation, out)
-
-
-def tensor_square(f: NCSeries) -> TensorSeries:
-    out: dict[tuple[str, str], object] = {}
-    for u, cu in f.coeffs.items():
-        for v, cv in f.coeffs.items():
-            if len(u) + len(v) <= f.truncation:
-                out[(u, v)] = cu * cv
-    return TensorSeries(f.ring, f.truncation, out)
+    return out
 
 
 def is_group_like(f: NCSeries, max_weight: int | None = None) -> bool:
     """True iff f has constant term 1 and its coproduct equals f tensor f
     coefficientwise up to the truncation (or `max_weight`)."""
     g = f.truncate(max_weight) if max_weight is not None else f
-    if not g.ring.eq(g.constant_term(), g.ring.one):
+    ring, n = g.ring, g.truncation
+    if not ring.eq(g.constant_term(), ring.one):
         return False
-    return (coproduct(g) - tensor_square(g)).is_zero()
+    cop = coproduct(g)
+    pairs = {(u, v) for u in g.coeffs for v in g.coeffs if len(u) + len(v) <= n}
+    return all(ring.eq(cop.get((u, v), ring.zero), g[u] * g[v]) for u, v in pairs | cop.keys())
 
 
 def character_series(assignments: dict[str, object], truncation: int, ring: Ring) -> NCSeries:

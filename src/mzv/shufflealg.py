@@ -28,37 +28,9 @@ from .words import all_words
 # -- indices ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Index:
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(k < 1 for k in self.entries):
-            raise ValueError(f"index entries must be positive, got {self.entries}")
-
-    @property
-    def weight(self) -> int:
-        return sum(self.entries)
-
-    @property
-    def depth(self) -> int:
-        return len(self.entries)
-
-    @property
-    def admissible(self) -> bool:
-        return bool(self.entries) and self.entries[-1] >= 2
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __str__(self):
-        return "(" + ",".join(map(str, self.entries)) + ")"
-
-
-def word_of_index(index: tuple[int, ...] | Index) -> tuple[str, int]:
+def word_of_index(index: tuple[int, ...]) -> tuple[str, int]:
     """The word of an index together with the sign (-1)^depth."""
-    entries = tuple(index.entries if isinstance(index, Index) else index)
-    return "".join("A" * (k - 1) + "B" for k in reversed(entries)), (-1) ** len(entries)
+    return "".join("A" * (k - 1) + "B" for k in reversed(index)), (-1) ** len(index)
 
 
 def index_of_word(word: str) -> tuple[tuple[int, ...], int]:
@@ -145,15 +117,13 @@ def _stuffle(i: tuple[int, ...], j: tuple[int, ...]) -> tuple[tuple[tuple[int, .
     return tuple(sorted(acc.items()))
 
 
-def stuffle_indices(i: tuple[int, ...] | Index, j: tuple[int, ...] | Index) -> dict[tuple[int, ...], int]:
+def stuffle_indices(i: tuple[int, ...], j: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     """Quasi-shuffle product: interleavings where heads may merge by addition.
 
     The heads here are the entries k_1 (innermost summation variable), so
     the recursion matches the series product of nested sums directly.
     """
-    it = tuple(i.entries if isinstance(i, Index) else i)
-    jt = tuple(j.entries if isinstance(j, Index) else j)
-    return dict(_stuffle(it, jt))
+    return dict(_stuffle(tuple(i), tuple(j)))
 
 
 # -- divergent-coefficient recovery -----------------------------------------
@@ -388,6 +358,18 @@ def _stuffle_expansion(i: tuple[int, ...], j: tuple[int, ...]) -> dict[Monomial,
     return {k: v for k, v in out.items() if v}
 
 
+def _product_row(mono: Monomial) -> dict[Monomial, int]:
+    """mono minus the shuffle product of its factors, read back as indices."""
+    words, signs = zip(*(word_of_index(idx) for idx in mono))
+    sign = math.prod(signs)
+    coeffs = {mono: 1}
+    for t, m in shuffle_many(list(words)).items():
+        entries, st = index_of_word(t)
+        key = _mono(entries)
+        coeffs[key] = coeffs.get(key, 0) - m * st * sign
+    return coeffs
+
+
 def generate_double_shuffle(weight: int, flavor: str = "complex") -> list[RelationRow]:
     """Relation rows of the given weight.
 
@@ -396,8 +378,10 @@ def generate_double_shuffle(weight: int, flavor: str = "complex") -> list[Relati
     (integral shuffle) and its nested-sum (quasi-shuffle) expansion.  For
     every admissible j of weight-1 less, the divergent index j+(1,) is
     regularized on both sides with zero letter coefficients and the two
-    resolutions are equated.  Rows are normalized and deduplicated;
-    `flavor` only tags the export naming.
+    resolutions are equated.  Every monomial of three or more factors is
+    equated with the shuffle product of its factors, so products reduce like
+    pairs do (the dimension bound is Zagier's d_n at weights 2-10).  Rows
+    are normalized and deduplicated; `flavor` only tags the export naming.
     """
     if weight < 2:
         raise ValueError("double shuffle relations start at weight 2")
@@ -426,6 +410,9 @@ def generate_double_shuffle(weight: int, flavor: str = "complex") -> list[Relati
             rows.append(RelationRow(weight, coeffs, f"regularizations of zeta{d} compared"))
         except ValueError:
             pass  # the two regularizations coincide: trivial row
+    for mono in zeta_monomials(weight):
+        if len(mono) >= 3:
+            rows.append(RelationRow(weight, _product_row(mono), f"shuffle product of {monomial_str(mono)}"))
     # deduplicate up to scale
     seen = set()
     unique = []

@@ -246,14 +246,18 @@ class SymbolPoly:
 
     def substitute(self, mapping: dict[object, "SymbolPoly"]) -> "SymbolPoly":
         """Replace each generator in `mapping` by the given polynomial."""
-        out = SymbolPoly.ZERO
+        powers: dict[tuple[object, int], SymbolPoly] = {}
+        out: dict[Monomial, Fraction] = {}
         for mono, c in self.terms.items():
             term = SymbolPoly.constant(c)
             for g, e in mono:
-                base = mapping.get(g)
-                term = term * (base**e if base is not None else SymbolPoly({((g, e),): Fraction(1)}))
-            out = out + term
-        return out
+                if (g, e) not in powers:
+                    base = mapping.get(g)
+                    powers[g, e] = base**e if base is not None else SymbolPoly({((g, e),): Fraction(1)})
+                term = term * powers[g, e]
+            for m, v in term.terms.items():
+                out[m] = out.get(m, 0) + v
+        return SymbolPoly(out)
 
     def generators(self) -> set:
         return {g for m in self.terms for g, _ in m}
@@ -434,7 +438,7 @@ def parse_symbol_poly(text: str) -> SymbolPoly:
             cur += ch
     if cur.strip():
         terms.append((sign, cur.strip()))
-    out = SymbolPoly.ZERO
+    out: dict[Monomial, Fraction] = {}
     for sign, term in terms:
         factors = _split_factors(term)
         coeff = Fraction(sign)
@@ -447,8 +451,8 @@ def parse_symbol_poly(text: str) -> SymbolPoly:
                 g, e = _parse_generator(f)
                 gens[g] = gens.get(g, 0) + e
         mono = tuple(sorted(gens.items(), key=lambda ge: _gen_key(ge[0])))
-        out = out + SymbolPoly({mono: coeff})
-    return out
+        out[mono] = out.get(mono, 0) + coeff
+    return SymbolPoly(out)
 
 
 def _split_factors(term: str) -> list[str]:

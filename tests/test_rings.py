@@ -119,3 +119,39 @@ def test_ratfunc_arithmetic_and_normalization():
 def test_ratfunc_zero_denominator():
     with pytest.raises(ZeroDivisionError):
         RatFunc(poly_from_coeffs([1]), poly_from_coeffs([]))
+
+
+# -- ring axioms of PadicNumber under congruence at the lower precision ------
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+
+@st.composite
+def _padic_triples(draw):
+    """Three p-adic numbers of one prime, each with its own valuation and
+    absolute precision (zero to precision included)."""
+    p = draw(st.sampled_from([2, 3, 5]))
+
+    def one():
+        num = draw(st.integers(-400, 400))
+        den = draw(st.integers(1, 60).filter(lambda d: d % p))
+        v = draw(st.integers(-3, 6))
+        aprec = draw(st.integers(-2, 25))
+        return PadicNumber.from_rational(Fraction(num, den) * Fraction(p) ** v, p, aprec)
+
+    return one(), one(), one()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_padic_triples())
+def test_padic_ring_axioms(abc):
+    a, b, c = abc
+    zero = PadicNumber.zero(a.p, 10**6)
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a + b == b + a
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) * c == a * c + b * c
+    assert a + (-a) == zero
+    assert a - b == -(b - a)

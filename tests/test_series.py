@@ -12,7 +12,6 @@ from mzv.series import (
     is_group_like,
     random_series,
     series_character,
-    tensor_square,
 )
 from mzv.serialize import series_from_json, series_to_json
 from mzv.symbols import LambdaSym, SymbolPoly
@@ -168,7 +167,7 @@ def test_coproduct_counit_and_duality():
             if len(u) + len(v) > 4:
                 continue
             want = sum(c * f[w] for w, c in shuffle_words(u, v).items())
-            assert cp[(u, v)] == want
+            assert cp.get((u, v), 0) == want
 
 
 def test_log_coefficient_of_single_b_words_matches_series():
@@ -221,7 +220,9 @@ def test_tensor_square_matches_coproduct_for_group_like():
     rng = random.Random(10)
     assignments = {w: Fraction(rng.randint(-3, 3)) for w in lyndon_words(4)}
     f = character_series(assignments, 4, QQ)
-    assert (coproduct(f) - tensor_square(f)).is_zero()
+    square = {(u, v): f[u] * f[v] for u in f.coeffs for v in f.coeffs if len(u) + len(v) <= 4}
+    cop = coproduct(f)
+    assert {k: c for k, c in cop.items() if c} == {k: c for k, c in square.items() if c}
 
 
 def test_serialization_round_trip_bit_exact():

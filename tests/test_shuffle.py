@@ -9,7 +9,6 @@ from mzv.rings import QQ, SYMBOLIC
 from mzv.series import NCSeries, character_series, is_group_like
 from mzv.shufflealg import (
     InconsistentCharacterError,
-    Index,
     ReductionResult,
     _pivot_key,
     admissible_indices,
@@ -58,14 +57,6 @@ def test_index_word_codec():
                 assert word_of_index(entries) == (w, sign)
     with pytest.raises(ValueError):
         index_of_word(Word("ABA"))
-
-
-def test_index_type():
-    i = Index((1, 2))
-    assert i.weight == 3 and i.depth == 2 and i.admissible
-    assert not Index((2, 1)).admissible
-    with pytest.raises(ValueError):
-        Index((0, 2))
 
 
 def test_admissible_indices_match_convergent_words():
@@ -289,6 +280,29 @@ def test_double_shuffle_weight5_bound_two():
     rows = generate_double_shuffle(5)
     red = reduce_relations(rows, 5)
     assert red.dimension_bound <= 2
+
+
+def _zagier_d(n: int) -> int:
+    d = [1, 0, 1]
+    while len(d) <= n:
+        d.append(d[-2] + d[-3])
+    return d[n]
+
+
+@pytest.mark.parametrize("weight", range(2, 11))
+def test_dimension_bound_is_zagier_dn(weight):
+    red = reduce_relations(generate_double_shuffle(weight), weight)
+    assert red.dimension_bound == _zagier_d(weight)
+
+
+def test_product_rows_vanish_numerically():
+    from mzv.arch_eval import evaluate_relation_row
+
+    products = [r for r in generate_double_shuffle(7) if r.provenance.startswith("shuffle product of ")]
+    assert [r.provenance for r in products] == ["shuffle product of zeta[1,2]*zeta[2]^2",
+                                                "shuffle product of zeta[2]^2*zeta[3]"]
+    for row in products:
+        assert abs(evaluate_relation_row(row)) < 1e-9, row.provenance
 
 
 def test_rows_are_weight_homogeneous_and_nonzero():
