@@ -118,6 +118,21 @@ def _weight(ctx, param, value):
     return value
 
 
+def _padic_precision(ctx, param, value):
+    """A p-adic precision: 1..MAX_PADIC_PRECISION digits."""
+    from .padic_eval import MAX_PADIC_PRECISION
+
+    if not 1 <= value <= MAX_PADIC_PRECISION:
+        raise click.BadParameter(f"{param.name} {value} is outside 1..{MAX_PADIC_PRECISION}")
+    return value
+
+
+def _positive(ctx, param, value):
+    if value < 1:
+        raise click.BadParameter(f"{param.name} {value} is not positive")
+    return value
+
+
 def _relations_weight(ctx, param, weight):
     from .shufflealg import MAX_RELATIONS_WEIGHT
 
@@ -366,7 +381,7 @@ def padic():
 @click.option("--p", type=int, required=True, callback=_prime)
 @click.option("--k", type=int, required=True, callback=_weight)
 @click.option("--z", required=True, help="rational point, e.g. 5/7")
-@click.option("--prec", type=int, default=30, show_default=True)
+@click.option("--prec", type=int, default=30, show_default=True, callback=_padic_precision)
 @click.option("--dagger", is_flag=True, help="sum only over n prime to p")
 @click.option("--pretty", is_flag=True)
 @_internal_errors
@@ -391,9 +406,10 @@ def padic_polylog_cmd(p, k, z, prec, dagger, pretty):
 @padic.command("verify-spain")
 @click.option("--primes", default="3,5,7", show_default=True, callback=_primes)
 @click.option("--kmax", type=int, default=4, show_default=True, callback=_weight)
-@click.option("--points", type=int, default=20, show_default=True)
-@click.option("--prec", type=int, default=30, show_default=True)
-@click.option("--digits", type=int, default=20, show_default=True, help="required agreement digits")
+@click.option("--points", type=int, default=20, show_default=True, callback=_positive)
+@click.option("--prec", type=int, default=30, show_default=True, callback=_padic_precision)
+@click.option("--digits", type=int, default=20, show_default=True, callback=_positive,
+              help="required agreement digits")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--pretty", is_flag=True)
 @_internal_errors

@@ -123,6 +123,24 @@ def test_polylog_index_past_the_cap_fails_before_any_work(group, args, option):
     assert time.monotonic() - start < 5.0
 
 
+@pytest.mark.parametrize("args,option", [
+    (["polylog", "--p", "3", "--k", "2", "--z", "3/2", "--prec", "-5"], "--prec"),
+    (["polylog", "--p", "3", "--k", "2", "--z", "3/2", "--prec", "0"], "--prec"),
+    (["polylog", "--p", "3", "--k", "2", "--z", "3/2", "--prec", "10000000"], "--prec"),
+    (["verify-spain", "--prec", "0", "--digits", "0"], "--prec"),
+    (["verify-spain", "--prec", "10000000", "--points", "1"], "--prec"),
+    (["verify-spain", "--digits", "0"], "--digits"),
+    (["verify-spain", "--points", "-3"], "--points"),
+    (["verify-spain", "--points", "0"], "--points"),
+])
+def test_padic_precision_and_counts_out_of_range_fail_before_any_work(args, option):
+    start = time.monotonic()
+    result = _run(padic, args)
+    assert result.exit_code == 2, result.output
+    assert option in result.output
+    assert time.monotonic() - start < 5.0
+
+
 def test_assoc_verify_numeric_identities():
     for identity in ("dual", "hexagon"):
         result = _run(assoc, ["verify", "--identity", identity, "--weight", "3"])
@@ -309,7 +327,9 @@ def test_mzv_relations_golden(fmt, weight, flavor):
 
 # sha256 of the numeric evaluators' stdout at a few fixed inputs, recorded
 # before the polylog index got its range check (padic polylog z=3/2 again
-# when z got the digits the series loses: O(3^27) became O(3^30))
+# when z got the digits the series loses: O(3^27) became O(3^30)); the
+# prec-2000, k=16 dagger and verify-spain values were recorded before the
+# p-adic polylogarithm became one integer Horner pass
 NUMERIC_SHA256 = {
     ("mzv", "eval", "--index", "2"): "a853a94adef6c17fdb3a2f3e3e1b4b8daa54eb357505f389d7ee8437b52ad744",
     ("mzv", "eval", "--index", "1,2"): "dfda1a5d41f41241a08b3f393f94443cf342ceb9fe0bcab8eef7cf91d95a9b40",
@@ -322,6 +342,12 @@ NUMERIC_SHA256 = {
         "75d112bd499a142add07a331bac2430e6b0e6fcc2a30f56e12fb5235dec2ea44",
     ("padic", "polylog", "--p", "7", "--k", "3", "--z", "14/5", "--dagger"):
         "4e5fcd0197b7be79d1d0e82ae52a1379c23c065b67b1a31be484e3bcb5fcf7dc",
+    ("padic", "polylog", "--p", "3", "--k", "4", "--z", "42/55", "--prec", "2000"):
+        "f125c1237f0f24272310bc03c65cab8dea56f2109a8799a8e2e15a0c2013f53b",
+    ("padic", "polylog", "--p", "5", "--k", "16", "--z", "10/7", "--prec", "200", "--dagger"):
+        "a1b4b13c31bfc34d968632ca7c3c180a4911568a0010f6a777400ccce6ea8552",
+    ("padic", "verify-spain", "--points", "40", "--prec", "60", "--seed", "7"):
+        "756911ff4868ca2622c20153fe44813c7640dcc1675afb3ae97253320099a01f",
     ("sv", "polylog", "--k", "2", "--z", "0.3+0.2i", "--zagier"):
         "cdaded524a0b383af0c2b3d80aadb0a7183adedf3aaa11b0efb9eeccfbf2723b",
     ("sv", "polylog", "--k", "3", "--z", "-0.5i", "--zagier"):

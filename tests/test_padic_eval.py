@@ -5,6 +5,7 @@ import pytest
 
 from mzv.padic_eval import (
     OutsideDiskError,
+    _guard,
     known_to,
     padic_li_dagger,
     padic_mpl2,
@@ -141,3 +142,57 @@ def test_shift_multiplies_by_a_power_of_p_exactly():
     assert y.shift(3) == x
     zero = PadicNumber.zero(5, 12).shift(2)
     assert zero.is_zero() and zero.aprec == 14
+
+
+def _polylog_by_terms(k, z, skip_p_multiples=False):
+    """The term-by-term PadicNumber sum padic_polylog replaced: z^n, then n^k
+    read at the precision of z^n, then the quotient, added until ten
+    consecutive summed terms have valuation at least aprec."""
+    p, aprec = z.p, z.aprec
+    if z.is_zero():
+        return PadicNumber.zero(p, aprec)
+
+    def terms():
+        zn = PadicNumber.from_rational(1, p, aprec + _guard(p, aprec, k))
+        n = 0
+        while True:
+            n += 1
+            zn = zn * z
+            if skip_p_multiples and n % p == 0:
+                continue
+            yield zn / PadicNumber.from_rational(Fraction(n) ** k, p, zn.aprec)
+
+    acc, flat = PadicNumber.zero(p, aprec), 0
+    for t in terms():
+        acc = acc + t
+        if t.is_zero() or t.valuation() >= aprec:
+            flat += 1
+            if flat >= 10:
+                break
+        else:
+            flat = 0
+    return acc
+
+
+def _outcome(fn, *args):
+    try:
+        value = fn(*args)
+    except ZeroDivisionError as exc:
+        return "ZeroDivisionError", str(exc)
+    return value.p, value.val, value.unit, value.aprec
+
+
+def test_polylog_is_bit_identical_to_the_term_by_term_sum():
+    rng = random.Random(2024)
+    raised = 0
+    for _ in range(2000):
+        p, k, v = rng.choice([2, 3, 5, 7, 11]), rng.randint(1, 16), rng.randint(1, 3)
+        prec, dagger = rng.choice([1, 5, 20, 60, 120]), rng.random() < 0.5
+        den = rng.choice([d for d in range(1, 100) if d % p])
+        zq = Fraction(rng.choice([1, -1]) * p**v * rng.choice([x for x in range(1, 200) if x % p]), den)
+        z = PadicNumber.from_rational(zq, p, prec)
+        expected = _outcome(_polylog_by_terms, k, z, dagger)
+        assert _outcome(padic_polylog, k, z, dagger) == expected, (p, k, zq, prec, dagger)
+        raised += expected[0] == "ZeroDivisionError"
+    # both outcomes are exercised: values and the same division-by-zero error
+    assert 0 < raised < 200
