@@ -4,10 +4,12 @@ the machinery that verifies the worked identities.
 Symbolic associators are parameterized by free character coordinates
 (lambda symbols) on Lyndon words of weight >= 2; zeta symbols of every
 flavor are derived expressions: the flavor's zeta value at an index is
-the sign-adjusted word coefficient of the corresponding series.  All
-equality checks between displayed formulas happen in the lambda
-polynomial ring after substituting each side's zeta symbols by their
-lambda expressions.
+the sign-adjusted word coefficient of the corresponding series.  Every
+symbolic identity is compared in one canonical form,
+`canonicalize_li_symbols(lhs - rhs, truncation, p).is_zero()`: the ring
+homomorphism that sends each zeta symbol to its lambda expression, each Li
+symbol at a non-Lyndon index to a polynomial in Lyndon-index Li symbols
+and logarithms, log(z^p) to p log z and log|z|^2 to log z + log zbar.
 """
 
 from __future__ import annotations
@@ -15,12 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .braid import BraidElement, evaluate_series
 from .rings import SYMBOLIC, Ring, complex_ring
 from .series import NCSeries, character_series, is_group_like
-from .shufflealg import index_of_word, is_convergent_word, word_of_index
+from .shufflealg import admissible_indices, index_of_word, is_convergent_word, word_of_index
 from .symbols import (
     ARG_ABS_Z_SQ,
     ARG_Z,
@@ -176,28 +178,10 @@ _ZETA_SERIES = {"p-adic": PADIC_KZ, "complex": SYMBOLIC_LAMBDA, "p-adic-Deligne"
 @lru_cache(maxsize=None)
 def _zeta_substitution_table(flavor: str, truncation: int, p: int | None):
     """Lambda expressions of one zeta flavor at every admissible index of
-    weight 2..truncation; empty for the Deligne flavor without a prime."""
-    from .shufflealg import admissible_indices
-
-    if flavor == "p-adic-Deligne" and p is None:
-        return {}
+    weight 2..truncation."""
     series = build_associator(_ZETA_SERIES[flavor], truncation, p)
     return {ZetaSym(flavor, idx): zeta_lambda_expr(series, idx)
             for weight in range(2, truncation + 1) for idx in admissible_indices(weight)}
-
-
-def substitute_zeta_symbols(poly: SymbolPoly, truncation: int, p: int | None = None) -> SymbolPoly:
-    """Replace every zeta symbol by its lambda expression; zeta at index (1)
-    of any flavor is regularized to zero.  Only the flavors that occur in
-    `poly` have their tables built."""
-    zetas = [g for g in poly.generators() if isinstance(g, ZetaSym)]
-    mapping: dict[object, SymbolPoly] = {}
-    for flavor in sorted({g.flavor for g in zetas}):
-        mapping.update(_zeta_substitution_table(flavor, truncation, p))
-    for g in zetas:
-        if g.index == (1,):
-            mapping[g] = SymbolPoly.ZERO
-    return poly.substitute(mapping)
 
 
 # -- twisted self-referential solvers -------------------------------------------
@@ -239,11 +223,12 @@ def comparison_residual(phi_kz: NCSeries, g: NCSeries, scale) -> NCSeries:
 
 
 @lru_cache(maxsize=None)
-def g0_symbolic(arg: str, truncation: int, li_flavor: str = "plain") -> NCSeries:
+def g0_symbolic(arg: str, truncation: int, li_flavor: str) -> NCSeries:
     """The fundamental-solution series at the given argument tag.
 
     Character values on Lyndon words: A maps to log(arg), B to -Li_1(arg),
-    and every other Lyndon word to its (-1)^depth-signed Li symbol.
+    and every other Lyndon word to its (-1)^depth-signed Li symbol.  The
+    flavor has no default, so every caller shares one cache entry per table.
     """
     assignments: dict[str, SymbolPoly] = {
         "A": SymbolPoly.gen(LogSym(arg)),
@@ -264,8 +249,8 @@ def overconvergent_g0(p: int, truncation: int) -> NCSeries:
     polylogarithm expressions.
     """
     phi_de = build_associator(PADIC_DELIGNE, truncation, p)
-    base = g0_symbolic(ARG_Z, truncation)
-    shifted = g0_symbolic(ARG_Z_POW_P, truncation)
+    base = g0_symbolic(ARG_Z, truncation, "plain")
+    shifted = g0_symbolic(ARG_Z_POW_P, truncation, "plain")
     return base * twisted_substitution(shifted, phi_de, Fraction(1, p)).invert()
 
 
@@ -273,63 +258,68 @@ def overconvergent_g0(p: int, truncation: int) -> NCSeries:
 def single_valued_g0(truncation: int) -> NCSeries:
     """G0(z) * [G0 at zbar twisted by A -> -A, B -> phi_minus^-1 (-B) phi_minus]^-1."""
     phi_minus = build_associator(MINUS_KZ, truncation)
-    base = g0_symbolic(ARG_Z, truncation)
-    conj = g0_symbolic(ARG_Z_CONJ, truncation)
+    base = g0_symbolic(ARG_Z, truncation, "plain")
+    conj = g0_symbolic(ARG_Z_CONJ, truncation, "plain")
     return base * twisted_substitution(conj, phi_minus, -1).invert()
 
 
 def dagger_coefficient(index: tuple[int, ...], p: int, truncation: int | None = None) -> SymbolPoly:
     """The overconvergent polylogarithm at `index` as a symbol expression."""
     n = truncation if truncation is not None else max(sum(index), 2)
-    word, sign = word_of_index(index)
-    return Fraction(sign) * overconvergent_g0(p, n)[word]
+    return zeta_lambda_expr(overconvergent_g0(p, n), index)
 
 
 def single_valued_g0_coefficient(index: tuple[int, ...], truncation: int | None = None) -> SymbolPoly:
     """The single-valued polylogarithm at `index` as a symbol expression."""
     n = truncation if truncation is not None else max(sum(index), 2)
-    word, sign = word_of_index(index)
-    return Fraction(sign) * single_valued_g0(n)[word]
+    return zeta_lambda_expr(single_valued_g0(n), index)
 
 
-def canonicalize_li_symbols(poly: SymbolPoly) -> SymbolPoly:
-    """Rewrite Li symbols at non-Lyndon indices into the Lyndon generators.
-
-    The one-variable polylogarithms satisfy the interleaving shuffle
-    relations, so any index whose word is not a Lyndon word equals the
-    corresponding word coefficient of the fundamental solution, a
-    polynomial in Lyndon-index symbols.
-    """
-    mapping: dict[object, SymbolPoly] = {}
-    for g in poly.generators():
-        if isinstance(g, LiSym):
-            word, sign = word_of_index(g.index)
-            if not is_lyndon(word):
-                table = g0_symbolic(g.arg, len(word), g.flavor)
-                mapping[g] = Fraction(sign) * table[word]
-    return poly.substitute(mapping) if mapping else poly
+# -- the canonical form of symbolic identities -----------------------------------
 
 
-def rewrite_logs(poly: SymbolPoly, p: int | None = None) -> SymbolPoly:
-    """Apply log(z^p) = p log(z) and log|z|^2 = log z + log zbar."""
-    mapping: dict[object, SymbolPoly] = {}
-    for g in poly.generators():
-        if isinstance(g, LogSym) and g.arg == ARG_Z_POW_P:
-            if p is None:
-                raise ValueError("rewriting log(z^p) needs the prime p")
-            mapping[g] = Fraction(p) * SymbolPoly.gen(LogSym(ARG_Z))
-        if isinstance(g, LogSym) and g.arg == ARG_ABS_Z_SQ:
-            mapping[g] = SymbolPoly.gen(LogSym(ARG_Z)) + SymbolPoly.gen(LogSym(ARG_Z_CONJ))
-    return poly.substitute(mapping) if mapping else poly
+@lru_cache(maxsize=None)
+def _canonical_image(g, truncation: int, p: int | None) -> SymbolPoly | None:
+    """The image of one generator under `canonicalize_li_symbols`, or None
+    when the generator is fixed.  Every image is a fixpoint of the map."""
+    if isinstance(g, ZetaSym):
+        if g.index == (1,):
+            return SymbolPoly.ZERO
+        if g.flavor == "p-adic-Deligne" and p is None:
+            return None
+        return _zeta_substitution_table(g.flavor, truncation, p).get(g)
+    if isinstance(g, LogSym):
+        if g.arg == ARG_Z_POW_P and p is not None:
+            return Fraction(p) * SymbolPoly.gen(LogSym(ARG_Z))
+        if g.arg == ARG_ABS_Z_SQ:
+            return SymbolPoly.gen(LogSym(ARG_Z)) + SymbolPoly.gen(LogSym(ARG_Z_CONJ))
+        return None
+    if isinstance(g, LiSym) and not is_lyndon(word_of_index(g.index)[0]):
+        if g.weight > truncation:
+            raise ValueError(f"{g} has weight above the truncation {truncation}")
+        table = g0_symbolic(g.arg, truncation, g.flavor)
+        return canonicalize_li_symbols(zeta_lambda_expr(table, g.index), truncation, p)
+    return None
+
+
+def canonicalize_li_symbols(poly: SymbolPoly, truncation: int, p: int | None = None) -> SymbolPoly:
+    """The canonical form in which every symbolic identity is compared (see
+    the module docstring): zeta at index (1) maps to zero, and the Deligne
+    flavor and log(z^p) stay symbols when p is not given.  A non-Lyndon Li
+    index maps to its word coefficient in the fundamental solution at its
+    argument, because the polylogarithms satisfy the shuffle relations.
+    Every image is itself canonical, so the map is idempotent."""
+    mapping = {g: image for g in poly.generators() if (image := _canonical_image(g, truncation, p)) is not None}
+    return poly.substitute(mapping, _canonical_monomials(truncation, p)) if mapping else poly
+
+
+@lru_cache(maxsize=None)
+def _canonical_monomials(truncation: int, p: int | None) -> dict:
+    """Monomial images of `canonicalize_li_symbols`, shared between its calls."""
+    return {}
 
 
 # -- differential-equation residuals ---------------------------------------------
-
-
-def _kz_operator(truncation: int, p: int | None) -> NCSeries:
-    """D (A/z + B/(z-1)) = A D/z - B D/(1-z), with D as in `formal_derivative`."""
-    _, a, b = derivative_kernels(p)
-    return NCSeries(SYMBOLIC, truncation, {"A": a, "B": -b})
 
 
 def verify_kz_equation(g: NCSeries, p: int | None = None,
@@ -344,12 +334,14 @@ def verify_kz_equation(g: NCSeries, p: int | None = None,
     and the symbols: the right-multiplier term becomes
     G (A (1-z^p) - conj(B) z^p).  D is a nonzero polynomial, so the scaled
     residual is identically zero in the symbol ring exactly when the
-    residual is; the Li canonicalization does not touch z, so it commutes
-    with the scaling.
+    residual is; the canonical form fixes z, so it commutes with the
+    scaling.
     """
     n = g.truncation
     dg = NCSeries(SYMBOLIC, n, {w: formal_derivative(c, p) for w, c in g.coeffs.items()})
-    residual = dg - _kz_operator(n, p) * g
+    _, d_over_z, d_over_1mz = derivative_kernels(p)
+    # D (A/z + B/(z-1)) = A D/z - B D/(1-z)
+    residual = dg - NCSeries(SYMBOLIC, n, {"A": d_over_z, "B": -d_over_1mz}) * g
     if frobenius_conjugator is not None:
         if p is None:
             raise ValueError("the modified equation needs the prime p")
@@ -358,9 +350,9 @@ def verify_kz_equation(g: NCSeries, p: int | None = None,
         z_p = z_poly([0] * p + [1])
         right = NCSeries(SYMBOLIC, n, {"A": 1 - z_p}) - conj.scale(z_p)
         residual = residual + g * right
-    # derivatives mint Li symbols at non-Lyndon indices; reduce them to the
-    # Lyndon parameterization so that exact zero is decidable
-    return NCSeries(SYMBOLIC, n, {w: canonicalize_li_symbols(c) for w, c in residual.coeffs.items()})
+    # derivatives mint Li symbols at non-Lyndon indices; the canonical form
+    # reduces them to the Lyndon parameterization so that exact zero is decidable
+    return NCSeries(SYMBOLIC, n, {w: canonicalize_li_symbols(c, n, p) for w, c in residual.coeffs.items()})
 
 
 # -- defining relations of the twisted composition group -------------------------
@@ -480,44 +472,43 @@ def lie_leading_term(phi: NCSeries, m: int):
 # -- worked-identity formulas -----------------------------------------------------
 
 
-def _zeta_p(index) -> SymbolPoly:
-    idx = tuple(index) if not isinstance(index, tuple) else index
-    if idx == (1,):
-        return SymbolPoly.ZERO
-    return SymbolPoly.gen(ZetaSym("p-adic", idx))
+def _zeta(flavor: str, index: tuple[int, ...]) -> SymbolPoly:
+    return SymbolPoly.ZERO if index == (1,) else SymbolPoly.gen(ZetaSym(flavor, index))
 
 
 def deligne_depth1_formula(k: int, p: int) -> SymbolPoly:
     """zetaDe(k) = (1 - p^-k) zeta_p(k)."""
-    return (1 - Fraction(1, p**k)) * _zeta_p((k,))
+    return (1 - Fraction(1, p**k)) * _zeta("p-adic", (k,))
 
 
 def deligne_depth2_formula(a: int, b: int, p: int) -> SymbolPoly:
     """The depth-2 comparison between the two p-adic zeta flavors."""
+    zeta = partial(_zeta, "p-adic")
     q = lambda e: Fraction(1, p**e)
-    out = (1 - q(a + b)) * _zeta_p((a, b))
-    out = out - (q(b) - q(a + b)) * _zeta_p((a,)) * _zeta_p((b,))
+    out = (1 - q(a + b)) * zeta((a, b))
+    out = out - (q(b) - q(a + b)) * zeta((a,)) * zeta((b,))
     for r in range(a):
-        out = out - Fraction((-1) ** r) * (q(a - r) - q(a + b)) * math.comb(b - 1 + r, b - 1) * _zeta_p((a - r,)) * _zeta_p((b + r,))
+        out = out - Fraction((-1) ** r) * (q(a - r) - q(a + b)) * math.comb(b - 1 + r, b - 1) * zeta((a - r,)) * zeta((b + r,))
     for s in range(b):
-        out = out - Fraction((-1) ** a) * (q(b - s) - q(a + b)) * math.comb(a - 1 + s, a - 1) * _zeta_p((a + s,)) * _zeta_p((b - s,))
+        out = out - Fraction((-1) ** a) * (q(b - s) - q(a + b)) * math.comb(a - 1 + s, a - 1) * zeta((a + s,)) * zeta((b - s,))
     return out
+
+
+def _same(lhs: SymbolPoly, rhs: SymbolPoly, truncation: int, p: int | None = None) -> bool:
+    """lhs == rhs in the canonical form of `canonicalize_li_symbols`."""
+    return canonicalize_li_symbols(lhs - rhs, truncation, p).is_zero()
 
 
 def check_deligne_depth1(k: int, p: int, truncation: int | None = None) -> bool:
     n = truncation if truncation is not None else max(k, 2)
-    phi_de = build_associator(PADIC_DELIGNE, n, p)
-    lhs = zeta_lambda_expr(phi_de, (k,))
-    rhs = substitute_zeta_symbols(deligne_depth1_formula(k, p), n, p)
-    return (lhs - rhs).is_zero()
+    lhs = zeta_lambda_expr(build_associator(PADIC_DELIGNE, n, p), (k,))
+    return _same(lhs, deligne_depth1_formula(k, p), n, p)
 
 
 def check_deligne_depth2(a: int, b: int, p: int, truncation: int | None = None) -> bool:
     n = truncation if truncation is not None else max(a + b, 2)
-    phi_de = build_associator(PADIC_DELIGNE, n, p)
-    lhs = zeta_lambda_expr(phi_de, (a, b))
-    rhs = substitute_zeta_symbols(deligne_depth2_formula(a, b, p), n, p)
-    return (lhs - rhs).is_zero()
+    lhs = zeta_lambda_expr(build_associator(PADIC_DELIGNE, n, p), (a, b))
+    return _same(lhs, deligne_depth2_formula(a, b, p), n, p)
 
 
 def _li(index, arg: str) -> SymbolPoly:
@@ -531,36 +522,26 @@ def dagger_depth1_formula(k: int, p: int) -> SymbolPoly:
 
 def dagger_depth2_formula(a: int, b: int, p: int) -> SymbolPoly:
     """The depth-2 overconvergent polylogarithm in plain polylogarithms."""
+    zeta = partial(_zeta, "p-adic")
     q = lambda e: Fraction(1, p**e)
     out = _li((a, b), ARG_Z) - q(a + b) * _li((a, b), ARG_Z_POW_P)
-    out = out - (q(b) - q(a + b)) * _zeta_p((a,)) * _li((b,), ARG_Z_POW_P)
+    out = out - (q(b) - q(a + b)) * zeta((a,)) * _li((b,), ARG_Z_POW_P)
     for r in range(a):
         inner = _li((b + r,), ARG_Z) - q(b + r) * _li((b + r,), ARG_Z_POW_P)
         out = out - Fraction((-1) ** r) * q(a - r) * math.comb(b - 1 + r, r) * _li((a - r,), ARG_Z_POW_P) * inner
     for s in range(b):
-        out = out - Fraction((-1) ** a) * (q(b - s) - q(a + b)) * math.comb(a - 1 + s, a - 1) * _zeta_p((a + s,)) * _li((b - s,), ARG_Z_POW_P)
+        out = out - Fraction((-1) ** a) * (q(b - s) - q(a + b)) * math.comb(a - 1 + s, a - 1) * zeta((a + s,)) * _li((b - s,), ARG_Z_POW_P)
     return out
 
 
 def check_dagger_depth1(k: int, p: int, truncation: int | None = None) -> bool:
     n = truncation if truncation is not None else max(k, 2)
-    lhs = canonicalize_li_symbols(rewrite_logs(dagger_coefficient((k,), p, n), p))
-    rhs = canonicalize_li_symbols(substitute_zeta_symbols(dagger_depth1_formula(k, p), n, p))
-    return (lhs - rhs).is_zero()
+    return _same(dagger_coefficient((k,), p, n), dagger_depth1_formula(k, p), n, p)
 
 
 def check_dagger_depth2(a: int, b: int, p: int, truncation: int | None = None) -> bool:
     n = truncation if truncation is not None else max(a + b, 2)
-    lhs = canonicalize_li_symbols(rewrite_logs(dagger_coefficient((a, b), p, n), p))
-    rhs = canonicalize_li_symbols(substitute_zeta_symbols(dagger_depth2_formula(a, b, p), n, p))
-    return (lhs - rhs).is_zero()
-
-
-def _zeta_c(index) -> SymbolPoly:
-    idx = tuple(index)
-    if idx == (1,):
-        return SymbolPoly.ZERO
-    return SymbolPoly.gen(ZetaSym("complex", idx))
+    return _same(dagger_coefficient((a, b), p, n), dagger_depth2_formula(a, b, p), n, p)
 
 
 def sv_depth1_formula(k: int) -> SymbolPoly:
@@ -574,6 +555,7 @@ def sv_depth1_formula(k: int) -> SymbolPoly:
 
 def sv_depth2_formula(a: int, b: int) -> SymbolPoly:
     """The depth-2 single-valued polylogarithm in plain polylogarithms."""
+    zeta = partial(_zeta, "complex")
     ell = SymbolPoly.gen(LogSym(ARG_ABS_Z_SQ))
     out = _li((a, b), ARG_Z)
     for r in range(a):
@@ -586,23 +568,19 @@ def sv_depth2_formula(a: int, b: int) -> SymbolPoly:
             out = out - outer * inner
     for u in range(b):
         bracket = Fraction((-1) ** (a + b + u)) * _li((a, b - u), ARG_Z_CONJ)
-        bracket = bracket + Fraction((-1) ** (b + u) - (-1) ** (a + b + u)) * _zeta_c((a,)) * _li((b - u,), ARG_Z_CONJ)
+        bracket = bracket + Fraction((-1) ** (b + u) - (-1) ** (a + b + u)) * zeta((a,)) * _li((b - u,), ARG_Z_CONJ)
         for v in range(b - u):
             bracket = bracket + (Fraction((-1) ** (a + b + u + v) - (-1) ** (b + u)) * math.comb(a + v - 1, a - 1)
-                                 * _zeta_c((a + v,)) * _li((b - u - v,), ARG_Z_CONJ))
+                                 * zeta((a + v,)) * _li((b - u - v,), ARG_Z_CONJ))
         out = out - Fraction(1, math.factorial(u)) * ell**u * bracket
     return out
 
 
 def check_sv_depth1(k: int, truncation: int | None = None) -> bool:
     n = truncation if truncation is not None else max(k, 2)
-    lhs = canonicalize_li_symbols(single_valued_g0_coefficient((k,), n))
-    rhs = canonicalize_li_symbols(substitute_zeta_symbols(rewrite_logs(sv_depth1_formula(k)), n))
-    return (lhs - rhs).is_zero()
+    return _same(single_valued_g0_coefficient((k,), n), sv_depth1_formula(k), n)
 
 
 def check_sv_depth2(a: int, b: int, truncation: int | None = None) -> bool:
     n = truncation if truncation is not None else max(a + b, 2)
-    lhs = canonicalize_li_symbols(single_valued_g0_coefficient((a, b), n))
-    rhs = canonicalize_li_symbols(substitute_zeta_symbols(rewrite_logs(sv_depth2_formula(a, b)), n))
-    return (lhs - rhs).is_zero()
+    return _same(single_valued_g0_coefficient((a, b), n), sv_depth2_formula(a, b), n)

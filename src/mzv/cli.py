@@ -20,6 +20,10 @@ CONTEXT_SETTINGS = {"auto_envvar_prefix": "ASSOCIATOR", "help_option_names": ["-
 
 _IDENTITIES = ("dual", "hexagon", "pentagon", "netherland", "czech", "moldova", "kz", "princeton")
 
+# checks of one `padic verify-spain` run: ~0.5 ms each at --prec 60 (4,800
+# took 2.3 s on a 2-vCPU box), so ~5 s at the bound there, more at higher --prec
+MAX_SPAIN_CHECKS = 10_000
+
 
 def _report(command: str, checks: list[dict], **extra) -> dict:
     status = "pass"
@@ -303,7 +307,7 @@ def _verify_identity(identity: str, weight: int, p: int | None, flavor: str, tol
     if identity == "czech":
         if p is None:
             raise click.UsageError("--p is required for this identity")
-        coeff_a = asc.rewrite_logs(asc.overconvergent_g0(p, weight)["A"], p)
+        coeff_a = asc.canonicalize_li_symbols(asc.overconvergent_g0(p, weight)["A"], weight, p)
         exact("letter-A coefficient vanishes after log rewrite", coeff_a.is_zero())
         for k in (1, 2, 3, 4):
             if k <= weight:
@@ -328,7 +332,7 @@ def _verify_identity(identity: str, weight: int, p: int | None, flavor: str, tol
     if identity == "kz":
         from .symbols import ARG_Z
 
-        res = asc.verify_kz_equation(asc.g0_symbolic(ARG_Z, weight))
+        res = asc.verify_kz_equation(asc.g0_symbolic(ARG_Z, weight, "plain"))
         exact(f"differential equation residual at weight {weight}", res.is_zero())
         return checks
 
@@ -419,6 +423,10 @@ def padic_verify_spain(primes, kmax, points, prec, digits, seed, pretty):
 
     if digits > prec:
         raise click.UsageError(f"--digits {digits} cannot be certified at --prec {prec}")
+    count = len(primes) * kmax * points
+    if count > MAX_SPAIN_CHECKS:
+        raise click.UsageError(f"--primes x --kmax x --points asks for {count} checks; at most "
+                               f"{MAX_SPAIN_CHECKS} are run (about 0.5 ms each at --prec 60)")
     rng = random.Random(seed)
     tasks = []
     for p in primes:

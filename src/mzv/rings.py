@@ -4,8 +4,7 @@ A ring object describes how coefficients behave (zero/one, equality,
 units, embedding of the rationals) without wrapping the coefficient
 values themselves: rational coefficients are `fractions.Fraction`,
 symbolic ones are `SymbolPoly`, p-adic ones are `PadicNumber` and complex
-ones are the built-in `complex`.  The `has_rationals` capability flag
-gates exp/log and every construction that divides by integers.
+ones are the built-in `complex`.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ class RingMismatchError(TypeError):
 
 class Ring:
     name: str = "ring"
-    has_rationals: bool = True
 
     def from_fraction(self, q):
         raise NotImplementedError
@@ -85,41 +83,8 @@ class RationalRing(Ring):
         return Fraction(text)
 
 
-class IntegerRing(Ring):
-    """Exact integers; no rational scalars, so exp/log are unavailable."""
-
-    name = "Z"
-    has_rationals = False
-
-    def from_fraction(self, q):
-        q = Fraction(q)
-        if q.denominator != 1:
-            raise ValueError(f"{q} is not an integer")
-        return q.numerator
-
-    def is_zero(self, x):
-        return x == 0
-
-    def is_unit(self, x):
-        return x in (1, -1)
-
-    def invert(self, x):
-        if not self.is_unit(x):
-            raise ValueError(f"{x} is not a unit in Z")
-        return x
-
-    def __eq__(self, other):
-        return isinstance(other, IntegerRing)
-
-    def __hash__(self):
-        return hash(self.name)
-
-    def coeff_parse(self, text):
-        return int(text)
-
-
 class SymbolicRing(Ring):
-    """Polynomials in tagged symbols over exact rational (or z-rational) scalars."""
+    """Polynomials in tagged symbols over exact rational scalars."""
 
     name = "symbolic"
 
@@ -133,10 +98,7 @@ class SymbolicRing(Ring):
         return x.is_constant() and not x.is_zero()
 
     def invert(self, x):
-        c = x.constant_value()
-        if isinstance(c, Fraction):
-            return SymbolPoly.constant(Fraction(1) / c)
-        return SymbolPoly.constant(1 / c)
+        return SymbolPoly.constant(Fraction(1) / x.constant_value())
 
     def __eq__(self, other):
         return isinstance(other, SymbolicRing)
@@ -212,7 +174,6 @@ class ComplexRing(Ring):
 
 
 QQ = RationalRing()
-ZZ = IntegerRing()
 SYMBOLIC = SymbolicRing()
 
 

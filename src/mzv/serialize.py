@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-from .rings import QQ, SYMBOLIC, ZZ, ComplexRing, PadicRing, RationalRing, Ring, IntegerRing, SymbolicRing
+from .rings import QQ, SYMBOLIC, ComplexRing, PadicRing, RationalRing, Ring, SymbolicRing
 from .series import NCSeries
 from .words import Word, word_key
 
@@ -19,8 +19,6 @@ FORMAT = "ncseries/1"
 def ring_tag(ring: Ring) -> str:
     if isinstance(ring, RationalRing):
         return "Q"
-    if isinstance(ring, IntegerRing):
-        return "Z"
     if isinstance(ring, SymbolicRing):
         return "symbolic"
     if isinstance(ring, PadicRing):
@@ -33,8 +31,6 @@ def ring_tag(ring: Ring) -> str:
 def ring_from_tag(tag: str) -> Ring:
     if tag == "Q":
         return QQ
-    if tag == "Z":
-        return ZZ
     if tag == "symbolic":
         return SYMBOLIC
     if tag.startswith("Qp:"):

@@ -182,8 +182,6 @@ class NCSeries:
     # -- exp / log ------------------------------------------------------------
 
     def exp(self) -> "NCSeries":
-        if not self.ring.has_rationals:
-            raise ValueError("exp needs rational scalars in the coefficient ring")
         if not self.ring.is_zero(self.constant_term()):
             raise ValueError("exp is defined for series with zero constant term")
         acc = NCSeries.one(self.ring, self.truncation)
@@ -196,8 +194,6 @@ class NCSeries:
         return acc
 
     def log(self) -> "NCSeries":
-        if not self.ring.has_rationals:
-            raise ValueError("log needs rational scalars in the coefficient ring")
         if not self.ring.eq(self.constant_term(), self.ring.one):
             raise ValueError("log is defined for series with constant term 1")
         x = self - NCSeries.one(self.ring, self.truncation)
@@ -305,8 +301,6 @@ def character_series(assignments: dict[str, object], truncation: int, ring: Ring
     the same weight, so the coefficients are solved per weight in
     ascending lexicographic order.
     """
-    if not ring.has_rationals:
-        raise ValueError("character extension needs rational scalars in the ring")
     for w in assignments:
         if not is_lyndon(w):
             raise ValueError(f"assignment on non-Lyndon word {w}")

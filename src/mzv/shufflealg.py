@@ -144,8 +144,6 @@ def recover_character(known: dict[str, object], c_a, c_b, max_weight: int, ring,
     prescribed single-letter coefficients.  Returns the full coefficient map
     on all words of weight <= max_weight.
     """
-    if not ring.has_rationals:
-        raise ValueError("divergent-coefficient recovery needs rational scalars in the ring")
     for weight in range(2, max_weight + 1):
         for w in convergent_words(weight):
             if w not in known:

@@ -244,19 +244,23 @@ class SymbolPoly:
 
     # -- substitution ---------------------------------------------------
 
-    def substitute(self, mapping: dict[object, "SymbolPoly"]) -> "SymbolPoly":
-        """Replace each generator in `mapping` by the given polynomial."""
+    def substitute(self, mapping: dict[object, "SymbolPoly"], images: dict | None = None) -> "SymbolPoly":
+        """Replace each generator in `mapping` by the given polynomial; `images`
+        caches monomial images, and calls whose mappings agree may share it."""
+        images = {} if images is None else images
         powers: dict[tuple[object, int], SymbolPoly] = {}
         out: dict[Monomial, Fraction] = {}
         for mono, c in self.terms.items():
-            term = SymbolPoly.constant(c)
-            for g, e in mono:
-                if (g, e) not in powers:
-                    base = mapping.get(g)
-                    powers[g, e] = base**e if base is not None else SymbolPoly({((g, e),): Fraction(1)})
-                term = term * powers[g, e]
-            for m, v in term.terms.items():
-                out[m] = out.get(m, 0) + v
+            if mono not in images:
+                image = SymbolPoly.ONE
+                for g, e in mono:
+                    if (g, e) not in powers:
+                        base = mapping.get(g)
+                        powers[g, e] = base**e if base is not None else SymbolPoly({((g, e),): Fraction(1)})
+                    image = image * powers[g, e]
+                images[mono] = image
+            for m, v in images[mono].terms.items():
+                out[m] = out.get(m, 0) + c * v
         return SymbolPoly(out)
 
     def generators(self) -> set:

@@ -16,6 +16,7 @@ from mzv.associator import (
     build_associator,
     build_numeric_kz,
     build_symbolic_associator,
+    canonicalize_li_symbols,
     check_dagger_depth1,
     check_dagger_depth2,
     check_deligne_depth1,
@@ -31,11 +32,9 @@ from mzv.associator import (
     gt_unit,
     lie_leading_term,
     overconvergent_g0,
-    rewrite_logs,
     single_valued_g0,
     solve_deligne,
     solve_minus,
-    substitute_zeta_symbols,
     twisted_substitution,
     verify_grt_relations,
     verify_kz_equation,
@@ -45,7 +44,18 @@ from mzv.associator import (
 from mzv.cli import _verify_identity
 from mzv.rings import QQ, SYMBOLIC, complex_ring
 from mzv.series import NCSeries, character_series, is_group_like, random_series
-from mzv.symbols import ARG_Z, ARG_Z_CONJ, LiSym, LogSym, SymbolPoly, ZetaSym, z_poly
+from mzv.symbols import (
+    ARG_ABS_Z_SQ,
+    ARG_Z,
+    ARG_Z_CONJ,
+    ARG_Z_POW_P,
+    LambdaSym,
+    LiSym,
+    LogSym,
+    SymbolPoly,
+    ZetaSym,
+    z_poly,
+)
 from mzv.words import lyndon_words
 
 
@@ -197,8 +207,8 @@ def test_graded_preimage_equals_fixed_point_loop(weight, scale):
 
 
 def _clear_associator_caches():
-    for fn in (asc.build_associator, asc._zeta_substitution_table,
-               asc.overconvergent_g0, asc.single_valued_g0):
+    for fn in (asc.build_associator, asc._zeta_substitution_table, asc._canonical_image,
+               asc._canonical_monomials, asc.overconvergent_g0, asc.single_valued_g0):
         fn.cache_clear()
 
 
@@ -230,12 +240,12 @@ def test_zeta_substitution_builds_only_the_flavors_used(monkeypatch):
     calls = _count_solves(monkeypatch)
     poly = SymbolPoly.gen(ZetaSym("p-adic", (2,))) + SymbolPoly.gen(ZetaSym("p-adic", (1,)))
     want = zeta_lambda_expr(build_symbolic_associator("p", 4), (2,))
-    assert (substitute_zeta_symbols(poly, 4, 5) - want).is_zero()
+    assert (canonicalize_li_symbols(poly, 4, 5) - want).is_zero()
     assert calls == []
     assert asc._zeta_substitution_table.cache_info().currsize == 1
     # the Deligne flavor without a prime stays a symbol
     zeta_de = SymbolPoly.gen(ZetaSym("p-adic-Deligne", (2,)))
-    assert (substitute_zeta_symbols(zeta_de, 4) - zeta_de).is_zero()
+    assert (canonicalize_li_symbols(zeta_de, 4) - zeta_de).is_zero()
     assert calls == []
     _clear_associator_caches()
 
@@ -277,7 +287,7 @@ def test_substitution_wrappers():
 
 
 def test_g0_low_coefficients():
-    g0 = g0_symbolic(ARG_Z, 4)
+    g0 = g0_symbolic(ARG_Z, 4, "plain")
     log = SymbolPoly.gen(LogSym(ARG_Z))
     li1 = SymbolPoly.gen(LiSym("plain", (1,), ARG_Z))
     assert (g0["A"] - log).is_zero()
@@ -293,7 +303,7 @@ def test_overconvergent_and_single_valued_are_group_like():
 
 def test_overconvergent_letter_a_vanishes():
     for p in (3, 5):
-        coeff = rewrite_logs(overconvergent_g0(p, 4)["A"], p)
+        coeff = canonicalize_li_symbols(overconvergent_g0(p, 4)["A"], 4, p)
         assert coeff.is_zero()
 
 
@@ -317,7 +327,7 @@ def test_single_valued_formulas():
 
 
 def test_kz_residuals():
-    assert verify_kz_equation(g0_symbolic(ARG_Z, 4)).is_zero()
+    assert verify_kz_equation(g0_symbolic(ARG_Z, 4, "plain")).is_zero()
     one = NCSeries.one(SYMBOLIC, 3)
     res = verify_kz_equation(one)
     # constants are not solutions: the residual is minus the connection
@@ -333,7 +343,7 @@ def test_kz_residuals():
 
 @pytest.mark.parametrize("word", ["A", "B", "AB", "BBA", "ABAB", "AABBB", "BABAB"])
 def test_kz_residual_detects_a_corrupted_coefficient(word):
-    g = g0_symbolic(ARG_Z, 5)
+    g = g0_symbolic(ARG_Z, 5, "plain")
     assert not g[word].is_zero()
     bad = NCSeries(SYMBOLIC, 5, {**g.coeffs, word: 2 * g[word]})
     assert not verify_kz_equation(bad).is_zero()
@@ -419,7 +429,7 @@ def test_lie_leading_term():
 
 def test_dagger_coefficient_depth1_shape():
     p = 3
-    expr = rewrite_logs(dagger_coefficient((2,), p), p)
+    expr = canonicalize_li_symbols(dagger_coefficient((2,), p), 2, p)
     want = SymbolPoly.gen(LiSym("plain", (2,), ARG_Z)) - Fraction(1, p**2) * SymbolPoly.gen(
         LiSym("plain", (2,), "z^p"))
     assert (expr - want).is_zero()
@@ -435,7 +445,7 @@ def test_dagger_expansion_agrees_with_padic_evaluation():
     p = 5
     z = PadicNumber.from_rational(Fraction(10, 3), p, 30)
     for k in (1, 2, 3):
-        expr = rewrite_logs(dagger_coefficient((k,), p), p)
+        expr = canonicalize_li_symbols(dagger_coefficient((k,), p), max(k, 2), p)
         total = PadicNumber.zero(p, 30)
         for mono, c in expr.terms.items():
             term = PadicNumber.from_rational(Fraction(c), p, 40)
@@ -446,3 +456,110 @@ def test_dagger_expansion_agrees_with_padic_evaluation():
                     term = term * base
             total = total + term
         assert (total - padic_li_dagger(k, z)).is_zero()
+
+
+# -- the canonical form ---------------------------------------------------------
+
+# generators of every kind the canonical form moves or fixes, at weight <= 4
+_CANONICAL_GENS = [
+    ZetaSym("p-adic", (2,)), ZetaSym("p-adic", (1, 2)), ZetaSym("p-adic", (1,)),
+    ZetaSym("complex", (3,)), ZetaSym("complex", (2, 1)), ZetaSym("p-adic-Deligne", (3,)),
+    LiSym("plain", (2,), ARG_Z), LiSym("plain", (1, 2), ARG_Z),  # Lyndon
+    LiSym("plain", (1, 1), ARG_Z), LiSym("plain", (2, 1), ARG_Z),  # non-Lyndon
+    LiSym("plain", (2, 2), ARG_Z_POW_P), LiSym("plain", (1, 1), ARG_Z_CONJ),
+    LogSym(ARG_Z), LogSym(ARG_Z_POW_P), LogSym(ARG_ABS_Z_SQ), LambdaSym("p", "AB"),
+]
+
+
+def _random_symbol_poly(rng, terms=3):
+    out = SymbolPoly.constant(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+    for _ in range(terms):
+        term = SymbolPoly.constant(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+        for g in rng.sample(_CANONICAL_GENS, rng.randint(1, 3)):
+            term = term * SymbolPoly.gen(g) ** rng.randint(1, 2)
+        out = out + term
+    return out
+
+
+@pytest.mark.parametrize("p", [None, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_canonical_form_is_an_idempotent_homomorphism(seed, p):
+    rng = random.Random(seed)
+    canon = lambda poly: canonicalize_li_symbols(poly, 4, p)
+    x, y = _random_symbol_poly(rng), _random_symbol_poly(rng)
+    c = Fraction(rng.randint(-7, 7), 5)
+    assert canon(SymbolPoly.constant(c)) == c
+    assert canon(x + y) == canon(x) + canon(y)
+    assert canon(x * y) == canon(x) * canon(y)
+    assert canon(canon(x * y)) == canon(x * y)
+    for g in _CANONICAL_GENS:
+        assert canon(canon(SymbolPoly.gen(g))) == canon(SymbolPoly.gen(g))
+
+
+def test_canonical_form_generator_images():
+    canon = lambda g, p=None: canonicalize_li_symbols(SymbolPoly.gen(g), 4, p)
+    log_z, log_zbar = SymbolPoly.gen(LogSym(ARG_Z)), SymbolPoly.gen(LogSym(ARG_Z_CONJ))
+    assert canon(LogSym(ARG_Z_POW_P), 5) == 5 * log_z
+    assert canon(LogSym(ARG_Z_POW_P)) == SymbolPoly.gen(LogSym(ARG_Z_POW_P))
+    assert canon(LogSym(ARG_ABS_Z_SQ)) == log_z + log_zbar
+    assert canon(ZetaSym("complex", (1,))).is_zero()
+    assert canon(ZetaSym("p-adic-Deligne", (3,))) == SymbolPoly.gen(ZetaSym("p-adic-Deligne", (3,)))
+    assert canon(ZetaSym("p-adic-Deligne", (3,)), 5) == zeta_lambda_expr(build_associator(PADIC_DELIGNE, 4, 5), (3,))
+    # Li_{1,1}(x) = Li_1(x)^2 / 2 and Li_{2,1}(x) = Li_1(x) Li_2(x) - 2 Li_{1,2}(x)
+    li = lambda index, arg: SymbolPoly.gen(LiSym("plain", index, arg))
+    assert canon(LiSym("plain", (1, 1), ARG_Z)) == Fraction(1, 2) * li((1,), ARG_Z) ** 2
+    for arg in (ARG_Z, ARG_Z_POW_P, ARG_Z_CONJ):
+        want = li((1,), arg) * li((2,), arg) - 2 * li((1, 2), arg)
+        assert canon(LiSym("plain", (2, 1), arg), 3) == want
+    with pytest.raises(ValueError):
+        canon(LiSym("plain", (2, 2, 1), ARG_Z))
+
+
+def _with_one_term_doubled(formula, term):
+    def changed(*args):
+        poly = formula(*args)
+        mono = sorted(poly.terms, key=str)[term % len(poly.terms)]
+        return poly + SymbolPoly({mono: poly.terms[mono]})
+    return changed
+
+
+@pytest.mark.parametrize("check, formula, args", [
+    ("check_deligne_depth1", "deligne_depth1_formula", (3, 5, 4)),
+    ("check_deligne_depth2", "deligne_depth2_formula", (1, 3, 5, 4)),
+    ("check_dagger_depth1", "dagger_depth1_formula", (3, 3, 4)),
+    ("check_dagger_depth2", "dagger_depth2_formula", (1, 2, 3, 4)),
+    ("check_sv_depth1", "sv_depth1_formula", (3, 4)),
+    ("check_sv_depth2", "sv_depth2_formula", (1, 2, 4)),
+])
+def test_every_check_fails_when_one_term_of_its_formula_changes(monkeypatch, check, formula, args):
+    assert getattr(asc, check)(*args)
+    original = getattr(asc, formula)
+    terms = len(original(*args[:-1]).terms)
+    assert terms
+    for term in range(terms):
+        monkeypatch.setattr(asc, formula, _with_one_term_doubled(original, term))
+        assert not getattr(asc, check)(*args), (formula, term)
+
+
+@pytest.mark.parametrize("word", ["A", "B", "AB", "BAB", "ABBA"])
+def test_modified_kz_residual_detects_a_corrupted_coefficient(word):
+    p, n = 3, 4
+    g = overconvergent_g0(p, n)
+    conj = build_associator(PADIC_DELIGNE, n, p)
+    bad = NCSeries(SYMBOLIC, n, {**g.coeffs, word: g[word] + SymbolPoly.gen(LogSym(ARG_Z_POW_P))})
+    assert not verify_kz_equation(bad, p=p, frobenius_conjugator=conj).is_zero()
+
+
+def test_clearing_the_caches_clears_the_canonical_form():
+    canonicalize_li_symbols(SymbolPoly.gen(LiSym("plain", (1, 1), ARG_Z)), 3)
+    assert asc._canonical_image.cache_info().currsize and asc._canonical_monomials.cache_info().currsize
+    _clear_associator_caches()
+    assert asc._canonical_image.cache_info().currsize == 0
+    assert asc._canonical_monomials.cache_info().currsize == 0
+
+
+def test_one_fundamental_solution_table_per_argument():
+    _clear_associator_caches()
+    g0_symbolic.cache_clear()
+    assert verify_kz_equation(g0_symbolic(ARG_Z, 7, "plain")).is_zero()
+    assert g0_symbolic.cache_info().currsize == 1

@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from mzv import arch_eval
-from mzv.cli import _is_prime, assoc, mzv, padic, series, sv
+from mzv.cli import MAX_SPAIN_CHECKS, _is_prime, assoc, mzv, padic, series, sv
 
 try:
     from importlib.resources import files
@@ -141,6 +141,23 @@ def test_padic_precision_and_counts_out_of_range_fail_before_any_work(args, opti
     assert time.monotonic() - start < 5.0
 
 
+def test_padic_verify_spain_refuses_more_checks_than_the_bound_before_any_work():
+    start = time.monotonic()
+    result = _run(padic, ["verify-spain", "--points", "1000000000"])
+    assert result.exit_code == 2, result.output
+    assert "--points" in result.output and str(MAX_SPAIN_CHECKS) in result.output
+    assert time.monotonic() - start < 5.0
+
+
+def test_padic_verify_spain_bound_counts_every_check(monkeypatch):
+    monkeypatch.setattr("mzv.cli.MAX_SPAIN_CHECKS", 4)
+    args = ["verify-spain", "--primes", "5", "--kmax", "2", "--digits", "5", "--prec", "10"]
+    assert _run(padic, args + ["--points", "2"]).exit_code == 0
+    assert _run(padic, args + ["--points", "3"]).exit_code == 2
+    # the benchmark's grid: 3 primes x kmax 4 x 40 points
+    assert 3 * 4 * 40 <= MAX_SPAIN_CHECKS
+
+
 def test_assoc_verify_numeric_identities():
     for identity in ("dual", "hexagon"):
         result = _run(assoc, ["verify", "--identity", identity, "--weight", "3"])
@@ -245,6 +262,14 @@ def test_series_dump_parse_round_trip():
 def test_series_parse_rejects_garbage():
     parsed = _run(series, ["parse", "-"], input="{}")
     assert parsed.exit_code == 2
+
+
+def test_series_parse_rejects_the_integer_ring_tag():
+    text = json.dumps({"format": "ncseries/1", "ring": "Z", "truncation": 2,
+                       "terms": [{"word": "", "coeff": "1"}]})
+    parsed = _run(series, ["parse", "-"], input=text)
+    assert parsed.exit_code == 2, parsed.output
+    assert "unknown ring tag 'Z'" in parsed.output
 
 
 # sha256 of `series dump` stdout for every flavor at weights 4-6 (p = 3 for

@@ -174,6 +174,12 @@ def test_symbol_substitute_matches_reference(seed):
     got = poly.substitute(mapping)
     assert got == _symbol_substitute_reference(poly, mapping)
     assert parse_symbol_poly(str(got)) == got
+    # a monomial image cache shared between calls with one mapping
+    images = {}
+    other = _random_poly(rng, terms=6, max_exp=3)
+    for p in (poly, other, poly * other):
+        assert p.substitute(mapping, images) == _symbol_substitute_reference(p, mapping)
+    assert images
 
 
 def test_group_like_fails_on_a_pair_missing_from_the_coproduct():

@@ -5,14 +5,8 @@ import pytest
 
 from mzv.padics import PadicNumber, padic_log, teichmuller_unit
 from mzv.ratfunc import RatFunc, poly_from_coeffs
-from mzv.rings import QQ, SYMBOLIC, ZZ, complex_ring, padic_ring
+from mzv.rings import QQ, SYMBOLIC, complex_ring, padic_ring
 from mzv.symbols import SymbolPoly, ZetaSym
-
-
-def test_capability_flags():
-    assert QQ.has_rationals and SYMBOLIC.has_rationals
-    assert padic_ring(5).has_rationals and complex_ring().has_rationals
-    assert not ZZ.has_rationals
 
 
 @pytest.mark.parametrize("ring,sample", [
@@ -87,12 +81,6 @@ def test_padic_log_is_homomorphism(p):
         lhs = padic_log(x * y, branch=Fraction(2))
         rhs = padic_log(x, branch=Fraction(2)) + padic_log(y, branch=Fraction(2))
         assert (lhs - rhs).is_zero()
-
-
-def test_integer_ring_units():
-    assert ZZ.is_unit(-1) and not ZZ.is_unit(2)
-    with pytest.raises(ValueError):
-        ZZ.from_fraction(Fraction(1, 2))
 
 
 def test_complex_ring_tolerance():
