@@ -131,6 +131,14 @@ def _padic_precision(ctx, param, value):
     return value
 
 
+def _check_padic_bits(p: int, prec: int) -> None:
+    from .padic_eval import MAX_PADIC_BITS
+
+    if prec * p.bit_length() > MAX_PADIC_BITS:
+        raise click.UsageError(f"--prec {prec} at p = {p} asks for {prec * p.bit_length()} bits "
+                               f"(prec * p.bit_length()); at most {MAX_PADIC_BITS} are computed")
+
+
 def _positive(ctx, param, value):
     if value < 1:
         raise click.BadParameter(f"{param.name} {value} is not positive")
@@ -393,6 +401,7 @@ def padic_polylog_cmd(p, k, z, prec, dagger, pretty):
     """Evaluate Li_k (or its prime-to-p variant) at a rational disk point."""
     from .padic_eval import OutsideDiskError, known_to, padic_li_dagger, padic_polylog
 
+    _check_padic_bits(p, prec)
     try:
         zq = Fraction(z)
     except ValueError:
@@ -423,6 +432,7 @@ def padic_verify_spain(primes, kmax, points, prec, digits, seed, pretty):
 
     if digits > prec:
         raise click.UsageError(f"--digits {digits} cannot be certified at --prec {prec}")
+    _check_padic_bits(max(primes), prec)
     count = len(primes) * kmax * points
     if count > MAX_SPAIN_CHECKS:
         raise click.UsageError(f"--primes x --kmax x --points asks for {count} checks; at most "

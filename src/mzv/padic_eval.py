@@ -28,6 +28,10 @@ _CONSECUTIVE = 10
 # the largest precision the CLI accepts: the work grows as the cube of the
 # precision, and Li_16(7/3) at p = 7 takes ~2.7 s at 5,000 digits
 MAX_PADIC_PRECISION = 5_000
+# digits of a large p cost more: the CLI also bounds prec * p.bit_length(),
+# which keeps every p <= 7 at 5,000 digits; Li_2(p/3) at the bound took
+# ~1.4 s at p = 101 (2,142 digits) and ~1.0 s at p = 1009 (1,500 digits)
+MAX_PADIC_BITS = 3 * MAX_PADIC_PRECISION
 
 
 class OutsideDiskError(ValueError):

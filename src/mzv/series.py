@@ -126,14 +126,17 @@ class NCSeries:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         n = self._join(other)
+        # fits[r]: the right factor's terms of length <= r, in their order
+        fits: list[list] = [[] for _ in range(n + 1)]
+        for vc in other.coeffs.items():
+            for r in range(len(vc[0]), n + 1):
+                fits[r].append(vc)
         out: dict[str, object] = {}
         for u, cu in self.coeffs.items():
             room = n - len(u)
             if room < 0:
                 continue
-            for v, cv in other.coeffs.items():
-                if len(v) > room:
-                    continue
+            for v, cv in fits[room]:
                 w = u + v
                 add = cu * cv
                 out[w] = out[w] + add if w in out else add

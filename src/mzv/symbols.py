@@ -14,9 +14,14 @@ Generators come in five kinds:
 * the variable z itself (weight 0), so that a polynomial in z is an
   ordinary SymbolPoly; only the differential-equation checks mint it.
 
+Generators are interned: equal field values, positional or by keyword,
+give the same object, so they hash and compare by identity, and each keeps
+its sort key `key = (kind rank, str(g))` from when it was made.
+
 A SymbolPoly is a finite map {monomial: scalar} with monomials sorted
-tuples of (generator, exponent).  Scalars are `fractions.Fraction` only;
-all z-dependence lives in the generators.
+tuples of (generator, exponent) in `key` order.  Scalars are
+`fractions.Fraction` only; all z-dependence lives in the generators.  Only
+the public constructor coerces ints; each pair of monomials is merged once.
 """
 
 from __future__ import annotations
@@ -40,47 +45,61 @@ _ZETA_BY_NAME = {v: k for k, v in ZETA_FLAVORS.items()}
 _LI_BY_NAME = {v: k for k, v in LI_FLAVORS.items()}
 
 
-@dataclass(frozen=True, order=True)
-class ZetaSym:
+class _Interned(type):
+    """One instance per class and field values, so equality is identity."""
+
+    _pool: dict = {}
+
+    def __call__(cls, *args, **kwargs):
+        g = None if kwargs else _Interned._pool.get((cls, args))
+        if g is None:
+            g = super().__call__(*args, **kwargs)
+            g = _Interned._pool.setdefault((cls, tuple(getattr(g, f) for f in cls.__match_args__)), g)
+        return g
+
+
+class _Generator(metaclass=_Interned):
+    @property
+    def weight(self) -> int:  # of zeta and Li symbols; the other kinds override it
+        return sum(self.index)
+
+    def __post_init__(self):
+        object.__setattr__(self, "key", (_KIND_RANK[type(self)], str(self)))
+
+    def __reduce__(self):  # copies and pickles intern too
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+
+@dataclass(frozen=True, eq=False)
+class ZetaSym(_Generator):
     flavor: str
     index: tuple[int, ...]
-
-    @property
-    def weight(self) -> int:
-        return sum(self.index)
 
     def __str__(self):
         return f"{ZETA_FLAVORS[self.flavor]}[{','.join(map(str, self.index))}]"
 
 
-@dataclass(frozen=True, order=True)
-class LiSym:
+@dataclass(frozen=True, eq=False)
+class LiSym(_Generator):
     flavor: str
     index: tuple[int, ...]
     arg: str
-
-    @property
-    def weight(self) -> int:
-        return sum(self.index)
 
     def __str__(self):
         return f"{LI_FLAVORS[self.flavor]}[{','.join(map(str, self.index))}]({self.arg})"
 
 
-@dataclass(frozen=True, order=True)
-class LogSym:
+@dataclass(frozen=True, eq=False)
+class LogSym(_Generator):
     arg: str
-
-    @property
-    def weight(self) -> int:
-        return 1
+    weight = 1
 
     def __str__(self):
         return f"log|z|^2" if self.arg == ARG_ABS_Z_SQ else f"log({self.arg})"
 
 
-@dataclass(frozen=True, order=True)
-class LambdaSym:
+@dataclass(frozen=True, eq=False)
+class LambdaSym(_Generator):
     tag: str
     word: str  # letters of the Lyndon word
 
@@ -92,25 +111,22 @@ class LambdaSym:
         return f"lam_{self.tag}[{self.word}]"
 
 
-@dataclass(frozen=True, order=True)
-class ZSym:
+@dataclass(frozen=True, eq=False)
+class ZSym(_Generator):
     """The variable z."""
 
-    @property
-    def weight(self) -> int:
-        return 0
+    weight = 0
 
     def __str__(self):
         return "z"
 
 
+_KIND_RANK = {ZetaSym: 0, LiSym: 1, LogSym: 2, LambdaSym: 3, ZSym: 4}
 Z = ZSym()
 
-_KIND_RANK = {ZetaSym: 0, LiSym: 1, LogSym: 2, LambdaSym: 3, ZSym: 4}
 
-
-def _gen_key(g):
-    return (_KIND_RANK[type(g)], str(g))
+def _item_key(ge):
+    return ge[0].key
 
 
 Monomial = tuple[tuple[object, int], ...]
@@ -122,12 +138,7 @@ class SymbolPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict[Monomial, object] | None = None):
-        clean = {}
-        for mono, c in (terms or {}).items():
-            if isinstance(c, int):
-                c = Fraction(c)
-            if c:
-                clean[mono] = c
+        clean = {m: Fraction(c) if isinstance(c, int) else c for m, c in (terms or {}).items() if c}
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
@@ -137,8 +148,6 @@ class SymbolPoly:
 
     @staticmethod
     def constant(c) -> "SymbolPoly":
-        if isinstance(c, int):
-            c = Fraction(c)
         return SymbolPoly({(): c})
 
     @staticmethod
@@ -164,9 +173,7 @@ class SymbolPoly:
     def weight(self) -> int | None:
         """The common weight of all monomials, or None if mixed/zero."""
         weights = {sum(g.weight * e for g, e in m) for m in self.terms}
-        if len(weights) == 1:
-            return weights.pop()
-        return None
+        return weights.pop() if len(weights) == 1 else None
 
     # -- arithmetic ------------------------------------------------------
 
@@ -184,12 +191,12 @@ class SymbolPoly:
         out = dict(self.terms)
         for m, c in o.terms.items():
             out[m] = out[m] + c if m in out else c
-        return SymbolPoly(out)
+        return _poly(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SymbolPoly({m: -c for m, c in self.terms.items()})
+        return _wrap({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -210,22 +217,20 @@ class SymbolPoly:
                 m = _merge_monomials(m1, m2)
                 c = c1 * c2
                 out[m] = out[m] + c if m in out else c
-        return SymbolPoly(out)
+        # by one term, distinct monomials have distinct products: nothing cancels
+        return _wrap(out) if len(self.terms) == 1 or len(o.terms) == 1 else _poly(out)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, int):
-            other = Fraction(other)
-        if isinstance(other, Fraction):
-            return self * (Fraction(1) / other)
+        if isinstance(other, (int, Fraction)):
+            return self * (1 / Fraction(other))
         return NotImplemented
 
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative powers of polynomials are not defined")
-        out = SymbolPoly.ONE
-        base = self
+        out, base = SymbolPoly.ONE, self
         while k:
             if k & 1:
                 out = out * base
@@ -238,9 +243,6 @@ class SymbolPoly:
         if o is None:
             return NotImplemented
         return (self - o).is_zero()
-
-    def __hash__(self):
-        raise TypeError("SymbolPoly is unhashable")
 
     # -- substitution ---------------------------------------------------
 
@@ -256,12 +258,12 @@ class SymbolPoly:
                 for g, e in mono:
                     if (g, e) not in powers:
                         base = mapping.get(g)
-                        powers[g, e] = base**e if base is not None else SymbolPoly({((g, e),): Fraction(1)})
+                        powers[g, e] = base**e if base is not None else _wrap({((g, e),): Fraction(1)})
                     image = image * powers[g, e]
                 images[mono] = image
             for m, v in images[mono].terms.items():
-                out[m] = out.get(m, 0) + c * v
-        return SymbolPoly(out)
+                out[m] = out[m] + c * v if m in out else c * v
+        return _poly(out)
 
     def generators(self) -> set:
         return {g for m in self.terms for g, _ in m}
@@ -271,10 +273,7 @@ class SymbolPoly:
     def __str__(self):
         if not self.terms:
             return "0"
-        parts = []
-        for mono in sorted(self.terms, key=_mono_sort_key):
-            c = self.terms[mono]
-            parts.append(_term_str(mono, c))
+        parts = [_term_str(m, self.terms[m]) for m in sorted(self.terms, key=_mono_sort_key)]
         out = parts[0]
         for t in parts[1:]:
             out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
@@ -286,24 +285,45 @@ class SymbolPoly:
 
 SymbolPoly.ZERO = SymbolPoly({})
 SymbolPoly.ONE = SymbolPoly.constant(1)
+_set_terms = SymbolPoly.terms.__set__
+
+
+def _wrap(terms: dict[Monomial, Fraction]) -> SymbolPoly:
+    """A SymbolPoly around nonzero Fraction coefficients, as they are."""
+    out = object.__new__(SymbolPoly)
+    _set_terms(out, terms)
+    return out
+
+
+def _poly(terms: dict[Monomial, Fraction]) -> SymbolPoly:
+    """A SymbolPoly from Fraction coefficients: zeros dropped, nothing coerced."""
+    return _wrap({m: c for m, c in terms.items() if c})
+
+
+_MERGED: dict[tuple[Monomial, Monomial], Monomial] = {}
 
 
 def _merge_monomials(m1: Monomial, m2: Monomial) -> Monomial:
-    acc: dict = {}
-    for g, e in m1 + m2:
-        acc[g] = acc.get(g, 0) + e
-    return tuple(sorted(acc.items(), key=lambda ge: _gen_key(ge[0])))
+    """The product of two monomials, memoized: equal products share one tuple."""
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    m = _MERGED.get((m1, m2))
+    if m is None:
+        acc = dict(m1)
+        for g, e in m2:
+            acc[g] = acc[g] + e if g in acc else e
+        m = _MERGED[m1, m2] = tuple(sorted(acc.items(), key=_item_key))
+    return m
 
 
 def _mono_sort_key(m: Monomial):
-    return tuple(( _gen_key(g), e) for g, e in m)
+    return tuple((g.key, e) for g, e in m)
 
 
 def _term_str(mono: Monomial, c) -> str:
-    factors = []
-    for g, e in mono:
-        factors.append(str(g) if e == 1 else f"{str(g)}^{e}")
-    body = "*".join(factors)
+    body = "*".join(str(g) if e == 1 else f"{g}^{e}" for g, e in mono)
     if not body:
         return str(c)
     if c == 1:
@@ -380,8 +400,8 @@ def formal_derivative(q: SymbolPoly, p: int | None = None) -> SymbolPoly:
             ce = c * e
             for m2, c2 in _d_generator(g, p).terms.items():
                 m = _merge_monomials(rest, m2)
-                out[m] = out.get(m, 0) + ce * c2
-    return SymbolPoly(out)
+                out[m] = out[m] + ce * c2 if m in out else ce * c2
+    return _poly(out)
 
 
 # -- canonical parsing --------------------------------------------------
@@ -419,60 +439,35 @@ def _parse_generator(tok: str):
 
 def parse_symbol_poly(text: str) -> SymbolPoly:
     """Parse the canonical str() form back into a SymbolPoly."""
-    text = text.strip()
-    if text == "0":
-        return SymbolPoly.ZERO
-    # split into signed terms at top level (no parens nesting except args)
-    terms = []
-    depth = 0
-    cur = ""
-    sign = 1
-    for ch in text:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if depth == 0 and ch in "+-" and cur.strip():
-            terms.append((sign, cur.strip()))
-            sign = 1 if ch == "+" else -1
-            cur = ""
-        elif depth == 0 and ch in "+-" and not cur.strip():
-            sign = sign if ch == "+" else -sign
-        else:
-            cur += ch
-    if cur.strip():
-        terms.append((sign, cur.strip()))
     out: dict[Monomial, Fraction] = {}
-    for sign, term in terms:
-        factors = _split_factors(term)
-        coeff = Fraction(sign)
-        gens: dict = {}
-        for f in factors:
+    sign = 1
+    for sep, term in _split_top_level(text, "+-"):
+        sign = -sign if sep == "-" else sign  # a run of signs multiplies
+        if not term.strip():
+            continue
+        coeff, gens = Fraction(sign), {}
+        for _, f in _split_top_level(term, "*"):
             f = f.strip()
-            if re.fullmatch(r"-?\d+(/\d+)?", f):
+            if re.fullmatch(r"\d+(/\d+)?", f):
                 coeff *= Fraction(f)
             else:
                 g, e = _parse_generator(f)
                 gens[g] = gens.get(g, 0) + e
-        mono = tuple(sorted(gens.items(), key=lambda ge: _gen_key(ge[0])))
+        mono = tuple(sorted(gens.items(), key=_item_key))
         out[mono] = out.get(mono, 0) + coeff
+        sign = 1
     return SymbolPoly(out)
 
 
-def _split_factors(term: str) -> list[str]:
-    parts = []
-    depth = 0
-    cur = ""
-    for ch in term:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if ch == "*" and depth == 0:
-            parts.append(cur)
-            cur = ""
+def _split_top_level(text: str, seps: str) -> list[tuple[str, str]]:
+    """`text` cut at the characters of `seps` outside brackets, as
+    (separator before, piece) pairs; the first separator is ''."""
+    pieces, depth, cur, sep = [], 0, "", ""
+    for ch in text:
+        depth += (ch in "([") - (ch in ")]")
+        if depth == 0 and ch in seps:
+            pieces.append((sep, cur))
+            sep, cur = ch, ""
         else:
             cur += ch
-    if cur:
-        parts.append(cur)
-    return parts
+    return pieces + [(sep, cur)]

@@ -141,6 +141,26 @@ def test_padic_precision_and_counts_out_of_range_fail_before_any_work(args, opti
     assert time.monotonic() - start < 5.0
 
 
+@pytest.mark.parametrize("args,bits", [
+    (["polylog", "--p", "1009", "--k", "2", "--z", "1009/3", "--prec", "5000"], 50_000),
+    (["polylog", "--p", "101", "--k", "2", "--z", "101/3", "--prec", "2143"], 15_001),
+    (["verify-spain", "--primes", "3,1009", "--prec", "5000", "--points", "1"], 50_000),
+])
+def test_padic_precision_past_the_bit_bound_fails_before_any_work(args, bits):
+    """The cost grows with the precision in bits, so a large p gets fewer digits."""
+    start = time.monotonic()
+    result = _run(padic, args)
+    assert result.exit_code == 2, result.output
+    assert str(bits) in result.output and "15000" in result.output
+    assert time.monotonic() - start < 5.0
+
+
+def test_padic_precision_cap_stays_whole_for_small_primes():
+    # 5,000 digits at p = 7 is 15,000 bits, on the bound
+    result = _run(padic, ["polylog", "--p", "7", "--k", "2", "--z", "343/2", "--prec", "5000"])
+    assert result.exit_code == 0, result.output
+
+
 def test_padic_verify_spain_refuses_more_checks_than_the_bound_before_any_work():
     start = time.monotonic()
     result = _run(padic, ["verify-spain", "--points", "1000000000"])
@@ -305,7 +325,9 @@ def test_series_dump_golden(flavor, weight):
 
 # sha256 of `assoc verify` stdout for the symbolic identities, recorded
 # before the twisted solver became graded and memoized (kz w6/w7 and
-# princeton w5: before the residuals were scaled by D)
+# princeton w5: before the residuals were scaled by D; netherland w6 at
+# p = 3, 5, 7, czech w6 and princeton w5 at p = 5, and moldova w6: before the
+# symbol generators were interned)
 VERIFY_SHA256 = {
     ("netherland", 5, 3): "0eb024bb0521be4911a90d6eb032e9bf458b4d63b56b015b032dbd32a233fc3a",
     ("czech", 5, 5): "693c5eaafb8ec882814fc64a23f66e49680c87b2d3a0c0d3e73f04ac753ab438",
@@ -316,6 +338,12 @@ VERIFY_SHA256 = {
     ("kz", 7, None): "26cd7dd6dfbadc9d75c9c0cebd8db9c803cf2066d11be26e92857a0667e761cb",
     ("princeton", 5, 3): "4fb9c2f22076546d4347f496f7bda28a634334c5504dfff8ae5d7cc41a72e80d",
     ("princeton", 5, 7): "2d322d60336ce6239d3f485b936b920f02eefa1bd68f8ac4375442c239e9c1dc",
+    ("netherland", 6, 3): "ac3c25d01ad28a39bb5d4afd94760a4253a52629b25e5d71a147b73d6ecaa245",
+    ("netherland", 6, 5): "3d7b3cd8c7214dc6c944e71b6bf8e0d58736ea74c5f34a089df72113a918e245",
+    ("netherland", 6, 7): "3b02ffa3e37a738045836112d9697a5986a73daaa229a38b584ed03c2862148b",
+    ("czech", 6, 5): "41359b7dd1c826d417544b3801b5c51c218f49f2367b6ba80c6da8d927a704d6",
+    ("princeton", 5, 5): "26c4a9856bd25b2b863930ae3ffb85b715113fe01fe33322a9863f57a2106ccd",
+    ("moldova", 6, None): "9045b8d8ff58e934f9cd0c6fab646fccd11044e931a306fe040b7ebb3715a8c9",
 }
 
 

@@ -1,12 +1,16 @@
-"""The substitution and inversion kernels against straightforward references.
+"""The substitution, inversion and product kernels against straightforward references.
 
 Each reference is the earlier, rebuild-per-term form of a kernel: invert
 by a scan over every coefficient of each weight, substitute and
 evaluate_series by adding one image per word, SymbolPoly.substitute by
-adding one product per term.  The kernels must give the same values, and
-invert over the complex ring the same floats in the same order.
+adding one product per term, the NCSeries product by testing the length of
+every pair, and the SymbolPoly arithmetic before its generators were
+interned.  The kernels must give the same values, and invert and the
+product over the complex ring the same floats in the same order.
 """
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -16,7 +20,23 @@ from mzv.associator import build_numeric_kz
 from mzv.braid import BraidElement, evaluate_series
 from mzv.rings import QQ, SYMBOLIC, complex_ring
 from mzv.series import NCSeries, coproduct, is_group_like, random_series
-from mzv.symbols import ARG_Z, LambdaSym, LiSym, LogSym, SymbolPoly, ZetaSym, parse_symbol_poly
+from mzv.symbols import (
+    ARG_ABS_Z_SQ,
+    ARG_ONE_MINUS_Z,
+    ARG_Z,
+    ARG_Z_CONJ,
+    ARG_Z_POW_P,
+    Z,
+    LambdaSym,
+    LiSym,
+    LogSym,
+    SymbolPoly,
+    ZetaSym,
+    ZSym,
+    _d_generator,
+    formal_derivative,
+    parse_symbol_poly,
+)
 from mzv.words import all_words
 
 
@@ -201,3 +221,243 @@ def test_group_like_fails_on_a_coproduct_key_with_no_product_pair():
     assert cop[("A", "B")] == cop[("B", "A")] == 1
     assert all(cop.get((u, v), 0) == f[u] * f[v] for u in f.coeffs for v in f.coeffs if len(u) + len(v) <= 2)
     assert not is_group_like(f)
+
+
+# -- the NCSeries product against the pair loop that tests every length ----------
+
+
+def _series_mul_reference(f: NCSeries, g: NCSeries) -> NCSeries:
+    n = min(f.truncation, g.truncation)
+    out = {}
+    for u, cu in f.coeffs.items():
+        room = n - len(u)
+        if room < 0:
+            continue
+        for v, cv in g.coeffs.items():
+            if len(v) > room:
+                continue
+            w = u + v
+            add = cu * cv
+            out[w] = out[w] + add if w in out else add
+    return NCSeries(f.ring, n, out)
+
+
+def _shuffled(f: NCSeries, rng) -> NCSeries:
+    items = list(f.coeffs.items())
+    rng.shuffle(items)
+    return NCSeries(f.ring, f.truncation, dict(items))
+
+
+def _exact_coeffs(f: NCSeries) -> list:
+    """The coefficients in dict order: SymbolPoly terms in their order, floats bit for bit."""
+    if isinstance(next(iter(f.coeffs.values()), None), SymbolPoly):
+        return [(w, list(c.terms.items())) for w, c in f.coeffs.items()]
+    if isinstance(next(iter(f.coeffs.values()), None), complex):
+        return [(w, c.real.hex(), c.imag.hex()) for w, c in f.coeffs.items()]
+    return list(f.coeffs.items())
+
+
+def _random_complex_series(rng, n) -> NCSeries:
+    coeffs = {w: complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for k in range(n + 1) for w in all_words(k)
+              if rng.random() < 0.7}
+    return NCSeries(complex_ring(1e-9), n, coeffs)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_series_product_matches_the_pair_loop_in_order(seed):
+    rng = random.Random(500 + seed)
+    cases = [(random_series(QQ, 5, rng), random_series(QQ, 4, rng)),
+             (_random_symbolic_series(rng, 4), _random_symbolic_series(rng, 3)),
+             (_random_complex_series(rng, 5), _random_complex_series(rng, 6)),
+             (build_numeric_kz(4 + seed % 2), _random_complex_series(rng, 5))]
+    for f, g in cases:
+        f, g = _shuffled(f, rng), _shuffled(g, rng)
+        for x, y in ((f, g), (g, f), (f, f)):
+            assert _exact_coeffs(x * y) == _exact_coeffs(_series_mul_reference(x, y))
+
+
+# -- the SymbolPoly kernel against its form before generators were interned ------
+# There a generator's sort key was rebuilt from str() at every merge, every
+# product was re-sorted, and every result went through the coercing constructor.
+
+_OLD_RANK = {ZetaSym: 0, LiSym: 1, LogSym: 2, LambdaSym: 3, ZSym: 4}
+
+
+def _old_gen_key(g):
+    return (_OLD_RANK[type(g)], str(g))
+
+
+def _old_mono_key(m):
+    return tuple((_old_gen_key(g), e) for g, e in m)
+
+
+def _old_merge(m1, m2):
+    acc = {}
+    for g, e in m1 + m2:
+        acc[g] = acc.get(g, 0) + e
+    return tuple(sorted(acc.items(), key=lambda ge: _old_gen_key(ge[0])))
+
+
+def _old_clean(terms: dict) -> dict:
+    clean = {}
+    for mono, c in terms.items():
+        if isinstance(c, int):
+            c = Fraction(c)
+        if c:
+            clean[mono] = c
+    return clean
+
+
+def _old_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out[m] + c if m in out else c
+    return _old_clean(out)
+
+
+def _old_neg(a: dict) -> dict:
+    return _old_clean({m: -c for m, c in a.items()})
+
+
+def _old_mul(a: dict, b: dict) -> dict:
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = _old_merge(m1, m2)
+            c = c1 * c2
+            out[m] = out[m] + c if m in out else c
+    return _old_clean(out)
+
+
+def _old_pow(a: dict, k: int) -> dict:
+    out, base = {(): Fraction(1)}, a
+    while k:
+        if k & 1:
+            out = _old_mul(out, base)
+        base = _old_mul(base, base)
+        k >>= 1
+    return out
+
+
+def _old_substitute(a: dict, mapping) -> dict:
+    powers, images, out = {}, {}, {}
+    for mono, c in a.items():
+        if mono not in images:
+            image = {(): Fraction(1)}
+            for g, e in mono:
+                if (g, e) not in powers:
+                    base = mapping.get(g)
+                    powers[g, e] = _old_pow(base.terms, e) if base is not None else {((g, e),): Fraction(1)}
+                image = _old_mul(image, powers[g, e])
+            images[mono] = image
+        for m, v in images[mono].items():
+            out[m] = out.get(m, 0) + c * v
+    return _old_clean(out)
+
+
+def _old_derivative(a: dict, p) -> dict:
+    out = {}
+    for mono, c in a.items():
+        for i, (g, e) in enumerate(mono):
+            if isinstance(g, (ZetaSym, LambdaSym)):
+                continue
+            rest = mono[:i] + (((g, e - 1),) if e > 1 else ()) + mono[i + 1:]
+            for m2, c2 in _d_generator(g, p).terms.items():
+                m = _old_merge(rest, m2)
+                out[m] = out.get(m, 0) + c * e * c2
+    return _old_clean(out)
+
+
+def _old_str(a: dict) -> str:
+    parts = []
+    for mono in sorted(a, key=_old_mono_key):
+        c = a[mono]
+        body = "*".join(str(g) if e == 1 else f"{g}^{e}" for g, e in mono)
+        parts.append(str(c) if not body else body if c == 1 else f"-{body}" if c == -1 else f"{c}*{body}")
+    out = parts[0] if parts else "0"
+    for t in parts[1:]:
+        out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
+    return out
+
+
+_DIFFERENTIABLE = [ZetaSym("complex", (2,)), LambdaSym("c", "AB"), Z, LogSym(ARG_Z), LogSym(ARG_ONE_MINUS_Z),
+                   LiSym("plain", (1, 2), ARG_Z), LiSym("dagger", (2, 1), ARG_Z)]
+_AT_ZP = [LiSym("plain", (2,), ARG_Z_POW_P), LiSym("dagger", (1,), ARG_Z_POW_P), LogSym(ARG_Z_POW_P)]
+_EVERY_KIND = _DIFFERENTIABLE + _AT_ZP + [
+    ZetaSym("p-adic", (1, 2)), ZetaSym("p-adic-Deligne", (3,)), LiSym("minus", (3,), ARG_Z_CONJ),
+    LogSym(ARG_ABS_Z_SQ), LambdaSym("p", "AAB")]
+
+
+def _random_terms(rng, gens, terms=5, max_exp=3) -> dict:
+    """Terms for the public constructor: monomials in the earlier order, int,
+    Fraction and zero coefficients."""
+    out = {}
+    for _ in range(rng.randint(0, terms)):
+        chosen = rng.sample(gens, rng.randint(0, 3))
+        mono = tuple(sorted(((g, rng.randint(1, max_exp)) for g in chosen), key=lambda ge: _old_gen_key(ge[0])))
+        out[mono] = rng.choice([0, rng.randint(-4, 4), Fraction(rng.randint(-9, 9), rng.randint(1, 6))])
+    return out
+
+
+def _same(poly: SymbolPoly, ref: dict) -> bool:
+    return list(poly.terms.items()) == list(ref.items())
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_symbol_arithmetic_matches_the_earlier_kernel_in_order(seed):
+    rng = random.Random(400 + seed)
+    ta, tb = _random_terms(rng, _EVERY_KIND), _random_terms(rng, _EVERY_KIND)
+    a, b = SymbolPoly(ta), SymbolPoly(tb)
+    ra, rb = _old_clean(ta), _old_clean(tb)
+    assert _same(a, ra) and _same(b, rb)
+    assert _same(a + b, _old_add(ra, rb))
+    assert _same(a - b, _old_add(ra, _old_neg(rb)))
+    assert _same(-a, _old_neg(ra))
+    assert _same(a * b, _old_mul(ra, rb))
+    assert _same(a * a, _old_mul(ra, ra))
+    # the cross terms cancel
+    assert _same((a + b) * (a - b), _old_mul(_old_add(ra, rb), _old_add(ra, _old_neg(rb))))
+    assert _same(3 * a - 2, _old_add(_old_mul({(): Fraction(3)}, ra), {(): Fraction(-2)}))
+    assert _same(a**3, _old_pow(ra, 3))
+    mapping = {g: SymbolPoly(_random_terms(rng, _EVERY_KIND, terms=3, max_exp=2)) for g in rng.sample(_EVERY_KIND, 5)}
+    assert _same(a.substitute(mapping), _old_substitute(ra, mapping))
+    assert str(a * b) == _old_str(_old_mul(ra, rb))
+    for poly, ref in ((a, ra), (a * b, _old_mul(ra, rb))):
+        assert _same(parse_symbol_poly(str(poly)), {m: ref[m] for m in sorted(ref, key=_old_mono_key)})
+
+
+@pytest.mark.parametrize("p", [None, 3])
+@pytest.mark.parametrize("seed", range(6))
+def test_formal_derivative_matches_the_earlier_kernel_in_order(seed, p):
+    rng = random.Random(450 + seed)
+    terms = _random_terms(rng, _DIFFERENTIABLE + (_AT_ZP if p else []), terms=6)
+    assert _same(formal_derivative(SymbolPoly(terms), p), _old_derivative(_old_clean(terms), p))
+
+
+@pytest.mark.parametrize("cls,args", [
+    (ZetaSym, {"flavor": "p-adic", "index": (1, 2)}),
+    (LiSym, {"flavor": "dagger", "index": (2,), "arg": ARG_Z_POW_P}),
+    (LogSym, {"arg": ARG_ABS_Z_SQ}),
+    (LambdaSym, {"tag": "c", "word": "AAB"}),
+    (ZSym, {}),
+])
+def test_generators_are_interned(cls, args):
+    g = cls(*args.values())
+    assert cls(*args.values()) is g
+    assert cls(**args) is g
+    if args:
+        first, *rest = args
+        assert cls(args[first], **{k: args[k] for k in rest}) is g
+    assert g.key == _old_gen_key(g)
+    assert copy.deepcopy(g) is g
+    assert pickle.loads(pickle.dumps(g)) is g
+    ((parsed, _),) = next(iter(parse_symbol_poly(str(g)).terms))
+    assert parsed is g
+    assert {g: 1}[cls(**args)] == 1
+
+
+def test_interned_generators_stay_distinct():
+    assert ZSym() is Z
+    assert ZetaSym("complex", (2,)) is not ZetaSym("p-adic", (2,))
+    assert LiSym("plain", (2,), ARG_Z) is not LiSym("plain", (2,), ARG_Z_CONJ)
+    assert LambdaSym("c", "AB") != LambdaSym("p", "AB")
