@@ -110,31 +110,37 @@ def _stream_prefixes(indices, cutoff: int) -> dict[tuple[int, ...], float]:
     return dict(zip(prefixes, carries))
 
 
-def _tail(entries: tuple[int, ...], prefixes: dict, cutoff: int) -> tuple[float, float]:
+def _tail(entries: tuple[int, ...], prefixes: dict, cutoff: int, memo: dict) -> tuple[float, float]:
     """(tail value, error bound) of sum_{n>cutoff} F_{d-1}(n-1) n^-k_d.
 
     Telescopes F_{d-1}(n-1) = F_{d-1}(M) + increments, swaps the order of
     summation, and expands the inner power tail by Euler-Maclaurin, which
-    reduces the depth by one at a larger last exponent.
+    reduces the depth by one at a larger last exponent.  Each level asks for
+    three shorter tails that overlap those of its neighbours, so `memo`
+    (entries -> result, one per batch) keeps the work polynomial in depth.
     """
+    if entries in memo:
+        return memo[entries]
     m = float(cutoff)
     depth = len(entries)
     k = entries[-1]
     if depth == 1:
-        return _power_tail(k, m), _power_tail_error(k, m)
+        memo[entries] = _power_tail(k, m), _power_tail_error(k, m)
+        return memo[entries]
     head = prefixes[entries[:-1]]
     base = head * _power_tail(k, m)
     base_err = head * _power_tail_error(k, m)
     kp = entries[-2]
     rest = entries[:-2]
-    t1, e1 = _tail(rest + (kp + k - 1,), prefixes, cutoff)
-    t2, e2 = _tail(rest + (kp + k,), prefixes, cutoff)
-    t3, e3 = _tail(rest + (kp + k + 1,), prefixes, cutoff)
+    t1, e1 = _tail(rest + (kp + k - 1,), prefixes, cutoff, memo)
+    t2, e2 = _tail(rest + (kp + k,), prefixes, cutoff, memo)
+    t3, e3 = _tail(rest + (kp + k + 1,), prefixes, cutoff, memo)
     value = base + t1 / (k - 1) - t2 / 2 + k * t3 / 12
     # remainder of the Euler-Maclaurin expansion summed against the prefix,
     # bounded with F_{d-2}(n) <= (log n + 2)^(d-2)
     rem = (math.log(m) + 2) ** (depth - 1) * _power_tail_error(k, m) * m
     err = base_err + e1 / (k - 1) + e2 / 2 + k * e3 / 12 + rem
+    memo[entries] = value, err
     return value, err
 
 
@@ -147,8 +153,9 @@ def _stream_batch(indices, cutoff: int) -> None:
     if not missing:
         return
     prefixes = _stream_prefixes(missing, cutoff)
+    memo: dict = {}
     for entries in missing:
-        tail, err = _tail(entries, prefixes, cutoff)
+        tail, err = _tail(entries, prefixes, cutoff, memo)
         roundoff = 5e-11 * (cutoff / 1e6 + 1) * len(entries)
         _BOUNDS[entries, cutoff] = (prefixes[entries] + tail, err + roundoff)
 
@@ -237,22 +244,23 @@ def _series_cutoff(abs_z: float, tolerance: float) -> int:
     return n
 
 
-def polylog(k: int, z: complex, tolerance: float = 1e-12) -> complex:
-    """Li_k on the open unit disk by direct summation with a geometric tail."""
+def polylog(k: int, z: complex) -> complex:
+    """Li_k on the open unit disk by direct summation, cut where the
+    geometric tail bound falls below 1e-12."""
     z = complex(z)
     if z == 0:
         return 0.0 + 0.0j
-    cutoff = _series_cutoff(abs(z), tolerance)
+    cutoff = _series_cutoff(abs(z), 1e-12)
     n = np.arange(1, cutoff + 1, dtype=np.float64)
     return complex(np.sum(z ** n / n ** float(k)))
 
 
-def polylog2(a: int, b: int, z: complex, tolerance: float = 1e-12) -> complex:
-    """Li_{a,b}(z) = sum_{n1<n2} z^n2 / (n1^a n2^b) on the open disk."""
+def polylog2(a: int, b: int, z: complex) -> complex:
+    """Li_{a,b}(z) = sum_{n1<n2} z^n2 / (n1^a n2^b) on the open disk, to 1e-12."""
     z = complex(z)
     if z == 0:
         return 0.0 + 0.0j
-    cutoff = _series_cutoff(abs(z), tolerance / 4) + 32
+    cutoff = _series_cutoff(abs(z), 1e-12 / 4) + 32
     n = np.arange(1, cutoff + 1, dtype=np.float64)
     inner = np.concatenate(([0.0], np.cumsum(n ** (-float(a)))[:-1]))
     return complex(np.sum(z ** n * n ** (-float(b)) * inner))
@@ -347,10 +355,10 @@ def lambda_value(word: str) -> float:
     return sign * mzv(entries)
 
 
-def evaluate_symbol_poly(poly: SymbolPoly, z: complex | None = None, lambda_tag: str = "c") -> complex:
+def evaluate_symbol_poly(poly: SymbolPoly, z: complex | None = None) -> complex:
     """Evaluate a symbolic polynomial at a disk point with numeric MZVs.
 
-    Complex-flavor zeta symbols and lambda symbols of the given tag map to
+    Complex-flavor zeta symbols and lambda symbols of the complex tag "c" map to
     numeric multiple zeta values; Li and log symbols are evaluated at z /
     zbar.  p-adic symbols have no complex value and raise.
     """
@@ -365,8 +373,8 @@ def evaluate_symbol_poly(poly: SymbolPoly, z: complex | None = None, lambda_tag:
                 raise ValueError(f"{g} has no complex numeric value")
             return 0.0 if g.index == (1,) else mzv(g.index)
         if isinstance(g, LambdaSym):
-            if g.tag != lambda_tag:
-                raise ValueError(f"lambda symbol {g} does not match tag {lambda_tag!r}")
+            if g.tag != "c":
+                raise ValueError(f"lambda symbol {g} does not match tag 'c'")
             return lambda_value(g.word)
         if isinstance(g, ZSym):
             if ARG_Z not in args:
@@ -427,9 +435,9 @@ def sv_depth2_book_residual(a: int, b: int, z: complex) -> float:
     built in the associator module, evaluated with numeric polylogarithms
     and zeta values; the direct side is the closed-form depth-2 display.
     """
-    from .associator import single_valued_g0_coefficient
+    from .associator import single_valued_g0, zeta_lambda_expr
 
-    sym = single_valued_g0_coefficient((a, b))
+    sym = zeta_lambda_expr(single_valued_g0(max(a + b, 2)), (a, b))
     lhs = evaluate_symbol_poly(sym, z=z)
     rhs = sv_depth2_direct(a, b, z)
     return abs(lhs - rhs)

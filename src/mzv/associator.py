@@ -135,11 +135,12 @@ def build_symbolic_associator(tag: str, truncation: int) -> NCSeries:
 
 
 @lru_cache(maxsize=None)
-def build_numeric_kz(truncation: int, tolerance: float = 1e-9) -> NCSeries:
-    """The complex associator with numeric multiple zeta value coefficients."""
+def build_numeric_kz(truncation: int) -> NCSeries:
+    """The complex associator with numeric multiple zeta value coefficients,
+    over the complex ring that treats |c| <= 1e-9 as zero."""
     from .arch_eval import mzv, prefetch_mzvs
 
-    ring = complex_ring(tolerance)
+    ring = complex_ring(1e-9)
     signed = {w: index_of_word(w) for w in lyndon_words(truncation) if is_convergent_word(w)}
     prefetch_mzvs(entries for entries, _ in signed.values())
     assignments = {w: complex(sign * mzv(entries)) for w, (entries, sign) in signed.items()}
@@ -263,18 +264,6 @@ def single_valued_g0(truncation: int) -> NCSeries:
     return base * twisted_substitution(conj, phi_minus, -1).invert()
 
 
-def dagger_coefficient(index: tuple[int, ...], p: int, truncation: int | None = None) -> SymbolPoly:
-    """The overconvergent polylogarithm at `index` as a symbol expression."""
-    n = truncation if truncation is not None else max(sum(index), 2)
-    return zeta_lambda_expr(overconvergent_g0(p, n), index)
-
-
-def single_valued_g0_coefficient(index: tuple[int, ...], truncation: int | None = None) -> SymbolPoly:
-    """The single-valued polylogarithm at `index` as a symbol expression."""
-    n = truncation if truncation is not None else max(sum(index), 2)
-    return zeta_lambda_expr(single_valued_g0(n), index)
-
-
 # -- the canonical form of symbolic identities -----------------------------------
 
 
@@ -358,78 +347,43 @@ def verify_kz_equation(g: NCSeries, p: int | None = None,
 # -- defining relations of the twisted composition group -------------------------
 
 
-def _exp_letter(ring: Ring, letters: dict[str, object], truncation: int) -> NCSeries:
-    acc = NCSeries.zero(ring, truncation)
-    for name, coeff in letters.items():
-        acc = acc + NCSeries.letter(ring, name, truncation, coeff=coeff)
-    return acc.exp()
+def duality_residual(phi: NCSeries) -> NCSeries:
+    """phi(A,B) phi(B,A) - 1."""
+    n, ring = phi.truncation, phi.ring
+    a, b = NCSeries.letter(ring, "A", n), NCSeries.letter(ring, "B", n)
+    return phi * phi.substitute(b, a) - NCSeries.one(ring, n)
 
 
-def verify_grt_relations(phi: NCSeries, truncation: int | None = None,
-                         hexagon_scale=None, pentagon: bool = True) -> dict[str, object]:
-    """Residuals of the defining relations.
+def hexagon_residual(phi: NCSeries, mu) -> NCSeries:
+    """The three-cycle product with C = -A-B, minus 1.
 
-    rel0: the letter coefficients of log(phi) (must vanish) plus the
-    group-like flag; rel_i: phi(A,B) phi(B,A) - 1; rel_ii: the three-cycle
-    product with C = -A-B, optionally dressed with exp(mu*X/2) factors
-    between the three terms (mu = 0 gives the plain product, mu = 2*pi*i
-    is the complex associator's hexagon); rel_iii: the five-cycle pentagon
-    in the reduced braid algebra.  Residual series/elements are returned;
-    symbolic coefficients are polynomial constraints.
+    mu = 0 gives the plain product phi(C,A) phi(B,C) phi(A,B), whose
+    symbolic coefficients are polynomial constraints; mu = 2 pi i (see
+    `complex_hexagon_scale`) dresses it as the complex associator's hexagon,
+    e^(mu A/2) phi(C,A) e^(mu C/2) phi(B,C) e^(mu B/2) phi(A,B), multiplied
+    left to right.
     """
-    n = min(truncation, phi.truncation) if truncation is not None else phi.truncation
-    phi = phi.truncate(n)
-    ring = phi.ring
-    one = NCSeries.one(ring, n)
-    a = NCSeries.letter(ring, "A", n)
-    b = NCSeries.letter(ring, "B", n)
+    n, ring = phi.truncation, phi.ring
+    a, b = NCSeries.letter(ring, "A", n), NCSeries.letter(ring, "B", n)
     c = -a - b
-
-    log_phi = phi.log()
-    rel0 = {
-        "group_like": is_group_like(phi),
-        "letter_A": log_phi["A"],
-        "letter_B": log_phi["B"],
-    }
-    rel_i = phi * phi.substitute(b, a) - one
-
-    factors = [phi.substitute(c, a), phi.substitute(b, c), phi]
-    if hexagon_scale is not None and hexagon_scale != 0:
-        mu = hexagon_scale
-        half = mu * 0.5 if not isinstance(mu, (int, Fraction)) else Fraction(mu, 2)
-        e_a = _exp_letter(ring, {"A": half}, n)
-        e_c = _exp_letter(ring, {"A": -half, "B": -half}, n)
-        e_b = _exp_letter(ring, {"B": half}, n)
-        rel_ii = e_a * factors[0] * e_c * factors[1] * e_b * factors[2] - one
-    else:
-        rel_ii = factors[0] * factors[1] * factors[2] - one
-
-    report: dict[str, object] = {"rel0": rel0, "rel_i": rel_i, "rel_ii": rel_ii}
-    if pentagon:
-        cap = n
-        pairs = [(1, 2, 2, 3), (3, 4, 4, 5), (5, 1, 1, 2), (2, 3, 3, 4), (4, 5, 5, 1)]
-        unit = ring.one
-        acc = BraidElement.one(cap, unit=unit)
-        for i, j, k, l in pairs:
-            x = BraidElement.generator(i, j, cap, unit=unit)
-            y = BraidElement.generator(k, l, cap, unit=unit)
-            acc = acc * evaluate_series(phi, x, y, cap)
-        report["rel_iii"] = acc - BraidElement.one(cap, unit=unit)
-    return report
+    if not mu:
+        return phi.substitute(c, a) * phi.substitute(b, c) * phi - NCSeries.one(ring, n)
+    half = mu / 2
+    e_a = NCSeries.letter(ring, "A", n, coeff=half).exp()
+    e_c = (NCSeries.letter(ring, "A", n, coeff=-half) + NCSeries.letter(ring, "B", n, coeff=-half)).exp()
+    e_b = NCSeries.letter(ring, "B", n, coeff=half).exp()
+    return e_a * phi.substitute(c, a) * e_c * phi.substitute(b, c) * e_b * phi - NCSeries.one(ring, n)
 
 
-def grt_residual_norm(report: dict[str, object]) -> float:
-    """Largest absolute residual coefficient across the numeric relations."""
-    out = 0.0
-    for key in ("rel_i", "rel_ii"):
-        series = report[key]
-        for c in series.coeffs.values():
-            out = max(out, abs(c))
-    rel0 = report["rel0"]
-    out = max(out, abs(rel0["letter_A"]), abs(rel0["letter_B"]))
-    if "rel_iii" in report:
-        out = max(out, report["rel_iii"].max_abs())
-    return out
+def pentagon_residual(phi: NCSeries) -> BraidElement:
+    """The five-cycle pentagon product minus 1 in the reduced braid algebra."""
+    n, unit = phi.truncation, phi.ring.one
+    acc = BraidElement.one(n, unit=unit)
+    for i, j, k, l in ((1, 2, 2, 3), (3, 4, 4, 5), (5, 1, 1, 2), (2, 3, 3, 4), (4, 5, 5, 1)):
+        x = BraidElement.generator(i, j, n, unit=unit)
+        y = BraidElement.generator(k, l, n, unit=unit)
+        acc = acc * evaluate_series(phi, x, y, n)
+    return acc - BraidElement.one(n, unit=unit)
 
 
 def complex_hexagon_scale() -> complex:
@@ -472,6 +426,12 @@ def lie_leading_term(phi: NCSeries, m: int):
 # -- worked-identity formulas -----------------------------------------------------
 
 
+def check_formula(series: NCSeries, index: tuple[int, ...], formula: SymbolPoly, p: int | None = None) -> bool:
+    """The sign-adjusted coefficient of `series` at `index` equals `formula`
+    in the canonical form at the series' truncation."""
+    return canonicalize_li_symbols(zeta_lambda_expr(series, index) - formula, series.truncation, p).is_zero()
+
+
 def _zeta(flavor: str, index: tuple[int, ...]) -> SymbolPoly:
     return SymbolPoly.ZERO if index == (1,) else SymbolPoly.gen(ZetaSym(flavor, index))
 
@@ -492,23 +452,6 @@ def deligne_depth2_formula(a: int, b: int, p: int) -> SymbolPoly:
     for s in range(b):
         out = out - Fraction((-1) ** a) * (q(b - s) - q(a + b)) * math.comb(a - 1 + s, a - 1) * zeta((a + s,)) * zeta((b - s,))
     return out
-
-
-def _same(lhs: SymbolPoly, rhs: SymbolPoly, truncation: int, p: int | None = None) -> bool:
-    """lhs == rhs in the canonical form of `canonicalize_li_symbols`."""
-    return canonicalize_li_symbols(lhs - rhs, truncation, p).is_zero()
-
-
-def check_deligne_depth1(k: int, p: int, truncation: int | None = None) -> bool:
-    n = truncation if truncation is not None else max(k, 2)
-    lhs = zeta_lambda_expr(build_associator(PADIC_DELIGNE, n, p), (k,))
-    return _same(lhs, deligne_depth1_formula(k, p), n, p)
-
-
-def check_deligne_depth2(a: int, b: int, p: int, truncation: int | None = None) -> bool:
-    n = truncation if truncation is not None else max(a + b, 2)
-    lhs = zeta_lambda_expr(build_associator(PADIC_DELIGNE, n, p), (a, b))
-    return _same(lhs, deligne_depth2_formula(a, b, p), n, p)
 
 
 def _li(index, arg: str) -> SymbolPoly:
@@ -532,16 +475,6 @@ def dagger_depth2_formula(a: int, b: int, p: int) -> SymbolPoly:
     for s in range(b):
         out = out - Fraction((-1) ** a) * (q(b - s) - q(a + b)) * math.comb(a - 1 + s, a - 1) * zeta((a + s,)) * _li((b - s,), ARG_Z_POW_P)
     return out
-
-
-def check_dagger_depth1(k: int, p: int, truncation: int | None = None) -> bool:
-    n = truncation if truncation is not None else max(k, 2)
-    return _same(dagger_coefficient((k,), p, n), dagger_depth1_formula(k, p), n, p)
-
-
-def check_dagger_depth2(a: int, b: int, p: int, truncation: int | None = None) -> bool:
-    n = truncation if truncation is not None else max(a + b, 2)
-    return _same(dagger_coefficient((a, b), p, n), dagger_depth2_formula(a, b, p), n, p)
 
 
 def sv_depth1_formula(k: int) -> SymbolPoly:
@@ -574,13 +507,3 @@ def sv_depth2_formula(a: int, b: int) -> SymbolPoly:
                                  * zeta((a + v,)) * _li((b - u - v,), ARG_Z_CONJ))
         out = out - Fraction(1, math.factorial(u)) * ell**u * bracket
     return out
-
-
-def check_sv_depth1(k: int, truncation: int | None = None) -> bool:
-    n = truncation if truncation is not None else max(k, 2)
-    return _same(single_valued_g0_coefficient((k,), n), sv_depth1_formula(k), n)
-
-
-def check_sv_depth2(a: int, b: int, truncation: int | None = None) -> bool:
-    n = truncation if truncation is not None else max(a + b, 2)
-    return _same(single_valued_g0_coefficient((a, b), n), sv_depth2_formula(a, b), n)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -145,6 +146,12 @@ def _positive(ctx, param, value):
     return value
 
 
+def _tolerance(ctx, param, value):
+    if not (math.isfinite(value) and value > 0):
+        raise click.BadParameter(f"{param.name} {value} is not a positive finite number")
+    return value
+
+
 def _relations_weight(ctx, param, weight):
     from .shufflealg import MAX_RELATIONS_WEIGHT
 
@@ -180,7 +187,7 @@ def mzv():
 
 @mzv.command("eval")
 @click.option("--index", required=True, help="index tuple, e.g. 1,2")
-@click.option("--tolerance", default=1e-6, show_default=True)
+@click.option("--tolerance", default=1e-6, show_default=True, callback=_tolerance)
 @click.option("--pretty", is_flag=True)
 @_internal_errors
 def mzv_eval(index, tolerance, pretty):
@@ -278,22 +285,19 @@ def _verify_identity(identity: str, weight: int, p: int | None, flavor: str, tol
             if weight != 2 or identity != "hexagon":
                 raise click.UsageError("the symbolic relations are exposed at weight 2 for the hexagon")
             phi = asc.build_symbolic_associator("p", 2)
-            rep = asc.verify_grt_relations(phi, 2, pentagon=False)
-            constraint = rep["rel_ii"]["AB"]
+            constraint = asc.hexagon_residual(phi, 0)["AB"]
             zeta2 = asc.zeta_lambda_expr(phi, (2,))
             forced = (not constraint.is_zero()) and (3 * zeta2 + constraint).is_zero()
             exact("hexagon constraint forces zeta_p(2) = 0", forced,
                   detail=f"{constraint} = 0 with zeta_p[2] = {zeta2}")
             return checks
         phi = asc.build_numeric_kz(weight)
-        mu = asc.complex_hexagon_scale() if identity == "hexagon" else None
-        rep = asc.verify_grt_relations(phi, weight, hexagon_scale=mu, pentagon=(identity == "pentagon"))
-        if identity == "dual":
-            residual = max([abs(c) for c in rep["rel_i"].coeffs.values()], default=0.0)
-        elif identity == "hexagon":
-            residual = max([abs(c) for c in rep["rel_ii"].coeffs.values()], default=0.0)
+        if identity == "pentagon":
+            residual = asc.pentagon_residual(phi).max_abs()
         else:
-            residual = rep["rel_iii"].max_abs()
+            rel = (asc.duality_residual(phi) if identity == "dual"
+                   else asc.hexagon_residual(phi, asc.complex_hexagon_scale()))
+            residual = max([abs(c) for c in rel.coeffs.values()], default=0.0)
         numeric(f"{identity} residual at weight {weight}", residual)
         return checks
 
@@ -306,35 +310,39 @@ def _verify_identity(identity: str, weight: int, p: int | None, flavor: str, tol
               asc.comparison_residual(phi, de, Fraction(1, p)).is_zero())
         for k in (2, 3, 4):
             if k <= weight:
-                exact(f"depth-1 comparison k={k}", asc.check_deligne_depth1(k, p, weight))
+                exact(f"depth-1 comparison k={k}", asc.check_formula(de, (k,), asc.deligne_depth1_formula(k, p), p))
         for a, b in ((1, 2), (2, 2), (1, 3)):
             if a + b <= weight:
-                exact(f"depth-2 comparison (a,b)=({a},{b})", asc.check_deligne_depth2(a, b, p, weight))
+                exact(f"depth-2 comparison (a,b)=({a},{b})",
+                      asc.check_formula(de, (a, b), asc.deligne_depth2_formula(a, b, p), p))
         return checks
 
     if identity == "czech":
         if p is None:
             raise click.UsageError("--p is required for this identity")
-        coeff_a = asc.canonicalize_li_symbols(asc.overconvergent_g0(p, weight)["A"], weight, p)
-        exact("letter-A coefficient vanishes after log rewrite", coeff_a.is_zero())
+        g = asc.overconvergent_g0(p, weight)
+        exact("letter-A coefficient vanishes after log rewrite",
+              asc.canonicalize_li_symbols(g["A"], weight, p).is_zero())
         for k in (1, 2, 3, 4):
             if k <= weight:
-                exact(f"depth-1 overconvergent formula k={k}", asc.check_dagger_depth1(k, p, weight))
+                exact(f"depth-1 overconvergent formula k={k}",
+                      asc.check_formula(g, (k,), asc.dagger_depth1_formula(k, p), p))
         if weight >= 3:
-            exact("depth-2 overconvergent formula (1,2)", asc.check_dagger_depth2(1, 2, p, weight))
+            exact("depth-2 overconvergent formula (1,2)",
+                  asc.check_formula(g, (1, 2), asc.dagger_depth2_formula(1, 2, p), p))
         return checks
 
     if identity == "moldova":
-        coeff_a = asc.single_valued_g0(weight)["A"]
         from .symbols import ARG_Z, ARG_Z_CONJ, LogSym, SymbolPoly
 
+        g = asc.single_valued_g0(weight)
         want = SymbolPoly.gen(LogSym(ARG_Z)) + SymbolPoly.gen(LogSym(ARG_Z_CONJ))
-        exact("letter-A coefficient is log z + log zbar", (coeff_a - want).is_zero())
+        exact("letter-A coefficient is log z + log zbar", (g["A"] - want).is_zero())
         for k in (1, 2, 3, 4):
             if k <= weight:
-                exact(f"depth-1 single-valued formula k={k}", asc.check_sv_depth1(k, weight))
+                exact(f"depth-1 single-valued formula k={k}", asc.check_formula(g, (k,), asc.sv_depth1_formula(k)))
         if weight >= 3:
-            exact("depth-2 single-valued formula (1,2)", asc.check_sv_depth2(1, 2, weight))
+            exact("depth-2 single-valued formula (1,2)", asc.check_formula(g, (1, 2), asc.sv_depth2_formula(1, 2)))
         return checks
 
     if identity == "kz":
@@ -361,7 +369,7 @@ def _verify_identity(identity: str, weight: int, p: int | None, flavor: str, tol
 @click.option("--p", type=int, default=None, callback=_prime)
 @click.option("--flavor", default="complex_KZ", show_default=True,
               type=click.Choice(["complex_KZ", "padic_KZ"]))
-@click.option("--tolerance", default=1e-6, show_default=True)
+@click.option("--tolerance", default=1e-6, show_default=True, callback=_tolerance)
 @click.option("--format", "fmt", default="json", show_default=True, type=click.Choice(["json", "csv"]),
               help="csv emits one line per check (symbolic constraints land in the detail column)")
 @click.option("--pretty", is_flag=True)
@@ -399,17 +407,14 @@ def padic():
 @_internal_errors
 def padic_polylog_cmd(p, k, z, prec, dagger, pretty):
     """Evaluate Li_k (or its prime-to-p variant) at a rational disk point."""
-    from .padic_eval import OutsideDiskError, known_to, padic_li_dagger, padic_polylog
+    from .padic_eval import known_to, padic_li_dagger, padic_polylog
 
     _check_padic_bits(p, prec)
     try:
         zq = Fraction(z)
     except ValueError:
         raise click.UsageError(f"cannot parse rational {z!r}")
-    try:
-        val = known_to(prec, padic_li_dagger if dagger else padic_polylog, k, zq, p)
-    except OutsideDiskError as exc:
-        raise click.UsageError(str(exc))
+    val = known_to(prec, padic_li_dagger if dagger else padic_polylog, k, zq, p)
     name = f"Li{'_dagger' if dagger else ''}[{k}]({z})"
     check = {"name": name, "status": "pass", "value": str(val),
              "tolerance": f"O({p}^{val.aprec})", "detail": f"absolute precision {val.aprec}"}
@@ -473,7 +478,7 @@ def sv():
 @sv.command("polylog")
 @click.option("--k", type=int, required=True, callback=_weight)
 @click.option("--z", required=True, help="complex point, e.g. 0.3+0.2i")
-@click.option("--tolerance", default=1e-9, show_default=True)
+@click.option("--tolerance", default=1e-9, show_default=True, callback=_tolerance)
 @click.option("--zagier", is_flag=True, help="also print the Bernoulli-weighted projection")
 @click.option("--pretty", is_flag=True)
 @_internal_errors
@@ -482,10 +487,7 @@ def sv_polylog_cmd(k, z, tolerance, zagier, pretty):
     from .arch_eval import sv_polylog, zagier_p
 
     zc = _parse_complex(z)
-    try:
-        val = sv_polylog(k, zc)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    val = sv_polylog(k, zc)
     checks = [{"name": f"Li_minus[{k}]({z})", "status": "pass",
                "value": f"{val.real!r}{val.imag:+}j", "tolerance": tolerance}]
     if zagier:

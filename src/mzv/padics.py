@@ -196,14 +196,11 @@ class PadicNumber:
 
     # -- display -------------------------------------------------------
 
-    def digits(self, count: int | None = None) -> list[int]:
+    def digits(self) -> list[int]:
         """Base-p digits of the unit part, least significant first."""
-        rel = self.aprec - self.val
-        if count is None:
-            count = rel
         u = self.unit
         out = []
-        for _ in range(max(0, min(count, rel))):
+        for _ in range(max(0, self.aprec - self.val)):
             out.append(u % self.p)
             u //= self.p
         return out

@@ -282,16 +282,15 @@ def coproduct(f: NCSeries) -> dict[tuple[str, str], object]:
     return out
 
 
-def is_group_like(f: NCSeries, max_weight: int | None = None) -> bool:
+def is_group_like(f: NCSeries) -> bool:
     """True iff f has constant term 1 and its coproduct equals f tensor f
-    coefficientwise up to the truncation (or `max_weight`)."""
-    g = f.truncate(max_weight) if max_weight is not None else f
-    ring, n = g.ring, g.truncation
-    if not ring.eq(g.constant_term(), ring.one):
+    coefficientwise up to the truncation."""
+    ring, n = f.ring, f.truncation
+    if not ring.eq(f.constant_term(), ring.one):
         return False
-    cop = coproduct(g)
-    pairs = {(u, v) for u in g.coeffs for v in g.coeffs if len(u) + len(v) <= n}
-    return all(ring.eq(cop.get((u, v), ring.zero), g[u] * g[v]) for u, v in pairs | cop.keys())
+    cop = coproduct(f)
+    pairs = {(u, v) for u in f.coeffs for v in f.coeffs if len(u) + len(v) <= n}
+    return all(ring.eq(cop.get((u, v), ring.zero), f[u] * f[v]) for u, v in pairs | cop.keys())
 
 
 def character_series(assignments: dict[str, object], truncation: int, ring: Ring) -> NCSeries:
@@ -342,14 +341,15 @@ def series_character(f: NCSeries) -> dict[str, object]:
     return {w: f[w] for w in lyndon_words(f.truncation)}
 
 
-def random_series(ring: Ring, truncation: int, rng, constant=None, density: float = 0.7) -> NCSeries:
-    """A random series for property tests; coefficients are small rationals."""
+def random_series(ring: Ring, truncation: int, rng, constant=None) -> NCSeries:
+    """A random series for property tests: each nonempty word gets a small
+    rational coefficient with probability 0.7."""
     coeffs: dict[str, object] = {}
     if constant is not None:
         coeffs[""] = ring.from_fraction(constant)
     elif rng.random() < 0.8:
         coeffs[""] = ring.from_fraction(Fraction(rng.randint(-3, 3)))
     for w in words_up_to(truncation):
-        if w and rng.random() < density:
+        if w and rng.random() < 0.7:
             coeffs[w] = ring.from_fraction(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
     return NCSeries(ring, truncation, coeffs)

@@ -337,17 +337,6 @@ class RelationRow:
         return tuple(sorted(((m, c / scale) for m, c in self.coeffs.items()), key=lambda mc: _pivot_key(mc[0])))
 
 
-def _shuffle_expansion(i: tuple[int, ...], j: tuple[int, ...]) -> dict[Monomial, Fraction]:
-    wi, si = word_of_index(i)
-    wj, sj = word_of_index(j)
-    out: dict[Monomial, Fraction] = {}
-    for t, m in shuffle_words(wi, wj).items():
-        entries, st = index_of_word(t)
-        mono = _mono(entries)
-        out[mono] = out.get(mono, Fraction(0)) + Fraction(m * st * si * sj)
-    return {k: v for k, v in out.items() if v}
-
-
 def _stuffle_expansion(i: tuple[int, ...], j: tuple[int, ...]) -> dict[Monomial, Fraction]:
     out: dict[Monomial, Fraction] = {}
     for t, m in stuffle_indices(i, j).items():
@@ -389,14 +378,14 @@ def generate_double_shuffle(weight: int, flavor: str = "complex") -> list[Relati
         if sum(a) + sum(b) != weight:
             continue
         mono = _mono(a, b)
-        for expansion, kind in ((_shuffle_expansion(a, b), "integral"), (_stuffle_expansion(a, b), "series")):
-            coeffs = {mono: Fraction(1)}
-            for m, c in expansion.items():
-                coeffs[m] = coeffs.get(m, Fraction(0)) - c
-            try:
-                rows.append(RelationRow(weight, coeffs, f"{kind} shuffle of zeta{a} * zeta{b}"))
-            except ValueError:
-                pass
+        rows.append(RelationRow(weight, _product_row(mono), f"integral shuffle of zeta{a} * zeta{b}"))
+        coeffs = {mono: Fraction(1)}
+        for m, c in _stuffle_expansion(a, b).items():
+            coeffs[m] = coeffs.get(m, Fraction(0)) - c
+        try:
+            rows.append(RelationRow(weight, coeffs, f"series shuffle of zeta{a} * zeta{b}"))
+        except ValueError:
+            pass
     for j in admissible_indices(weight - 1):
         d = tuple(j) + (1,)
         coeffs: dict[Monomial, Fraction] = {}

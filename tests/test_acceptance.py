@@ -21,22 +21,24 @@ from mzv.associator import (
     build_numeric_kz,
     build_symbolic_associator,
     canonicalize_li_symbols,
-    check_dagger_depth1,
-    check_dagger_depth2,
-    check_deligne_depth1,
-    check_deligne_depth2,
-    check_sv_depth1,
-    check_sv_depth2,
+    check_formula,
     comparison_residual,
     complex_hexagon_scale,
+    dagger_depth1_formula,
+    dagger_depth2_formula,
+    deligne_depth1_formula,
+    deligne_depth2_formula,
+    duality_residual,
     g0_symbolic,
-    grt_residual_norm,
     gt_compose,
+    hexagon_residual,
     overconvergent_g0,
+    pentagon_residual,
     single_valued_g0,
     solve_deligne,
     solve_minus,
-    verify_grt_relations,
+    sv_depth1_formula,
+    sv_depth2_formula,
     verify_kz_equation,
     zeta_lambda_expr,
 )
@@ -67,8 +69,8 @@ def test_criterion_1_frobenius_comparison():
         phi = build_symbolic_associator("p", 5)
         de = solve_deligne(phi, p)
         ok &= comparison_residual(phi, de, Fraction(1, p)).is_zero()
-        ok &= all(check_deligne_depth1(k, p, 5) for k in (2, 3, 4))
-        ok &= all(check_deligne_depth2(a, b, p, 5) for a, b in ((1, 2), (2, 2), (1, 3)))
+        ok &= all(check_formula(de, (k,), deligne_depth1_formula(k, p), p) for k in (2, 3, 4))
+        ok &= all(check_formula(de, (a, b), deligne_depth2_formula(a, b, p), p) for a, b in ((1, 2), (2, 2), (1, 3)))
     _line(1, "comparison identity exact at weight 5 for p in {2,3,5,7}; "
              "depth-1 (k=2,3,4) and depth-2 ((1,2),(2,2),(1,3)) formulas symbol-for-symbol", ok)
 
@@ -77,9 +79,10 @@ def test_criterion_2_overconvergent_expansion():
     ok = True
     # exact symbolic checks at weight 4 (prime-independent statements per prime)
     for p in (3, 5, 7):
-        ok &= canonicalize_li_symbols(overconvergent_g0(p, 4)["A"], 4, p).is_zero()
-        ok &= all(check_dagger_depth1(k, p, 4) for k in (1, 2, 3, 4))
-        ok &= check_dagger_depth2(1, 2, p, 4)
+        g = overconvergent_g0(p, 4)
+        ok &= canonicalize_li_symbols(g["A"], 4, p).is_zero()
+        ok &= all(check_formula(g, (k,), dagger_depth1_formula(k, p), p) for k in (1, 2, 3, 4))
+        ok &= check_formula(g, (1, 2), dagger_depth2_formula(1, 2, p), p)
     # numeric depth-1 identity to >= 20 digits at working precision 30
     rng = random.Random(0)
     for p in (3, 5, 7):
@@ -98,8 +101,9 @@ def test_criterion_2_overconvergent_expansion():
 
 def test_criterion_3_single_valued_expansion():
     ok = True
-    ok &= all(check_sv_depth1(k, 4) for k in (1, 2, 3, 4))
-    ok &= check_sv_depth2(1, 2, 4)
+    g = single_valued_g0(4)
+    ok &= all(check_formula(g, (k,), sv_depth1_formula(k)) for k in (1, 2, 3, 4))
+    ok &= check_formula(g, (1, 2), sv_depth2_formula(1, 2))
     # Bernoulli projection identity to 1e-9 on 50 disk points for k <= 4
     rng = random.Random(1)
     pts = 0
@@ -124,13 +128,14 @@ def test_criterion_3_single_valued_expansion():
 
 def test_criterion_4_defining_relations():
     phi = build_numeric_kz(4)
-    rep = verify_grt_relations(phi, 4, hexagon_scale=complex_hexagon_scale())
-    ok = rep["rel0"]["group_like"]
-    ok &= grt_residual_norm(rep) < 1e-6
+    log_phi = phi.log()
+    ok = is_group_like(phi) and abs(log_phi["A"]) < 1e-6 and abs(log_phi["B"]) < 1e-6
+    for rel in (duality_residual(phi), hexagon_residual(phi, complex_hexagon_scale())):
+        ok &= max([abs(c) for c in rel.coeffs.values()], default=0.0) < 1e-6
+    ok &= pentagon_residual(phi).max_abs() < 1e-6
     # symbolic weight 2: the three-cycle constraint forces zeta_p(2) = 0
     phi_p = build_symbolic_associator("p", 2)
-    rep2 = verify_grt_relations(phi_p, 2, pentagon=False)
-    constraint = rep2["rel_ii"]["AB"]
+    constraint = hexagon_residual(phi_p, 0)["AB"]
     zeta2 = zeta_lambda_expr(phi_p, (2,))
     forced = (not constraint.is_zero()) and (constraint + 3 * zeta2).is_zero()
     ok &= forced

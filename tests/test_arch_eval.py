@@ -157,11 +157,11 @@ def test_depth2_book_residual_points():
 
 
 def test_sv_cross_module_depth1():
-    from mzv.associator import single_valued_g0_coefficient
+    from mzv.associator import single_valued_g0, zeta_lambda_expr
 
     z = 0.37 + 0.21j
     for k in (1, 2, 3):
-        poly = single_valued_g0_coefficient((k,))
+        poly = zeta_lambda_expr(single_valued_g0(max(k, 2)), (k,))
         assert abs(evaluate_symbol_poly(poly, z=z) - sv_polylog(k, z)) < 1e-9
 
 
@@ -250,6 +250,37 @@ def test_mzv_numeric_batch_is_cached_and_unchanged(monkeypatch):
     assert [mzv_numeric(e) for e in indices] == single
     with pytest.raises(InadmissibleIndexError):
         arch_eval.prefetch_mzvs([(2,), (2, 1)])
+
+
+def _unmemoized_tail(entries, prefixes, cutoff):
+    """The tail recursion before it was memoized, kept as the reference its
+    floats must match: three calls per level, 3^(d-1) at depth d."""
+    m = float(cutoff)
+    k = entries[-1]
+    if len(entries) == 1:
+        return arch_eval._power_tail(k, m), arch_eval._power_tail_error(k, m)
+    head = prefixes[entries[:-1]]
+    kp, rest = entries[-2], entries[:-2]
+    t1, e1 = _unmemoized_tail(rest + (kp + k - 1,), prefixes, cutoff)
+    t2, e2 = _unmemoized_tail(rest + (kp + k,), prefixes, cutoff)
+    t3, e3 = _unmemoized_tail(rest + (kp + k + 1,), prefixes, cutoff)
+    value = head * arch_eval._power_tail(k, m) + t1 / (k - 1) - t2 / 2 + k * t3 / 12
+    rem = (math.log(m) + 2) ** (len(entries) - 1) * arch_eval._power_tail_error(k, m) * m
+    err = head * arch_eval._power_tail_error(k, m) + e1 / (k - 1) + e2 / 2 + k * e3 / 12 + rem
+    return value, err
+
+
+def test_memoized_tail_is_bit_identical_to_the_plain_recursion(monkeypatch):
+    """One batch shares the memo across indices whose tails overlap."""
+    cutoff = arch_eval._CHUNK + 4_321
+    indices = [(1,) * 10 + (2,), (1,) * 8 + (3,), (2, 1, 1, 3), (1, 2, 1, 1, 1, 2), (4,)]
+    monkeypatch.setattr(arch_eval, "_BOUNDS", {})
+    arch_eval._stream_batch(indices, cutoff)
+    prefixes = arch_eval._stream_prefixes(indices, cutoff)
+    for entries in indices:
+        tail, err = _unmemoized_tail(entries, prefixes, cutoff)
+        roundoff = 5e-11 * (cutoff / 1e6 + 1) * len(entries)
+        assert arch_eval._BOUNDS[entries, cutoff] == (prefixes[entries] + tail, err + roundoff), entries
 
 
 # -- independent oracles from mpmath ------------------------------------------

@@ -17,29 +17,30 @@ from mzv.associator import (
     build_numeric_kz,
     build_symbolic_associator,
     canonicalize_li_symbols,
-    check_dagger_depth1,
-    check_dagger_depth2,
-    check_deligne_depth1,
-    check_deligne_depth2,
-    check_sv_depth1,
-    check_sv_depth2,
+    check_formula,
     comparison_residual,
     complex_hexagon_scale,
-    dagger_coefficient,
+    dagger_depth1_formula,
+    dagger_depth2_formula,
+    deligne_depth1_formula,
+    deligne_depth2_formula,
+    duality_residual,
     g0_symbolic,
     gt_compose,
     gt_invert,
     gt_unit,
+    hexagon_residual,
     lie_leading_term,
     overconvergent_g0,
+    pentagon_residual,
     single_valued_g0,
     solve_deligne,
     solve_minus,
+    sv_depth1_formula,
+    sv_depth2_formula,
     twisted_substitution,
-    verify_grt_relations,
     verify_kz_equation,
     zeta_lambda_expr,
-    grt_residual_norm,
 )
 from mzv.cli import _verify_identity
 from mzv.rings import QQ, SYMBOLIC, complex_ring
@@ -252,11 +253,11 @@ def test_zeta_substitution_builds_only_the_flavors_used(monkeypatch):
 
 def test_depth1_and_depth2_comparison_formulas():
     for p in (2, 5):
-        assert check_deligne_depth1(2, p, 4)
-        assert check_deligne_depth1(3, p, 4)
-        assert check_deligne_depth2(1, 2, p, 4)
-        assert check_deligne_depth2(2, 2, p, 4)
-        assert check_deligne_depth2(1, 3, p, 4)
+        de = build_associator(PADIC_DELIGNE, 4, p)
+        assert check_formula(de, (2,), deligne_depth1_formula(2, p), p)
+        assert check_formula(de, (3,), deligne_depth1_formula(3, p), p)
+        for a, b in ((1, 2), (2, 2), (1, 3)):
+            assert check_formula(de, (a, b), deligne_depth2_formula(a, b, p), p)
 
 
 def test_weight2_comparison_coefficient():
@@ -315,15 +316,17 @@ def test_single_valued_letter_a():
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_overconvergent_formulas(p):
+    g = overconvergent_g0(p, 4)
     for k in (1, 2, 3, 4):
-        assert check_dagger_depth1(k, p, 4)
-    assert check_dagger_depth2(1, 2, p, 4)
+        assert check_formula(g, (k,), dagger_depth1_formula(k, p), p)
+    assert check_formula(g, (1, 2), dagger_depth2_formula(1, 2, p), p)
 
 
 def test_single_valued_formulas():
+    g = single_valued_g0(4)
     for k in (1, 2, 3, 4):
-        assert check_sv_depth1(k, 4)
-    assert check_sv_depth2(1, 2, 4)
+        assert check_formula(g, (k,), sv_depth1_formula(k))
+    assert check_formula(g, (1, 2), sv_depth2_formula(1, 2))
 
 
 def test_kz_residuals():
@@ -362,35 +365,48 @@ def test_princeton_residual_detects_a_wrong_conjugator(p, other):
 
 def test_grt_trivial_input():
     one = NCSeries.one(QQ, 4)
-    rep = verify_grt_relations(one, 4)
-    assert rep["rel0"]["group_like"]
-    assert rep["rel_i"].is_zero() and rep["rel_ii"].is_zero()
-    assert rep["rel_iii"].is_zero()
+    assert is_group_like(one)
+    assert duality_residual(one).is_zero() and hexagon_residual(one, 0).is_zero()
+    assert pentagon_residual(one).is_zero()
 
 
 def test_grt_numeric_relations():
     phi = build_numeric_kz(4)
-    rep = verify_grt_relations(phi, 4, hexagon_scale=complex_hexagon_scale())
-    assert rep["rel0"]["group_like"]
-    assert grt_residual_norm(rep) < 1e-6
+    log_phi = phi.log()
+    assert is_group_like(phi)
+    assert abs(log_phi["A"]) < 1e-6 and abs(log_phi["B"]) < 1e-6
+    for rel in (duality_residual(phi), hexagon_residual(phi, complex_hexagon_scale())):
+        assert max([abs(c) for c in rel.coeffs.values()], default=0.0) < 1e-6
+    assert pentagon_residual(phi).max_abs() < 1e-6
 
 
 def test_grt_plain_three_cycle_fails_for_complex():
     # without the exponential dressing the three-cycle product detects zeta(2)
     phi = build_numeric_kz(2)
-    rep = verify_grt_relations(phi, 2, pentagon=False)
-    residual = rep["rel_ii"]["AB"]
+    residual = hexagon_residual(phi, 0)["AB"]
     assert abs(residual - 3 * phi["AB"]) < 1e-9
 
 
 def test_grt_symbolic_weight2_forces_zeta2():
     phi = build_symbolic_associator("p", 2)
-    rep = verify_grt_relations(phi, 2, pentagon=False)
-    constraint = rep["rel_ii"]["AB"]
+    constraint = hexagon_residual(phi, 0)["AB"]
     zeta2 = zeta_lambda_expr(phi, (2,))
     assert not constraint.is_zero()
     assert (constraint + 3 * zeta2).is_zero()  # constraint is -3 zeta_p(2)
-    assert rep["rel_i"].is_zero()
+    assert duality_residual(phi).is_zero()
+
+
+@pytest.mark.parametrize("identity", ["dual", "hexagon", "pentagon"])
+def test_relation_identities_compute_only_their_residual(monkeypatch, identity):
+    """dual, hexagon and pentagon neither test group-likeness nor take log phi."""
+    def refuse(*args):
+        raise AssertionError("not part of this identity")
+
+    monkeypatch.setattr(asc, "is_group_like", refuse)
+    monkeypatch.setattr("mzv.series.is_group_like", refuse)
+    monkeypatch.setattr(NCSeries, "log", refuse)
+    (check,) = _verify_identity(identity, 3, None, "complex_KZ", 1e-6)
+    assert check["status"] == "pass"
 
 
 def test_flavor_dispatch_and_group_likeness():
@@ -429,7 +445,7 @@ def test_lie_leading_term():
 
 def test_dagger_coefficient_depth1_shape():
     p = 3
-    expr = canonicalize_li_symbols(dagger_coefficient((2,), p), 2, p)
+    expr = canonicalize_li_symbols(zeta_lambda_expr(overconvergent_g0(p, 2), (2,)), 2, p)
     want = SymbolPoly.gen(LiSym("plain", (2,), ARG_Z)) - Fraction(1, p**2) * SymbolPoly.gen(
         LiSym("plain", (2,), "z^p"))
     assert (expr - want).is_zero()
@@ -445,7 +461,8 @@ def test_dagger_expansion_agrees_with_padic_evaluation():
     p = 5
     z = PadicNumber.from_rational(Fraction(10, 3), p, 30)
     for k in (1, 2, 3):
-        expr = canonicalize_li_symbols(dagger_coefficient((k,), p), max(k, 2), p)
+        n = max(k, 2)
+        expr = canonicalize_li_symbols(zeta_lambda_expr(overconvergent_g0(p, n), (k,)), n, p)
         total = PadicNumber.zero(p, 30)
         for mono, c in expr.terms.items():
             term = PadicNumber.from_rational(Fraction(c), p, 40)
@@ -523,22 +540,32 @@ def _with_one_term_doubled(formula, term):
     return changed
 
 
-@pytest.mark.parametrize("check, formula, args", [
-    ("check_deligne_depth1", "deligne_depth1_formula", (3, 5, 4)),
-    ("check_deligne_depth2", "deligne_depth2_formula", (1, 3, 5, 4)),
-    ("check_dagger_depth1", "dagger_depth1_formula", (3, 3, 4)),
-    ("check_dagger_depth2", "dagger_depth2_formula", (1, 2, 3, 4)),
-    ("check_sv_depth1", "sv_depth1_formula", (3, 4)),
-    ("check_sv_depth2", "sv_depth2_formula", (1, 2, 4)),
-])
-def test_every_check_fails_when_one_term_of_its_formula_changes(monkeypatch, check, formula, args):
-    assert getattr(asc, check)(*args)
+# (formula, its arguments, the identity that checks it at weight 4, p, check name)
+_FORMULA_CHECKS = [
+    ("deligne_depth1_formula", (3, 5), "netherland", 5, "depth-1 comparison k=3"),
+    ("deligne_depth2_formula", (1, 3, 5), "netherland", 5, "depth-2 comparison (a,b)=(1,3)"),
+    ("dagger_depth1_formula", (3, 3), "czech", 3, "depth-1 overconvergent formula k=3"),
+    ("dagger_depth2_formula", (1, 2, 3), "czech", 3, "depth-2 overconvergent formula (1,2)"),
+    ("sv_depth1_formula", (3,), "moldova", None, "depth-1 single-valued formula k=3"),
+    ("sv_depth2_formula", (1, 2), "moldova", None, "depth-2 single-valued formula (1,2)"),
+]
+
+
+@pytest.mark.parametrize("formula, args, identity, p, check", _FORMULA_CHECKS,
+                         ids=[case[0].removesuffix("_formula") for case in _FORMULA_CHECKS])
+def test_a_doubled_formula_term_fails_its_check(monkeypatch, formula, args, identity, p, check):
+    """The `assoc verify` check of each formula reports fail when any one of
+    the formula's terms is doubled."""
+    def status():
+        return {c["name"]: c["status"] for c in _verify_identity(identity, 4, p, "complex_KZ", 1e-6)}[check]
+
+    assert status() == "exact-zero"
     original = getattr(asc, formula)
-    terms = len(original(*args[:-1]).terms)
+    terms = len(original(*args).terms)
     assert terms
     for term in range(terms):
         monkeypatch.setattr(asc, formula, _with_one_term_doubled(original, term))
-        assert not getattr(asc, check)(*args), (formula, term)
+        assert status() == "fail", (formula, term)
 
 
 @pytest.mark.parametrize("word", ["A", "B", "AB", "BAB", "ABBA"])

@@ -327,7 +327,8 @@ def test_series_dump_golden(flavor, weight):
 # before the twisted solver became graded and memoized (kz w6/w7 and
 # princeton w5: before the residuals were scaled by D; netherland w6 at
 # p = 3, 5, 7, czech w6 and princeton w5 at p = 5, and moldova w6: before the
-# symbol generators were interned)
+# symbol generators were interned; netherland w7 p=7, czech w7 p=3 and
+# moldova w7: before each formula check read its series' own truncation)
 VERIFY_SHA256 = {
     ("netherland", 5, 3): "0eb024bb0521be4911a90d6eb032e9bf458b4d63b56b015b032dbd32a233fc3a",
     ("czech", 5, 5): "693c5eaafb8ec882814fc64a23f66e49680c87b2d3a0c0d3e73f04ac753ab438",
@@ -344,6 +345,9 @@ VERIFY_SHA256 = {
     ("czech", 6, 5): "41359b7dd1c826d417544b3801b5c51c218f49f2367b6ba80c6da8d927a704d6",
     ("princeton", 5, 5): "26c4a9856bd25b2b863930ae3ffb85b715113fe01fe33322a9863f57a2106ccd",
     ("moldova", 6, None): "9045b8d8ff58e934f9cd0c6fab646fccd11044e931a306fe040b7ebb3715a8c9",
+    ("netherland", 7, 7): "4c2262aa42d42d6d05aeccc3397e95ad207c0e3b77a887cbedf46a5fd9da8eca",
+    ("czech", 7, 3): "a8360b739b31455e97a9d6d3efca9769cc54660532b89e77bd356b7aa9ac0759",
+    ("moldova", 7, None): "b6f3cea1c6f8f22de836b644a6a91fbacee578097cf446fca39a375e96e62203",
 }
 
 
@@ -382,13 +386,18 @@ def test_mzv_relations_golden(fmt, weight, flavor):
 # before the polylog index got its range check (padic polylog z=3/2 again
 # when z got the digits the series loses: O(3^27) became O(3^30)); the
 # prec-2000, k=16 dagger and verify-spain values were recorded before the
-# p-adic polylogarithm became one integer Horner pass
+# p-adic polylogarithm became one integer Horner pass; the depth-14 and
+# depth-16 values before the Euler-Maclaurin tail recursion was memoized
+# (3^(d-1) calls at depth d: 48 s at depth 16)
+_DEPTH14, _DEPTH16 = ",".join(["1"] * 13 + ["2"]), ",".join(["1"] * 15 + ["2"])
 NUMERIC_SHA256 = {
     ("mzv", "eval", "--index", "2"): "a853a94adef6c17fdb3a2f3e3e1b4b8daa54eb357505f389d7ee8437b52ad744",
     ("mzv", "eval", "--index", "1,2"): "dfda1a5d41f41241a08b3f393f94443cf342ceb9fe0bcab8eef7cf91d95a9b40",
     ("mzv", "eval", "--index", "2,3", "--tolerance", "1e-9"):
         "72c7d28a9ed71b3fcaef1dd0d37e71c0b478bf083fd5ef6b129e839731576699",
     ("mzv", "eval", "--index", "1,1,3"): "ce8a643c50c3eb1e0fdc56756263bb75434d1d0fdb255a09107bcc3f19e88f32",
+    ("mzv", "eval", "--index", _DEPTH14): "9ed0584d0ca0ece910234f77ca4c1070917447c2b34046bd64dffb948c6cfa1f",
+    ("mzv", "eval", "--index", _DEPTH16): "46cbd8110bdb86b0676f7766af3ab4a1c2fb831244d6989ca63b6c221953dedc",
     ("padic", "polylog", "--p", "5", "--k", "2", "--z", "5/7", "--prec", "20"):
         "9f7f034334ff58ee276bb8fe8abd0c70f86794a9c378d0c24af23911bf6c0521",
     ("padic", "polylog", "--p", "3", "--k", "4", "--z", "3/2"):
@@ -453,6 +462,49 @@ BATCHED_NUMERIC_SHA256 = {
     ("assoc", "verify", "--identity", "hexagon", "--weight", "6"):
         "f206e1538e54c3e7515f1368369a97bc210e5239da572f4f86efb88d35cf5c78",
 }
+
+
+# sha256 of `assoc verify` stdout for the relation identities, recorded while
+# one function computed every relation (and the group-like test) per call
+RELATION_SHA256 = {
+    ("--identity", "dual", "--weight", "6"): "501dd1cad553052f3e458eb7d05a474e811668580210870beda9f53e243d1b52",
+    ("--identity", "pentagon", "--weight", "6"): "2a85bba90f52432e6ee35a3426ad7f33be803e73abb7a7a7a20e10483dfd389c",
+    ("--identity", "hexagon", "--flavor", "padic_KZ", "--weight", "2"):
+        "3cf6443165d0fa608c6072e71998a0057839d2f3a2f953739695c4735998e1c0",
+    ("--identity", "hexagon", "--flavor", "padic_KZ", "--weight", "2", "--format", "csv"):
+        "a9374fa80b67b8e652e57d68da772c1c43a9da561f71c9738c43d9ca18a186f3",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(RELATION_SHA256))
+def test_relation_identities_golden(argv):
+    result = _run(assoc, ["verify", *argv])
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.output.encode()).hexdigest() == RELATION_SHA256[argv]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("group, argv", [
+    (mzv, ["eval", "--index", "2"]),
+    (assoc, ["verify", "--identity", "dual", "--weight", "2"]),
+    (sv, ["polylog", "--k", "2", "--z", "0.3"]),
+], ids=["mzv-eval", "assoc-verify", "sv-polylog"])
+def test_tolerance_must_be_positive_and_finite(group, argv, value):
+    """A NaN tolerance would pass or fail every check and is not valid JSON;
+    every tolerance outside (0, inf) is a usage error."""
+    result = _run(group, [*argv, "--tolerance", value])
+    assert result.exit_code == 2, result.output
+    assert "tolerance" in result.output and "positive finite" in result.output
+
+
+def test_mzv_eval_fails_fast_past_the_reachable_depth():
+    """Depth 24 is refused by the error bound, after a tail recursion that
+    must not take 3^23 calls."""
+    start = time.perf_counter()
+    result = _run(mzv, ["eval", "--index", ",".join(["1"] * 23 + ["2"])])
+    assert result.exit_code == 2, result.output
+    assert "only reaches error" in result.output
+    assert time.perf_counter() - start < 10
 
 
 @pytest.mark.parametrize("argv", sorted(BATCHED_NUMERIC_SHA256))

@@ -10,7 +10,10 @@ from mzv.series import NCSeries, character_series, is_group_like
 from mzv.shufflealg import (
     InconsistentCharacterError,
     ReductionResult,
+    RelationRow,
+    _mono,
     _pivot_key,
+    _product_row,
     admissible_indices,
     convergent_words,
     generate_double_shuffle,
@@ -423,3 +426,32 @@ def test_regularization_equals_character_table():
     assert shuffle_regularized((1, 1)) == {}
     with pytest.raises(ValueError):
         shuffle_regularized(())
+
+
+def _pair_shuffle_row(a, b):
+    """The integral-shuffle row of a pair as it was built before it shared
+    the product-row builder: one shuffle of the two words, read back as
+    indices, zero totals dropped, subtracted from the product monomial."""
+    (wa, sa), (wb, sb) = word_of_index(a), word_of_index(b)
+    expansion: dict = {}
+    for t, m in shuffle_words(wa, wb).items():
+        entries, st = index_of_word(t)
+        mono = _mono(entries)
+        expansion[mono] = expansion.get(mono, Fraction(0)) + Fraction(m * st * sa * sb)
+    coeffs = {_mono(a, b): Fraction(1)}
+    for m, c in expansion.items():
+        if c:
+            coeffs[m] = coeffs.get(m, Fraction(0)) - c
+    return RelationRow(sum(a) + sum(b), coeffs)
+
+
+@pytest.mark.parametrize("weight", range(4, 11))
+def test_pair_shuffle_rows_are_product_rows(weight):
+    """The integral-shuffle row of every pair is its product row: the same
+    terms in the same dict order, never empty."""
+    lower = [idx for wt in range(2, weight - 1) for idx in admissible_indices(wt)]
+    pairs = [(a, b) for a, b in itertools.combinations_with_replacement(lower, 2) if sum(a) + sum(b) == weight]
+    assert pairs
+    for a, b in pairs:
+        got = RelationRow(weight, _product_row(_mono(a, b)))
+        assert list(got.coeffs.items()) == list(_pair_shuffle_row(a, b).coeffs.items()), (a, b)
