@@ -178,21 +178,15 @@ def _cutoff(entries: tuple[int, ...]) -> int:
     return 100_000 if len(entries) == 1 else _CUTOFF
 
 
-def mzv_numeric(index, tolerance: float = MZV_TOLERANCE, batch=()) -> tuple[float, float]:
+def mzv_numeric(index, tolerance: float = MZV_TOLERANCE) -> tuple[float, float]:
     """Numeric value of an admissible multiple zeta value with an error bound.
 
-    The indices in `batch` are streamed in the same shared-prefix pass as
-    `index` (one pass per cutoff: 100,000 at depth one, _CUTOFF deeper) and
-    kept, so later calls for them are lookups; the floats do not depend on
-    the batch.  The achieved bound is far below the default tolerance for
-    every index the commands use (`mzv relations --check-numeric` reaches
-    depth 6 at weight 7); a ValueError is raised if the cutoff cannot meet
-    the tolerance.
+    The cutoff is 100,000 at depth one and _CUTOFF deeper.  The achieved
+    bound is far below the default tolerance for every index the commands
+    use (`mzv relations --check-numeric` reaches depth 6 at weight 7); a
+    ValueError is raised if the cutoff cannot meet the tolerance.
     """
     entries = _admissible(index)
-    wanted = {entries, *map(_admissible, batch)}
-    for c in {_cutoff(e) for e in wanted}:
-        _stream_batch([e for e in wanted if _cutoff(e) == c], c)
     cutoff = _cutoff(entries)
     value, err = _mzv_with_bound(entries, cutoff)
     if err > tolerance:
@@ -205,12 +199,12 @@ def mzv(index) -> float:
 
 
 def prefetch_mzvs(indices) -> None:
-    """Evaluate these admissible indices in one shared-prefix pass per cutoff,
-    so that later mzv/mzv_numeric calls for them are lookups.  The pass runs
-    inside mzv_numeric, so a profile of that function includes it."""
-    indices = list(indices)
-    if indices:
-        mzv_numeric(indices[0], batch=indices[1:])
+    """Evaluate these admissible indices in one shared-prefix pass per cutoff
+    and keep them, so that later mzv/mzv_numeric calls for them are lookups;
+    the floats do not depend on the batch."""
+    wanted = set(map(_admissible, indices))
+    for c in {_cutoff(e) for e in wanted}:
+        _stream_batch([e for e in wanted if _cutoff(e) == c], c)
 
 
 # -- Bernoulli numbers -------------------------------------------------------

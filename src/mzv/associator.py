@@ -138,13 +138,11 @@ def build_symbolic_associator(tag: str, truncation: int) -> NCSeries:
 def build_numeric_kz(truncation: int) -> NCSeries:
     """The complex associator with numeric multiple zeta value coefficients,
     over the complex ring that treats |c| <= 1e-9 as zero."""
-    from .arch_eval import mzv, prefetch_mzvs
+    from .arch_eval import lambda_value, prefetch_mzvs
 
-    ring = complex_ring(1e-9)
-    signed = {w: index_of_word(w) for w in lyndon_words(truncation) if is_convergent_word(w)}
-    prefetch_mzvs(entries for entries, _ in signed.values())
-    assignments = {w: complex(sign * mzv(entries)) for w, (entries, sign) in signed.items()}
-    return character_series(assignments, truncation, ring)
+    words = lyndon_words(truncation)
+    prefetch_mzvs(index_of_word(w)[0] for w in words if is_convergent_word(w))
+    return character_series({w: complex(lambda_value(w)) for w in words}, truncation, complex_ring(1e-9))
 
 
 @lru_cache(maxsize=None)

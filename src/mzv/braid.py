@@ -140,27 +140,25 @@ def graded_dimension(degree: int) -> int:
 
 
 class BraidElement:
-    """An element of the truncated reduced enveloping algebra."""
+    """An element of the truncated reduced enveloping algebra, given on standard monomials."""
 
     __slots__ = ("degree_cap", "coeffs")
 
-    def __init__(self, degree_cap: int, coeffs: dict[Monomial, object] | None = None, _reduced=False):
-        raw = {m: c for m, c in (coeffs or {}).items() if len(m) <= degree_cap}
-        if not _reduced:
-            raw = reduce_monomial_dict(raw)
+    def __init__(self, degree_cap: int, coeffs: dict[Monomial, object] | None = None):
         object.__setattr__(self, "degree_cap", degree_cap)
-        object.__setattr__(self, "coeffs", {m: c for m, c in raw.items() if not _is_exact_zero(c)})
+        object.__setattr__(self, "coeffs", {m: c for m, c in (coeffs or {}).items()
+                                            if len(m) <= degree_cap and not _is_exact_zero(c)})
 
     def __setattr__(self, name, value):
         raise AttributeError("BraidElement is immutable")
 
     @staticmethod
     def one(degree_cap: int, unit=Fraction(1)) -> "BraidElement":
-        return BraidElement(degree_cap, {(): unit}, _reduced=True)
+        return BraidElement(degree_cap, {(): unit})
 
     @staticmethod
     def generator(i: int, j: int, degree_cap: int, unit=Fraction(1)) -> "BraidElement":
-        return BraidElement(degree_cap, {(k,): c * unit for k, c in generator_form(i, j)}, _reduced=True)
+        return BraidElement(degree_cap, {(k,): c * unit for k, c in generator_form(i, j)})
 
     def __add__(self, other):
         if not isinstance(other, BraidElement):
@@ -170,16 +168,16 @@ class BraidElement:
         for m, c in other.coeffs.items():
             if len(m) <= cap:
                 out[m] = out[m] + c if m in out else c
-        return BraidElement(cap, out, _reduced=True)
+        return BraidElement(cap, out)
 
     def __neg__(self):
-        return BraidElement(self.degree_cap, {m: -c for m, c in self.coeffs.items()}, _reduced=True)
+        return BraidElement(self.degree_cap, {m: -c for m, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c) -> "BraidElement":
-        return BraidElement(self.degree_cap, {m: v * c for m, v in self.coeffs.items()}, _reduced=True)
+        return BraidElement(self.degree_cap, {m: v * c for m, v in self.coeffs.items()})
 
     def __mul__(self, other):
         if not isinstance(other, BraidElement):
@@ -197,7 +195,7 @@ class BraidElement:
                 for m, k in _product(m1, m2):
                     add = c * k
                     out[m] = out[m] + add if m in out else add
-        return BraidElement(cap, out, _reduced=True)
+        return BraidElement(cap, out)
 
     def commutator(self, other: "BraidElement") -> "BraidElement":
         return self * other - other * self
@@ -227,4 +225,4 @@ def evaluate_series(series, x: BraidElement, y: BraidElement, degree_cap: int | 
     """Substitute braid elements for the letters of an NCSeries."""
     cap = degree_cap if degree_cap is not None else min(series.truncation, x.degree_cap, y.degree_cap)
     coeffs = _substitute_letters(series, {"A": x, "B": y}, BraidElement.one(cap), cap)
-    return BraidElement(cap, coeffs, _reduced=True)
+    return BraidElement(cap, coeffs)

@@ -213,7 +213,7 @@ def mzv_relations(weight, flavor, fmt, check_numeric):
     """Double-shuffle relation rows and their exact rank reduction."""
     from .shufflealg import generate_double_shuffle, monomial_str, reduce_relations
 
-    rows = generate_double_shuffle(weight, flavor)
+    rows = generate_double_shuffle(weight)
     red = reduce_relations(rows, weight)
     numeric = {}
     if check_numeric:
@@ -295,6 +295,11 @@ def _verify_identity(identity: str, weight: int, p: int | None, flavor: str, tol
         if identity == "pentagon":
             residual = asc.pentagon_residual(phi).max_abs()
         else:
+            from .rings import complex_ring
+            from .series import NCSeries
+
+            # over the exact complex ring, so that no coefficient of the residual is dropped
+            phi = NCSeries(complex_ring(0.0), phi.truncation, phi.coeffs)
             rel = (asc.duality_residual(phi) if identity == "dual"
                    else asc.hexagon_residual(phi, asc.complex_hexagon_scale()))
             residual = max([abs(c) for c in rel.coeffs.values()], default=0.0)

@@ -139,7 +139,8 @@ class PadicRing(Ring):
 
 
 class ComplexRing(Ring):
-    """Double-precision complex numbers with tolerance-tagged equality."""
+    """Double-precision complex numbers with tolerance-tagged equality:
+    |x| <= tolerance is zero, so tolerance 0 keeps every nonzero float."""
 
     def __init__(self, tolerance: float = 1e-9):
         self.tolerance = tolerance
@@ -150,10 +151,10 @@ class ComplexRing(Ring):
         return complex(q.numerator / q.denominator)
 
     def is_zero(self, x):
-        return abs(x) < self.tolerance
+        return abs(x) <= self.tolerance
 
     def is_unit(self, x):
-        return abs(x) >= self.tolerance
+        return abs(x) > self.tolerance
 
     def invert(self, x):
         return 1 / x

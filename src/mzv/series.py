@@ -9,13 +9,12 @@ recursion, and one letter substitution also serves `braid.evaluate_series`.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 
 from .rings import Ring, RingMismatchError
-from .shufflealg import shuffle_many
-from .words import all_words, is_lyndon, lyndon_multiplicity_factorization, lyndon_words, word_key, words_up_to
+from .shufflealg import shuffle_words
+from .words import all_words, duval_factorization, is_lyndon, lyndon_words, word_key, words_up_to
 
 DEFAULT_TRUNCATION = 5
 # hard cap; reassign to go higher (word counts double per weight)
@@ -297,10 +296,11 @@ def character_series(assignments: dict[str, object], truncation: int, ring: Ring
     """The unique group-like series whose shuffle character takes the given
     values on Lyndon words (missing words default to 0).
 
-    The shuffle algebra is a polynomial ring on Lyndon words: for a word w
-    with Lyndon factorization l1^m1 ... lk^mk the shuffle product of the
-    factors equals (m1! ... mk!) w plus lexicographically smaller words of
-    the same weight, so the coefficients are solved per weight in
+    The shuffle algebra is a polynomial ring on Lyndon words.  A non-Lyndon
+    word w = l w' with l its first Lyndon factor is the largest word of the
+    shuffle l ш w', with multiplicity m (the number of leading copies of l),
+    and every other word u there is lexicographically smaller; so
+    phi(w) = (phi(l) phi(w') - sum c_u phi(u)) / m, solved per weight in
     ascending lexicographic order.
     """
     for w in assignments:
@@ -312,27 +312,16 @@ def character_series(assignments: dict[str, object], truncation: int, ring: Ring
             if is_lyndon(w):
                 values[w] = assignments.get(w, ring.zero)
                 continue
-            factors = lyndon_multiplicity_factorization(w)
-            product = None
-            lead_coeff = 1
-            flat: list[str] = []
-            for l, m in factors:
-                lead_coeff *= math.factorial(m)
-                phi = values[l]
-                for _ in range(m):
-                    product = phi if product is None else product * phi
-                    flat.append(l)
-            expansion = shuffle_many(flat)
-            acc = product
-            for u, mult in expansion.items():
-                if u == w:
-                    if mult != lead_coeff:
-                        raise AssertionError("unexpected leading multiplicity in Lyndon expansion")
-                    continue
-                if u > w:
-                    raise AssertionError("Lyndon expansion produced a lexicographically larger word")
-                acc = acc - values[u] * mult
-            values[w] = acc * ring.from_fraction(Fraction(1, lead_coeff))
+            l = duval_factorization(w)[0]
+            rest = w[len(l):]
+            expansion = shuffle_words(l, rest)
+            m = expansion.pop(w, 0)
+            if not m or any(u > w for u in expansion):
+                raise AssertionError(f"{w} is not the largest word of the shuffle of {l} and {rest}")
+            acc = values[l] * values[rest]
+            for u, c in expansion.items():
+                acc = acc - values[u] * c
+            values[w] = acc if m == 1 else acc * ring.from_fraction(Fraction(1, m))
     return NCSeries(ring, truncation, values)
 
 

@@ -263,22 +263,22 @@ def shuffle_regularized(index: tuple[int, ...]) -> dict[tuple[int, ...], Fractio
 def stuffle_regularized(index: tuple[int, ...]) -> dict[tuple[int, ...], "Fraction"]:
     """The quasi-shuffle-regularized value of an index, with zeta(1) = 0.
 
-    A trailing 1 is peeled off through the product (1) * prefix, whose only
-    term with the same number of trailing 1's is the index itself (with
-    coefficient 1); everything else has strictly fewer and recurses.
+    A trailing 1 is peeled off through the product (1) * prefix, which is 0
+    under the regularization.  Its only term with as many trailing 1's as
+    the index is the index itself, with multiplicity m (the number of its
+    trailing 1's); every other term has fewer and recurses.
     """
     idx = tuple(index)
     if idx and idx[-1] >= 2:
         return {idx: Fraction(1)}
     if idx == (1,) or not idx:
         return {}
-    prefix = idx[:-1]
+    terms = stuffle_indices((1,), idx[:-1])
+    m = terms.pop(idx)
     out: dict[tuple[int, ...], Fraction] = {}
-    for term, mult in stuffle_indices((1,), prefix).items():
-        if term == idx:
-            continue
+    for term, mult in terms.items():
         for base, c in stuffle_regularized(term).items():
-            out[base] = out.get(base, Fraction(0)) - mult * c
+            out[base] = out.get(base, Fraction(0)) - Fraction(mult, m) * c
     return {k: v for k, v in out.items() if v}
 
 
@@ -357,7 +357,7 @@ def _product_row(mono: Monomial) -> dict[Monomial, int]:
     return coeffs
 
 
-def generate_double_shuffle(weight: int, flavor: str = "complex") -> list[RelationRow]:
+def generate_double_shuffle(weight: int) -> list[RelationRow]:
     """Relation rows of the given weight.
 
     For every unordered pair of admissible indices with weights summing to
@@ -368,7 +368,7 @@ def generate_double_shuffle(weight: int, flavor: str = "complex") -> list[Relati
     resolutions are equated.  Every monomial of three or more factors is
     equated with the shuffle product of its factors, so products reduce like
     pairs do (the dimension bound is Zagier's d_n at weights 2-10).  Rows
-    are normalized and deduplicated; `flavor` only tags the export naming.
+    are normalized and deduplicated.
     """
     if weight < 2:
         raise ValueError("double shuffle relations start at weight 2")

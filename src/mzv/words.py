@@ -72,13 +72,3 @@ def duval_factorization(word: str) -> list[str]:
             k += j - i
     return factors
 
-
-def lyndon_multiplicity_factorization(word: str) -> list[tuple[str, int]]:
-    """CFL factorization with equal adjacent factors collected as (factor, power)."""
-    out: list[tuple[str, int]] = []
-    for f in duval_factorization(word):
-        if out and out[-1][0] == f:
-            out[-1] = (f, out[-1][1] + 1)
-        else:
-            out.append((f, 1))
-    return out

@@ -409,6 +409,20 @@ def test_relation_identities_compute_only_their_residual(monkeypatch, identity):
     assert check["status"] == "pass"
 
 
+@pytest.mark.parametrize("identity, moved", [("dual", 1e-11), ("hexagon", 2e-11)])
+def test_relation_residuals_keep_coefficients_below_the_ring_tolerance(monkeypatch, identity, moved):
+    """1e-11 added to the top-weight AAAB coefficient of phi moves the dual
+    residual's BBBA coefficient by 1e-11 and the hexagon's by -2e-11; every
+    coefficient of both residuals is below the 1e-9 tolerance of phi's ring."""
+    phi = build_numeric_kz(4)
+    baseline = _verify_identity(identity, 4, None, "complex_KZ", 1e-6)[0]["residual"]
+    assert 0 < baseline < 5e-12
+    nudged = NCSeries(phi.ring, 4, {**phi.coeffs, "AAAB": phi["AAAB"] + 1e-11})
+    monkeypatch.setattr(asc, "build_numeric_kz", lambda weight: nudged)
+    (check,) = _verify_identity(identity, 4, None, "complex_KZ", 1e-6)
+    assert abs(check["residual"] - moved) <= baseline
+
+
 def test_flavor_dispatch_and_group_likeness():
     for flavor, p in ((COMPLEX_KZ, None), (PADIC_KZ, None), (PADIC_DELIGNE, 3), (MINUS_KZ, None)):
         f = build_associator(flavor, 3, p)

@@ -86,7 +86,7 @@ def _evaluate_series_reference(f: NCSeries, x: BraidElement, y: BraidElement, ca
             memo[letters] = image(letters[:-1]) * images[letters[-1]]
         return memo[letters]
 
-    acc = BraidElement(cap, {}, _reduced=True)
+    acc = BraidElement(cap, {})
     for w, c in f.coeffs.items():
         if len(w) <= cap:
             acc = acc + image(w).scale(c)
@@ -161,7 +161,7 @@ def test_substitute_matches_reference_over_qq_and_symbolic(seed):
 
 
 def _random_braid(rng, cap, unit=Fraction(1)):
-    acc = BraidElement(cap, {}, _reduced=True)
+    acc = BraidElement(cap, {})
     pairs = [(1, 2), (1, 3), (2, 4), (3, 4), (4, 5), (2, 5)]
     for _ in range(3):
         i, j = rng.choice(pairs)

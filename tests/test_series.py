@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -14,8 +16,9 @@ from mzv.series import (
     series_character,
 )
 from mzv.serialize import series_from_json, series_to_json
+from mzv.shufflealg import shuffle_many, shuffle_words
 from mzv.symbols import LambdaSym, SymbolPoly
-from mzv.words import Word, lyndon_words
+from mzv.words import Word, all_words, duval_factorization, is_lyndon, lyndon_words
 
 
 def _letters(ring, n):
@@ -197,6 +200,90 @@ def test_character_round_trip_and_group_likeness():
         f = character_series(assignments, 4, QQ)
         assert is_group_like(f)
         assert character_series(series_character(f), 4, QQ) == f
+
+
+def _character_series_reference(assignments, truncation, ring):
+    """The shuffle-character solver before each coefficient came from one
+    two-word shuffle, kept as the reference: the product of all Lyndon
+    factors l1^m1 ... lk^mk, minus the other words of their shuffle, over
+    m1! ... mk!."""
+    values = {"": ring.one}
+    for weight in range(1, truncation + 1):
+        for w in all_words(weight):
+            if is_lyndon(w):
+                values[w] = assignments.get(w, ring.zero)
+                continue
+            factors = [(l, len(list(g))) for l, g in itertools.groupby(duval_factorization(w))]
+            product, lead, flat = None, 1, []
+            for l, m in factors:
+                lead *= math.factorial(m)
+                for _ in range(m):
+                    product = values[l] if product is None else product * values[l]
+                    flat.append(l)
+            acc = product
+            for u, mult in shuffle_many(flat).items():
+                if u != w:
+                    acc = acc - values[u] * mult
+            values[w] = acc * ring.from_fraction(Fraction(1, lead))
+    return NCSeries(ring, truncation, values)
+
+
+def test_character_series_matches_the_all_factor_reference_exactly():
+    rng = random.Random(14)
+    rational = {w: Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for w in lyndon_words(8) if rng.random() < 0.9}
+    symbolic = {w: SymbolPoly.gen(LambdaSym("c", w)) * Fraction(rng.randint(1, 5), rng.randint(1, 3))
+                + rng.randint(-2, 2) for w in lyndon_words(8) if rng.random() < 0.8}
+    for assignments, ring in ((rational, QQ), (symbolic, SYMBOLIC)):
+        got = character_series(assignments, 8, ring)
+        want = _character_series_reference(assignments, 8, ring)
+        assert got.coeffs.keys() == want.coeffs.keys()
+        for w in want.coeffs:
+            assert got[w] == want[w], w
+
+
+def test_character_series_matches_the_reference_over_the_complex_ring():
+    from mzv.associator import build_numeric_kz
+
+    phi = build_numeric_kz(8)
+    want = _character_series_reference(series_character(phi), 8, phi.ring)
+    assert phi.coeffs.keys() == want.coeffs.keys()
+    assert max(abs(phi[w] - want[w]) for w in want.coeffs) <= 1e-12
+
+
+def test_each_non_lyndon_word_leads_the_shuffle_of_its_first_factor_and_rest():
+    """w = l w' (l the first Lyndon factor) is the largest word of l ш w',
+    with multiplicity the number of leading copies of l."""
+    for weight in range(2, 13):
+        for w in all_words(weight):
+            if is_lyndon(w):
+                continue
+            factors = duval_factorization(w)
+            l = factors[0]
+            expansion = shuffle_words(l, w[len(l):])
+            assert expansion.pop(w) == len(list(itertools.takewhile(l.__eq__, factors))), w
+            assert all(u < w for u in expansion), w
+
+
+def test_character_series_fails_loudly_on_a_broken_shuffle(monkeypatch):
+    """A non-Lyndon word missing from its shuffle is an invariant violation
+    (exit 3), not a usage error."""
+    import mzv.series
+    from click.testing import CliRunner
+    from mzv.associator import build_associator, build_symbolic_associator
+    from mzv.cli import series as series_cli
+
+    def without_largest(u, v):
+        out = shuffle_words(u, v)
+        out.pop(max(out))
+        return out
+
+    monkeypatch.setattr(mzv.series, "shuffle_words", without_largest)
+    with pytest.raises(AssertionError):
+        character_series({Word("AB"): Fraction(1)}, 3, QQ)
+    build_associator.cache_clear()  # so that the command below solves its table
+    build_symbolic_associator.cache_clear()
+    result = CliRunner().invoke(series_cli, ["dump", "--flavor", "padic_KZ", "--weight", "3"])
+    assert result.exit_code == 3, result.output
 
 
 def test_character_rejects_non_lyndon_assignment():

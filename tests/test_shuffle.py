@@ -238,6 +238,42 @@ def test_regularized_values():
             assert all(idx[-1] >= 2 for idx in table)
 
 
+def _indices(weight):
+    """All indices (tuples of positive entries) of the given weight."""
+    return [tuple(b - a for a, b in zip((0,) + cut, cut + (weight,)))
+            for r in range(weight) for cut in itertools.combinations(range(1, weight), r)]
+
+
+def test_stuffle_regularization_kills_the_product_with_zeta1():
+    """sum_t mult_t reg(t) over (1) * j is reg(1) reg(j) = 0 for every index
+    j, also when j+(1,) ends in two or more 1's."""
+    for weight in range(2, 9):
+        for idx in _indices(weight):
+            if idx[-1] != 1:
+                continue
+            total: dict = {}
+            for t, mult in stuffle_indices((1,), idx[:-1]).items():
+                for base, c in stuffle_regularized(t).items():
+                    total[base] = total.get(base, 0) + mult * c
+            assert not any(total.values()), idx
+    # zeta*(1,1) = T^2/2 - zeta(2)/2 at T = 0
+    assert stuffle_regularized((1, 1)) == {(2,): Fraction(-1, 2)}
+
+
+def test_stuffle_regularization_is_multiplicative_numerically():
+    from mzv.arch_eval import mzv, prefetch_mzvs
+
+    prefetch_mzvs(idx for w in range(2, 8) for idx in admissible_indices(w))
+
+    def value(table):
+        return sum(float(c) * mzv(idx) for idx, c in table.items())
+
+    for a in ((2,), (3,), (1, 2)):
+        for b in (b for w in range(2, 5) for b in _indices(w) if b[-1] == 1):
+            rhs = sum(m * value(stuffle_regularized(t)) for t, m in stuffle_indices(a, b).items())
+            assert abs(mzv(a) * value(stuffle_regularized(b)) - rhs) < 1e-8, (a, b)
+
+
 def test_double_shuffle_weight2_is_empty():
     assert generate_double_shuffle(2) == []
     red = reduce_relations([], 2)

@@ -5,7 +5,6 @@ from mzv.words import (
     all_words,
     duval_factorization,
     is_lyndon,
-    lyndon_multiplicity_factorization,
     lyndon_words,
     word_key,
     words_up_to,
@@ -62,7 +61,3 @@ def test_duval_factorization_is_nonincreasing_and_reassembles():
         assert "".join(factors) == w
         assert all(factors[i] >= factors[i + 1] for i in range(len(factors) - 1))
 
-
-def test_multiplicity_factorization():
-    assert lyndon_multiplicity_factorization(Word("ABAB")) == [(Word("AB"), 2)]
-    assert lyndon_multiplicity_factorization(Word("BBA")) == [(Word("B"), 2), (Word("A"), 1)]
