@@ -49,13 +49,14 @@ from mzv.series import NCSeries, character_series, is_group_like, series_charact
 from mzv.shufflealg import (
     convergent_words,
     generate_double_shuffle,
-    recover_character,
     reduce_relations,
     shuffle_words,
     stuffle_indices,
 )
 from mzv.symbols import ARG_Z
 from mzv.words import Word, lyndon_words, words_up_to
+
+from character_recovery import recover_character
 
 
 def _line(n, label, ok):

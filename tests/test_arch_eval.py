@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 import random
 from fractions import Fraction
@@ -335,3 +336,114 @@ def test_depth1_mzv_against_mpmath():
         value, bound = mzv_numeric((k,))
         assert bound < 1e-9
         assert abs(value - float(mpmath.zeta(k))) <= bound, k
+
+
+# -- the per-depth cutoff against an independent reference --------------------
+
+
+_DEEP = [(1,) * (d - 1) + (2,) for d in range(1, 17)]  # zeta(1^(d-1), 2) = zeta(d + 1)
+
+
+def _weight_nine_indices():
+    from mzv.shufflealg import admissible_indices
+
+    return [e for w in range(2, 10) for e in admissible_indices(w)]
+
+
+@functools.lru_cache(maxsize=None)
+def _inverse_power(n, s):
+    import mpmath
+
+    with mpmath.workdps(30):
+        return mpmath.mpf(1) / mpmath.mpf(n) ** s
+
+
+@functools.lru_cache(maxsize=None)
+def _at_half(word):
+    """I(0; word; 1/2) to 30 digits for a 0/1 word starting with 1 (1 opens
+    a block, each 0 raises it): the nested sum over n_1 < ... < n_d of
+    2^-n_d / prod n_i^s_i, cut after 128 terms (tail below 2^-100)."""
+    import mpmath
+
+    if not word:
+        return mpmath.mpf(1)
+    blocks = []
+    for letter in word:
+        if letter:
+            blocks.append(1)
+        else:
+            blocks[-1] += 1
+    with mpmath.workdps(30):
+        partial = [mpmath.mpf(0)] * len(blocks)
+        total = mpmath.mpf(0)
+        for n in range(1, 129):
+            new = [_inverse_power(n, blocks[0])]
+            new += [partial[j - 1] * _inverse_power(n, s) for j, s in enumerate(blocks) if j]
+            total += mpmath.ldexp(new[-1], -n)
+            partial = [a + b for a, b in zip(partial, new)]
+        return total
+
+
+def _holder_reference(index):
+    """zeta(index) by the Hölder convolution at 1/2 (Borwein, Bradley,
+    Broadhurst and Lisonek, Trans. AMS 2001): the iterated integral over
+    [0, 1] splits at 1/2, and t -> 1 - t maps the piece over [1/2, 1] to
+    [0, 1/2] with its word reversed and its letters swapped."""
+    import mpmath
+
+    word = tuple(x for k in index for x in (1,) + (0,) * (k - 1))
+    with mpmath.workdps(30):
+        return float(mpmath.fsum(_at_half(word[:j]) * _at_half(tuple(1 - a for a in reversed(word[j:])))
+                                 for j in range(len(word) + 1)))
+
+
+def test_values_meet_their_bounds_against_the_holder_reference():
+    """Every admissible index of weight <= 9 and zeta(1^(d-1), 2) for
+    d <= 16 lie within their reported bound of an independent 30-digit
+    value, and within 1e-13 relative."""
+    mpmath = pytest.importorskip("mpmath")
+    arch_eval.prefetch_mzvs(_weight_nine_indices() + _DEEP)
+    with mpmath.workdps(30):
+        cases = [(e, _holder_reference(e)) for e in _weight_nine_indices()]
+        cases += [(e, float(mpmath.zeta(len(e) + 1))) for e in _DEEP]
+    for entries, ref in cases:
+        value, bound = mzv_numeric(entries)
+        assert abs(value - ref) <= bound, entries
+        assert abs(value - ref) <= 1e-13 * max(1.0, abs(value)), (entries, value - ref)
+
+
+def test_bounds_are_no_larger_than_at_the_fixed_cutoffs():
+    """The fixed cutoffs were 100,000 at depth one and 2,000,000 deeper.
+    Where the cutoff moved, the old bound is at least its roundoff
+    allowance, which is checked for every index; the whole old bound is
+    also computed for weight <= 6 and for zeta(1^(d-1), 2) through depth 12."""
+    from mzv.shufflealg import admissible_indices
+
+    def old_cutoff(entries):
+        return 100_000 if len(entries) == 1 else arch_eval._CUTOFF
+
+    for entries in _weight_nine_indices() + _DEEP:
+        if arch_eval._cutoff(entries) == old_cutoff(entries):
+            continue  # depth >= 13: the same pass and the same bound
+        old_roundoff = 5e-11 * (old_cutoff(entries) / 1e6 + 1) * len(entries)
+        assert mzv_numeric(entries)[1] <= old_roundoff, entries
+    full = [e for w in range(2, 7) for e in admissible_indices(w)] + _DEEP[:12]
+    for cutoff in (100_000, arch_eval._CUTOFF):
+        arch_eval._stream_batch([e for e in full if old_cutoff(e) == cutoff], cutoff)
+    for entries in full:
+        assert mzv_numeric(entries)[1] <= arch_eval._mzv_with_bound(entries, old_cutoff(entries))[1], entries
+
+
+def test_cutoff_is_the_smallest_power_of_two_meeting_the_remainder():
+    cutoffs = [arch_eval._cutoff((2,) * depth) for depth in range(1, 25)]
+    assert cutoffs == sorted(cutoffs)
+    assert cutoffs[:12] == [4_096] * 4 + [2**j for j in range(13, 21)]
+    assert cutoffs[12:] == [arch_eval._CUTOFF] * 12
+    for depth, m in enumerate(cutoffs, 1):
+        assert m <= arch_eval._CUTOFF
+        assert m == arch_eval._CUTOFF or arch_eval._remainder(depth, 2, m) <= 1e-12
+        if 4_096 < m < arch_eval._CUTOFF:
+            assert arch_eval._remainder(depth, 2, m // 2) > 1e-12
+        # k = 2 is the largest remainder for any last exponent
+        assert all(arch_eval._remainder(depth, k, m) <= arch_eval._remainder(depth, 2, m)
+                   for k in range(3, 12))

@@ -296,11 +296,13 @@ def test_series_parse_rejects_the_integer_ring_tag():
 # the Deligne flavor); the canonical serialization must not move by a byte
 # (complex_KZ w5 and w6: re-recorded when each non-Lyndon coefficient came
 # from one two-word shuffle, which rounds words of three or more Lyndon
-# factors differently, by at most 1.1e-13 at weight 8)
+# factors differently, by at most 1.1e-13 at weight 8; complex_KZ w4-w6
+# again when each multiple zeta cutoff was sized from its Euler-Maclaurin
+# remainder, which moved zeta(2) from 1.6e-14 to 9.8e-15 off)
 DUMP_SHA256 = {
-    ("complex_KZ", 4): "bf5d22b5358d30346b2510e501eefdd2732eaa642b48b3483215fb06d56510bf",
-    ("complex_KZ", 5): "85b0ae0c3638f37bbfa2b25b3651c86cddd515acc96748af02c0aa1c780f3e9f",
-    ("complex_KZ", 6): "5a4367658def00cdaf5fb029f076e2b03c0bb726f100e7ed0ba4ffdbe5337b16",
+    ("complex_KZ", 4): "5ed3a45ae087aff20cf74db4c1528a70820cb6c871c4c624c4e93dbb49be26af",
+    ("complex_KZ", 5): "92a7330c328c5f31a0658bb7f392a74d7a0cd91a2bdf6871b3cde1449d49ec1f",
+    ("complex_KZ", 6): "b9a4fd5d89f3d5ce3856f559cfe79b5d182f83d240937f7296cc79b9aaf19829",
     ("padic_KZ", 4): "4230e05ebe9a6ed371de192d53784ccd21fbcbf3505cbc587a8b0b26251e7928",
     ("padic_KZ", 5): "1d644ab928430f46c902ae9b7699a252b6ec25453db89d2385508c3ec04e283a",
     ("padic_KZ", 6): "035936927fe3504248352ebff3c7d6c2ffc6e064558235ef6b1df11a0d6ebc68",
@@ -391,14 +393,17 @@ def test_mzv_relations_golden(fmt, weight, flavor):
 # prec-2000, k=16 dagger and verify-spain values were recorded before the
 # p-adic polylogarithm became one integer Horner pass; the depth-14 and
 # depth-16 values before the Euler-Maclaurin tail recursion was memoized
-# (3^(d-1) calls at depth d: 48 s at depth 16)
+# (3^(d-1) calls at depth d: 48 s at depth 16); the four shallow mzv eval
+# values when each cutoff was sized from its Euler-Maclaurin remainder
+# (bounds 5e-11 to 1.5e-10, were 5.5e-11 to 4.5e-10; depth 14 and 16 keep
+# the 2,000,000-term cutoff)
 _DEPTH14, _DEPTH16 = ",".join(["1"] * 13 + ["2"]), ",".join(["1"] * 15 + ["2"])
 NUMERIC_SHA256 = {
-    ("mzv", "eval", "--index", "2"): "a853a94adef6c17fdb3a2f3e3e1b4b8daa54eb357505f389d7ee8437b52ad744",
-    ("mzv", "eval", "--index", "1,2"): "dfda1a5d41f41241a08b3f393f94443cf342ceb9fe0bcab8eef7cf91d95a9b40",
+    ("mzv", "eval", "--index", "2"): "291b56fae9b5dd5775fb5965900e3ee7887b9509af89aa058660345eb2feda40",
+    ("mzv", "eval", "--index", "1,2"): "bb35ec8d0083b8b28b605c47420074410a1cdd2dfb253b507b6fd672220f3018",
     ("mzv", "eval", "--index", "2,3", "--tolerance", "1e-9"):
-        "72c7d28a9ed71b3fcaef1dd0d37e71c0b478bf083fd5ef6b129e839731576699",
-    ("mzv", "eval", "--index", "1,1,3"): "ce8a643c50c3eb1e0fdc56756263bb75434d1d0fdb255a09107bcc3f19e88f32",
+        "cb07f3009e95a89ae792a5a748a3f92f7e308c034e01774f86a3cff4f93b09c9",
+    ("mzv", "eval", "--index", "1,1,3"): "b331a6ca55f843fbea62097a5d11af15c1d54cd17e678904b6236e4350608d9c",
     ("mzv", "eval", "--index", _DEPTH14): "9ed0584d0ca0ece910234f77ca4c1070917447c2b34046bd64dffb948c6cfa1f",
     ("mzv", "eval", "--index", _DEPTH16): "46cbd8110bdb86b0676f7766af3ab4a1c2fb831244d6989ca63b6c221953dedc",
     ("padic", "polylog", "--p", "5", "--k", "2", "--z", "5/7", "--prec", "20"):
@@ -434,8 +439,8 @@ def test_numeric_evaluators_golden(argv):
 def test_padic_polylog_reports_the_requested_precision(p, k, z, prec):
     """An exact rational z is given the digits the series loses, so the value
     is known to --prec digits and agrees with the exact partial sum there."""
-    from mzv.padic_eval import polylog_reference
     from mzv.padics import parse_padic
+    from padic_reference import polylog_reference
 
     result = _run(padic, ["polylog", "--p", str(p), "--k", str(k), "--z", z, "--prec", str(prec)])
     assert result.exit_code == 0, result.output
@@ -458,23 +463,26 @@ def test_series_parse_rejects_bad_words(word):
 # values, recorded before those values came from one shared-prefix pass (the
 # relations value again when the three-factor product rows were added; the
 # pentagon when the complex coefficients came from two-word shuffles, and
-# the hexagon when its residual stopped dropping coefficients below 1e-9)
+# the hexagon when its residual stopped dropping coefficients below 1e-9;
+# all three when each cutoff was sized from its Euler-Maclaurin remainder)
 BATCHED_NUMERIC_SHA256 = {
     ("mzv", "relations", "--weight", "7", "--check-numeric", "--format", "json"):
-        "4ce8bad2a2018d09f79550688d718649a688be060cb3e8ea77fb8a23583319eb",
+        "24c5ced7e1440320dfe97748b8e843804c42bab3af8eb16320302882c30e2718",
     ("assoc", "verify", "--identity", "pentagon", "--weight", "5"):
-        "afe60cc247f20861e765f708cde27c45234d577f96dd0b73d86750df3a664e55",
+        "f796e3c9754d4ae724e8b831f6fda2c9e8f79b765fc23f2d35af46cd526ecf0f",
     ("assoc", "verify", "--identity", "hexagon", "--weight", "6"):
-        "239baf51f30397440c1ecf47380dfb66a90cc3103d99e3ef1597e18b06eeb6a9",
+        "e6f62201707af76b5c04badead6cc4bfb93b6d3667b03bcbe2297feece5ce45c",
 }
 
 
 # sha256 of `assoc verify` stdout for the relation identities, recorded while
 # one function computed every relation (and the group-like test) per call
-# (dual w6 again when its residual stopped dropping coefficients below 1e-9)
+# (dual w6 again when its residual stopped dropping coefficients below 1e-9;
+# dual w6 and pentagon w6 when each multiple zeta cutoff was sized from its
+# Euler-Maclaurin remainder, which shrank their residuals about tenfold)
 RELATION_SHA256 = {
-    ("--identity", "dual", "--weight", "6"): "fe70ee818765387f68080f5c931a2c5dcd52618f9be307da01b2cb324d470542",
-    ("--identity", "pentagon", "--weight", "6"): "2a85bba90f52432e6ee35a3426ad7f33be803e73abb7a7a7a20e10483dfd389c",
+    ("--identity", "dual", "--weight", "6"): "d788629d03d9a848e5a145a02ca9c0f35aab993aca3e8c138fc15c724be13ac7",
+    ("--identity", "pentagon", "--weight", "6"): "7dcbcf7665cf8dfd33b33c6af9257d3ce26355e1601392734a463b2e1ea8f4aa",
     ("--identity", "hexagon", "--flavor", "padic_KZ", "--weight", "2"):
         "3cf6443165d0fa608c6072e71998a0057839d2f3a2f953739695c4735998e1c0",
     ("--identity", "hexagon", "--flavor", "padic_KZ", "--weight", "2", "--format", "csv"):

@@ -8,7 +8,6 @@ import pytest
 from mzv.rings import QQ, SYMBOLIC
 from mzv.series import NCSeries, character_series, is_group_like
 from mzv.shufflealg import (
-    InconsistentCharacterError,
     ReductionResult,
     RelationRow,
     _mono,
@@ -19,7 +18,6 @@ from mzv.shufflealg import (
     generate_double_shuffle,
     index_of_word,
     monomial_str,
-    recover_character,
     reduce_relations,
     shuffle_regularized,
     shuffle_words,
@@ -30,6 +28,8 @@ from mzv.shufflealg import (
 )
 from mzv.symbols import SymbolPoly, ZetaSym
 from mzv.words import Word, all_words, lyndon_words, words_up_to
+
+from character_recovery import InconsistentCharacterError, recover_character
 
 
 def brute_shuffle(u: str, v: str) -> dict[str, int]:
