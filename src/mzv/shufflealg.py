@@ -1,5 +1,6 @@
 """Word-level shuffle algebra, index-level quasi-shuffle, and the
-double-shuffle relation generator with exact rank reduction.
+double-shuffle relation generator with its exact rank reduction (elimination
+modulo primes, rational reconstruction and an exact certificate).
 
 The index <-> word codec follows the convention that the index
 (k_1, ..., k_m) encodes the word A^(k_m-1) B A^(k_(m-1)-1) B ... A^(k_1-1) B
@@ -355,20 +356,89 @@ class ReductionResult:
         return {mono: Fraction(1)}
 
 
-def reduce_relations(rows: list[RelationRow], weight: int) -> ReductionResult:
-    """Exact fraction-free sparse row reduction of the relation rows.
+# the moduli of the elimination: primes below 2**31, so two residues multiply within int64
+_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549, 2147483543, 2147483497,
+           2147483489, 2147483477, 2147483423, 2147483399, 2147483353, 2147483323, 2147483269, 2147483249)
 
-    Rows are scaled to integers and held as {column: int} dicts over the
-    monomial axis sorted by pivot preference.  Column by column, the pivot
-    is the first pending row, in the current order, with a nonzero entry
-    there; it swaps places with the first pending row, as in a dense
-    Bareiss elimination.  Every other pending row with a nonzero entry in
-    the column becomes a*v - b*pivot divided by the gcd of its entries;
-    rows with a zero there are left alone.  So each echelon row is a
-    nonzero multiple of the dense Bareiss row with the same zero pattern,
-    and the pivots, the quotient basis (the monomials that never lead a
-    row) and the exact back-substituted expression of every pivot monomial
-    are the ones the dense elimination gives.
+
+def _rref_mod(matrix: list[dict[int, int]], ncols: int, p: int) -> tuple[list[int], list[int], list[list[int]]]:
+    """Gauss-Jordan elimination of the integer rows mod p: the pivot columns,
+    the free columns, and each pivot row's free-column entries in the reduced
+    row echelon form mod p."""
+    import numpy as np
+
+    m = np.zeros((len(matrix), ncols), dtype=np.int64)
+    for i, row in enumerate(matrix):
+        m[i, list(row)] = [x % p for x in row.values()]
+    pivots: list[int] = []
+    for col in range(ncols):
+        r = len(pivots)
+        nz = np.flatnonzero(m[r:, col])
+        if not nz.size:
+            continue
+        m[[r, r + nz[0]]] = m[[r + nz[0], r]]
+        m[r, col:] = m[r, col:] * pow(int(m[r, col]), -1, p) % p
+        below = r + 1 + np.flatnonzero(m[r + 1:, col])[:, None]
+        cols = col + np.flatnonzero(m[r, col:])  # the rows stay sparse: touch only these
+        m[below, cols] = (m[below, cols] - m[below, col] * m[r, cols]) % p
+        pivots.append(col)
+    free = sorted(set(range(ncols)) - set(pivots))
+    image = m[:len(pivots), free]
+    # back phase, on the free columns only: the rows after r are zero in
+    # column pivots[r], so m still holds the multiples of row r to clear
+    for r in range(len(pivots) - 1, 0, -1):
+        image[:r] = (image[:r] - m[:r, pivots[r], None] * image[r]) % p
+    return pivots, free, image.tolist()
+
+
+def _rational(a: int, m: int) -> Fraction | None:
+    """The fraction n/d = a mod m with |n| and d at most sqrt(m/2), if any
+    (Wang's rational reconstruction; it is unique when it exists)."""
+    bound = math.isqrt(m // 2)
+    r0, r1, t0, t1 = m, a, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > bound or math.gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def _certify(matrix: list[dict[int, int]], pivots: list[int], free: list[int], values: list[list[Fraction]]) -> bool:
+    """Whether the candidate echelon entries e = values vanish left of their
+    pivot, and every row r satisfies r_f = sum over pivots c of r_c e_(c,f) in
+    every free column f; checked in integers over one common denominator."""
+    if any(v for c, vs in zip(pivots, values) for f, v in zip(free, vs) if f < c):
+        return False
+    den = math.lcm(*(v.denominator for vs in values for v in vs))
+    nums = {c: [v.numerator * (den // v.denominator) for v in vs] for c, vs in zip(pivots, values)}
+    for row in matrix:
+        acc = [den * row.get(f, 0) for f in free]
+        for c, x in row.items():
+            if c in nums:
+                acc = [a - x * n for a, n in zip(acc, nums[c])]
+        if any(acc):
+            return False
+    return True
+
+
+def reduce_relations(rows: list[RelationRow], weight: int) -> ReductionResult:
+    """Exact reduced row echelon form of the relation rows, by elimination
+    modulo word-size primes lifted to Q.
+
+    Rows are scaled to integers over the monomial axis sorted by pivot
+    preference.  `_rref_mod` gives the pivot columns and the free-column
+    entries of the echelon form mod p.  Images of primes with the same pivots
+    are combined by the Chinese remainder theorem and lifted entry by entry
+    by rational reconstruction; a prime with more pivots, or as many at
+    earlier columns, restarts the combination, and one with fewer or later
+    pivots is skipped.  A lift is kept only if `_certify` shows that it is in
+    reduced echelon form and that every input row lies in its span.  It has
+    |pivots| independent rows, and |pivots| = rank mod p <= rank over Q, so
+    it spans the input's row space and is its unique reduced echelon form:
+    the pivots, the basis (the free monomials) and every expression are
+    exact, whichever primes were used.  Expressions list their terms in basis
+    order.
     """
     if any(r.weight != weight for r in rows):
         raise ValueError("rows must be homogeneous of the stated weight")
@@ -378,70 +448,25 @@ def reduce_relations(rows: list[RelationRow], weight: int) -> ReductionResult:
     for row in rows:
         denom = math.lcm(*(c.denominator for c in row.coeffs.values()))
         matrix.append({col_of[m]: int(c * denom) for m, c in row.coeffs.items()})
-
-    # a pending row is zero left of the current column, so the rows with a
-    # nonzero entry there are the ones it leads; order[i] is the row at
-    # position i and pos its inverse
-    order = list(range(len(matrix)))
-    pos = list(range(len(matrix)))
-    by_lead: dict[int, set[int]] = {}
-    for i, vec in enumerate(matrix):
-        by_lead.setdefault(min(vec), set()).add(i)
-    pivots: list[tuple[dict[int, int], int]] = []  # (row, col)
-    for col in range(len(monos)):
-        led = by_lead.pop(col, None)
-        if not led:
+    best = None
+    for p in _PRIMES:
+        pivots, free, image = _rref_mod(matrix, len(monos), p)
+        key = (-len(pivots), pivots)
+        if best is None or key < best:
+            best, modulus, residues = key, 1, [[0] * len(free) for _ in pivots]
+        elif key > best:
             continue
-        sel = min(led, key=pos.__getitem__)
-        r, j = len(pivots), pos[sel]
-        other = order[r]
-        order[r], order[j] = sel, other
-        pos[sel], pos[other] = r, j
-        pivot = matrix[sel]
-        a = pivot[col]
-        for i in led:
-            if i == sel:
-                continue
-            vec = matrix[i]
-            b = vec[col]
-            g = math.gcd(a, b)
-            sa, sb = a // g, b // g
-            new = {k: sa * x for k, x in vec.items()}
-            for k, x in pivot.items():
-                y = new.get(k, 0) - sb * x
-                if y:
-                    new[k] = y
-                else:
-                    del new[k]
-            if new:
-                g = math.gcd(*new.values())
-                if g > 1:
-                    new = {k: x // g for k, x in new.items()}
-                by_lead.setdefault(min(new), set()).add(i)
-            matrix[i] = new
-        pivots.append((pivot, col))
-
-    pivot_cols = {c for _, c in pivots}
-    basis = sorted((m for k, m in enumerate(monos) if k not in pivot_cols), key=_pivot_key)
-    # back-substitution: each pivot monomial's expression is held as integer
-    # numerators over one denominator and turned into fractions once
-    scaled: dict[int, tuple[dict[Monomial, int], int]] = {}  # col -> (numerators, denominator)
-    expressions: dict[Monomial, dict[Monomial, Fraction]] = {}
-    for row, cc in reversed(pivots):
-        terms = [(c2, -row[c2]) for c2 in sorted(k for k in row if k > cc)]
-        den = math.lcm(*(scaled[c2][1] for c2, _ in terms if c2 in scaled))
-        acc: dict[Monomial, int] = {}
-        for c2, x in terms:
-            if c2 in scaled:
-                nums, d = scaled[c2]
-                x *= den // d
-                for bm, n in nums.items():
-                    acc[bm] = acc.get(bm, 0) + x * n
-            else:
-                acc[monos[c2]] = acc.get(monos[c2], 0) + x * den
-        acc = {m: n for m, n in acc.items() if n}
-        den *= row[cc]
-        g = math.gcd(den, *acc.values())
-        scaled[cc] = ({m: n // g for m, n in acc.items()}, den // g)
-        expressions[monos[cc]] = {m: Fraction(n, den) for m, n in acc.items()}
+        inv = pow(modulus, -1, p)
+        residues = [[a + modulus * ((b - a) * inv % p) for a, b in zip(ra, rb)] for ra, rb in zip(residues, image)]
+        modulus *= p
+        values = [[_rational(a, modulus) for a in ra] for ra in residues]
+        if not any(None in vs for vs in values) and _certify(matrix, pivots, free, values):
+            break
+    else:
+        raise RuntimeError(f"no certified reduction of the weight-{weight} relations from {len(_PRIMES)} primes")
+    # monos is in descending pivot preference, so the basis is the free
+    # monomials reversed, and the pivots are listed last column first
+    basis = [monos[f] for f in reversed(free)]
+    expressions = {monos[c]: {monos[f]: -v for f, v in zip(reversed(free), reversed(vs)) if v}
+                   for c, vs in zip(reversed(pivots), reversed(values))}
     return ReductionResult(weight, len(pivots), basis, expressions)

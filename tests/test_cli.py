@@ -367,14 +367,16 @@ def test_assoc_verify_golden(identity, weight, p):
 
 
 # sha256 of `mzv relations` stdout, recorded when every product of three or
-# more zeta values got its own shuffle-product row (dimension bound = d_n)
+# more zeta values got its own shuffle-product row (dimension bound = d_n);
+# the weight 7 and 8 JSON values again when each expression came to list its
+# terms in basis order (the same terms and values, and the same CSV)
 RELATIONS_SHA256 = {
     ("json", 6, "complex"): "012b2fb2bf9275226571288c1aa257f4e4dfd11f590dc8f41ea8fbe3eb9556a7",
     ("json", 6, "p-adic-Deligne"): "5e144a1160b0b2305679373cf75daadc3b93e8e37f850ea77356b2a07351c7ff",
-    ("json", 7, "complex"): "10fa62dd17353b28360c2b0d1e75fcee468afafdab41a564a9b0b8161f6cb07a",
-    ("json", 7, "p-adic-Deligne"): "ac2591b8d9df178fcd00eb58886533abcd421231b2881a73304a39c254f9acdc",
-    ("json", 8, "complex"): "d551cc4ea14fcfae9205e732133fce24fac7995b6dc2ff2530357fe541a323fa",
-    ("json", 8, "p-adic-Deligne"): "b4f975838e80b1b06b697b20788871c0f26d400c89a7d031e7b2d6485fafb806",
+    ("json", 7, "complex"): "2a89c2f67e84b63c05bbe3f13965a926247c1b4953d660465b3fbeba4b682b7f",
+    ("json", 7, "p-adic-Deligne"): "a788e5ba7cf739427900ad849168f9fe1818d519c2f21c850ae94af428c53ad4",
+    ("json", 8, "complex"): "57072c0d0d33fddba93194bc674acc3dff1bce022a767bdccd2b3d4926283312",
+    ("json", 8, "p-adic-Deligne"): "eec1cab4db92bb44a15f3a051771a4ac73f547c96697e6c51cb518f2265390ff",
     ("csv", 8, "complex"): "13727925411afe0540e72fd46d47275f4621022a206130552c3c93759995904a",
 }
 
@@ -385,6 +387,18 @@ def test_mzv_relations_golden(fmt, weight, flavor):
     result = _run(mzv, args)
     assert result.exit_code == 0, result.output
     assert hashlib.sha256(result.output.encode()).hexdigest() == RELATIONS_SHA256[(fmt, weight, flavor)]
+
+
+def test_mzv_relations_without_a_certified_reduction_is_an_internal_error(monkeypatch):
+    from mzv import shufflealg
+
+    # one prime far too small to lift the weight-8 coefficients from
+    monkeypatch.setattr(shufflealg, "_PRIMES", (10007,))
+    result = _run(mzv, ["relations", "--weight", "8", "--format", "json"])
+    assert result.exit_code == 3, result.output
+    payload = json.loads(result.output)
+    assert payload["status"] == "fail" and payload["error"].startswith("internal: RuntimeError")
+    assert "expressions" not in payload
 
 
 # sha256 of the numeric evaluators' stdout at a few fixed inputs, recorded
@@ -464,10 +478,12 @@ def test_series_parse_rejects_bad_words(word):
 # relations value again when the three-factor product rows were added; the
 # pentagon when the complex coefficients came from two-word shuffles, and
 # the hexagon when its residual stopped dropping coefficients below 1e-9;
-# all three when each cutoff was sized from its Euler-Maclaurin remainder)
+# all three when each cutoff was sized from its Euler-Maclaurin remainder;
+# the relations value when each expression came to list its terms in basis
+# order)
 BATCHED_NUMERIC_SHA256 = {
     ("mzv", "relations", "--weight", "7", "--check-numeric", "--format", "json"):
-        "24c5ced7e1440320dfe97748b8e843804c42bab3af8eb16320302882c30e2718",
+        "9cceae626e05dd376349eb9e0e436afa81d1daf8dacbc35f1ffbbf1f19e17462",
     ("assoc", "verify", "--identity", "pentagon", "--weight", "5"):
         "f796e3c9754d4ae724e8b831f6fda2c9e8f79b765fc23f2d35af46cd526ecf0f",
     ("assoc", "verify", "--identity", "hexagon", "--weight", "6"):

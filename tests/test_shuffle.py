@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -10,9 +12,12 @@ from mzv.series import NCSeries, character_series, is_group_like
 from mzv.shufflealg import (
     ReductionResult,
     RelationRow,
+    _PRIMES,
+    _certify,
     _mono,
     _pivot_key,
     _product_row,
+    _rref_mod,
     admissible_indices,
     convergent_words,
     generate_double_shuffle,
@@ -373,7 +378,7 @@ def test_monomial_str():
 
 def _dense_reduce(rows, weight):
     """The dense Bareiss reduction over every monomial column, kept as the
-    reference for the sparse elimination."""
+    reference for the modular elimination."""
     monos = sorted(zeta_monomials(weight), key=_pivot_key, reverse=True)
     col_of = {m: k for k, m in enumerate(monos)}
     matrix = []
@@ -430,10 +435,101 @@ def test_sparse_reduction_equals_dense_bareiss(weight):
     want = _dense_reduce(rows, weight)
     assert got.rank == want.rank
     assert got.basis == want.basis
-    # same pivots in the same order, and every expression term by term in order
+    # same pivots in the same order, every expression value, and the terms
+    # of each expression in basis order
     assert list(got.expressions) == list(want.expressions)
-    for mono, expr in want.expressions.items():
-        assert list(got.expressions[mono].items()) == list(expr.items()), mono
+    assert got.expressions == want.expressions
+    for mono, expr in got.expressions.items():
+        assert list(expr) == [b for b in got.basis if b in expr], mono
+
+
+def _canonical_sha256(red):
+    doc = {"rank": red.rank, "basis": [repr(m) for m in red.basis],
+           "expressions": sorted((repr(m), sorted((repr(b), str(c)) for b, c in e.items()))
+                                 for m, e in red.expressions.items())}
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+
+
+# recorded from the fraction-free elimination the modular one replaced
+@pytest.mark.parametrize("weight,digest", [
+    (9, "7067cadbc7e7b849e72427d25aadf3fb7cae62da47d160c2b4d48151a80c0ac0"),
+    (10, "ff07d28f5efb47f6b22ca0c79ca93e5ef0b7a5a694b01438684c300a31712591"),
+])
+def test_reduction_equals_the_fraction_free_one(weight, digest):
+    assert _canonical_sha256(reduce_relations(generate_double_shuffle(weight), weight)) == digest
+
+
+def _integer_rows(weight):
+    monos = sorted(zeta_monomials(weight), key=_pivot_key, reverse=True)
+    col_of = {m: k for k, m in enumerate(monos)}
+    matrix = []
+    for row in generate_double_shuffle(weight):
+        denom = math.lcm(*(c.denominator for c in row.coeffs.values()))
+        matrix.append({col_of[m]: int(c * denom) for m, c in row.coeffs.items()})
+    return monos, matrix
+
+
+def test_primes_are_prime_and_below_2_31():
+    assert len(set(_PRIMES)) == len(_PRIMES)
+    for p in _PRIMES:
+        assert p < 2**31 and all(p % d for d in itertools.chain((2,), range(3, math.isqrt(p) + 1, 2))), p
+
+
+def test_certificate_rejects_any_changed_coefficient():
+    weight = 7
+    monos, matrix = _integer_rows(weight)
+    red = reduce_relations(generate_double_shuffle(weight), weight)
+    col_of = {m: k for k, m in enumerate(monos)}
+    pivots = sorted(col_of[m] for m in red.expressions)
+    free = sorted(col_of[m] for m in red.basis)
+    values = [[-red.expressions[monos[c]].get(monos[f], Fraction(0)) for f in free] for c in pivots]
+    assert _certify(matrix, pivots, free, values)
+    for i, j in itertools.product(range(len(pivots)), range(len(free))):
+        changed = [list(vs) for vs in values]
+        changed[i][j] += Fraction(1, 7919)
+        assert not _certify(matrix, pivots, free, changed), (monos[pivots[i]], monos[free[j]])
+
+
+def test_certificate_rejects_a_spanning_candidate_out_of_echelon_form():
+    # pivot on the basis monomial zeta(2)^2 instead of the first pivot: the
+    # rows span the same space, but the new free column is left of pivots
+    weight = 4
+    monos, matrix = _integer_rows(weight)
+    red = reduce_relations(generate_double_shuffle(weight), weight)
+    col_of = {m: k for k, m in enumerate(monos)}
+    (f,) = [col_of[m] for m in red.basis]
+    pivots = sorted(col_of[m] for m in red.expressions)
+    e = {c: -red.expressions[monos[c]][monos[f]] for c in pivots}  # row c: x_c + e_c x_f
+    first = pivots[0]
+    swapped = sorted(pivots[1:] + [f])
+    values = [[1 / e[first]] if c == f else [-e[c] / e[first]] for c in swapped]
+    assert not _certify(matrix, swapped, [first], values)
+
+
+@pytest.fixture(scope="module")
+def weight8_reference():
+    return _dense_reduce(generate_double_shuffle(8), 8)
+
+
+@pytest.mark.parametrize("first", [
+    (5,),            # fewer pivots: restarts the combination
+    (3,),            # as many pivots, at later columns: restarts it
+    (10007,),        # the right pivots, but too small to lift the coefficients from
+    (10007, 5),      # combined with the next good prime; 5 in between is skipped
+])
+def test_reduction_survives_unlucky_and_small_primes(monkeypatch, weight8_reference, first):
+    from mzv import shufflealg
+
+    monos, matrix = _integer_rows(8)
+    true_pivots = _rref_mod(matrix, len(monos), _PRIMES[0])[0]
+    assert [_rref_mod(matrix, len(monos), p)[0] == true_pivots for p in first] == [p == 10007 for p in first]
+    calls = []
+    monkeypatch.setattr(shufflealg, "_PRIMES", first + _PRIMES)
+    monkeypatch.setattr(shufflealg, "_rref_mod", lambda *args: calls.append(args[2]) or _rref_mod(*args))
+    got = reduce_relations(generate_double_shuffle(8), 8)
+    assert calls == list(first) + [_PRIMES[0]]
+    want = weight8_reference
+    assert (got.rank, got.basis, got.expressions) == (want.rank, want.basis, want.expressions)
 
 
 def _table_regularized(index, table):
