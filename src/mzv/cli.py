@@ -21,8 +21,8 @@ CONTEXT_SETTINGS = {"auto_envvar_prefix": "ASSOCIATOR", "help_option_names": ["-
 
 _IDENTITIES = ("dual", "hexagon", "pentagon", "netherland", "czech", "moldova", "kz", "princeton")
 
-# checks of one `padic verify-spain` run: ~0.5 ms each at --prec 60 (4,800
-# took 2.3 s on a 2-vCPU box), so ~5 s at the bound there, more at higher --prec
+# checks of one `padic verify-spain` run: ~0.3 ms each at --prec 60 (4,800
+# took 1.3 s on a 2-vCPU box), so ~3 s at the bound there, more at higher --prec
 MAX_SPAIN_CHECKS = 10_000
 
 
@@ -446,7 +446,7 @@ def padic_verify_spain(primes, kmax, points, prec, digits, seed, pretty):
     count = len(primes) * kmax * points
     if count > MAX_SPAIN_CHECKS:
         raise click.UsageError(f"--primes x --kmax x --points asks for {count} checks; at most "
-                               f"{MAX_SPAIN_CHECKS} are run (about 0.5 ms each at --prec 60)")
+                               f"{MAX_SPAIN_CHECKS} are run (about 0.3 ms each at --prec 60)")
     rng = random.Random(seed)
     tasks = []
     for p in primes:

@@ -93,10 +93,17 @@ class PadicNumber:
             raise ValueError(f"mixed primes {self.p} and {other.p}")
 
     def _coerce(self, other):
+        """An exact rational is read to at least self's absolute precision
+        and to at least its relative precision (at least one digit), so it
+        never limits + - * /."""
         if isinstance(other, PadicNumber):
             return other
         if isinstance(other, (int, Fraction)):
-            return PadicNumber.from_rational(other, self.p, self.aprec)
+            q, aprec = Fraction(other), self.aprec
+            if q:
+                vq = _int_valuation(q.numerator, self.p) - _int_valuation(q.denominator, self.p)
+                aprec = max(aprec, vq + max(self.aprec - self.val, 1))
+            return PadicNumber.from_rational(q, self.p, aprec)
         return None
 
     def __add__(self, other):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import time
 from fractions import Fraction
 
@@ -462,6 +463,75 @@ def test_padic_polylog_reports_the_requested_precision(p, k, z, prec):
     got = int(check["tolerance"].split("^")[1].rstrip(")"))
     assert got >= prec
     assert parse_padic(check["value"], p, prec) == polylog_reference(k, Fraction(z), p, prec)
+
+
+def _vp(n, p):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def _li_partial_sum(k, zq, p, digits, dagger):
+    """(e, r) with r = p^e * sum z^n / n^k modulo p^(digits + e), the sum over
+    every n (n prime to p with `dagger`) up to a top past which each term has
+    valuation >= digits, and e >= 0 the most negative term valuation.
+
+    With z = P/Q the sum is p^-e Q^-top sum w_n / n^k, w_n = p^e P^n Q^(top-n)
+    an exact integer; the fractions w_n / n^k are added by binary splitting
+    modulo p^(digits + e), where every m^k of n = p^j m is a unit."""
+    P, Q = zq.numerator, zq.denominator
+    v = _vp(P, p)
+    top = max(digits // v, 2)
+    while top * v * math.log(p) <= k or top * v - k * math.log(top, p) < digits + 1:
+        top += 1
+    ns = [n for n in range(top, 0, -1) if not (dagger and n % p == 0)]
+    e = max(0, max(k * _vp(n, p) - n * v for n in ns))
+    mod = p ** (digits + e)
+    terms, w, n_w = [], p**e * P**top, top
+    for n in ns:
+        while n_w > n:
+            w, n_w = w * Q // P, n_w - 1
+        j = _vp(n, p)
+        terms.append((w // p ** (k * j) % mod, (n // p**j) ** k))
+
+    def split(lo, hi):
+        if hi - lo == 1:
+            return terms[lo]
+        (a, b), (c, d) = split(lo, (lo + hi) // 2), split((lo + hi) // 2, hi)
+        return (a * d + c * b) % mod, b * d % mod
+
+    a, b = split(0, len(terms))
+    return e, a * pow(b * Q**top, -1, mod) % mod
+
+
+def _scaled_value(text, p, e):
+    """p^e times a "d*p^x + ... + O(p^a)" literal, as an integer (every x >= -e)."""
+    digits = {}
+    for part in filter(None, text.rpartition("O(")[0].rstrip(" +").split(" + ")):
+        d, _, power = part.partition("*")
+        digits[e + (int(power.partition("^")[2] or 1) if power else 0)] = int(d)
+    assert min(digits, default=0) >= 0
+    value = 0
+    for i in range(max(digits, default=-1), -1, -1):
+        value = value * p + digits.get(i, 0)
+    return value
+
+
+@pytest.mark.parametrize("p,k,z,prec,dagger", [(7, 16, "7/3", 5000, False), (7, 16, "7/3", 5000, True),
+                                                (1009, 2, "1009/3", 1500, False)])
+def test_padic_polylog_at_the_precision_caps(p, k, z, prec, dagger):
+    """The largest accepted work (prec * p.bit_length() = 15,000) against an
+    exact rational partial sum read modulo p^aprec."""
+    result = _run(padic, ["polylog", "--p", str(p), "--k", str(k), "--z", z, "--prec", str(prec)]
+                  + ["--dagger"] * dagger)
+    assert result.exit_code == 0, result.output
+    check = _validated(result)["checks"][0]
+    aprec = int(check["tolerance"].split("^")[1].rstrip(")"))
+    assert aprec >= prec
+    e, expected = _li_partial_sum(k, Fraction(z), p, aprec, dagger)
+    assert _scaled_value(check["value"], p, e) % p ** (aprec + e) == expected
 
 
 @pytest.mark.parametrize("word", ["AXB", "ABAB"])

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from mzv.padic_eval import OutsideDiskError, known_to, padic_li_dagger, padic_polylog
-from mzv.padics import PadicNumber, padic_log
+from mzv.padic_eval import OutsideDiskError, _lost_digits, known_to, padic_li_dagger, padic_polylog
+from mzv.padics import PadicNumber, _int_valuation, padic_log
 
 from padic_reference import _guard, padic_mpl2, polylog_reference
 
@@ -190,3 +190,51 @@ def test_polylog_is_bit_identical_to_the_term_by_term_sum():
         raised += expected[0] == "ZeroDivisionError"
     # both outcomes are exercised: values and the same division-by-zero error
     assert 0 < raised < 200
+
+
+def test_known_to_sums_the_exact_lift_to_the_term_by_term_digits():
+    # known_to sums z = P/Q itself, a lift of PadicNumber.from_rational(z, p,
+    # prec + loss); the reported value must not depend on the lift
+    rng = random.Random(2025)
+    cases = []
+    for _ in range(2000):
+        p, k, v = rng.choice([2, 3, 5, 7, 11]), rng.randint(1, 16), rng.randint(1, 3)
+        den = rng.choice([d for d in range(1, 100) if d % p])
+        zq = Fraction(rng.choice([1, -1]) * p**v * rng.choice([x for x in range(1, 200) if x % p]), den)
+        cases.append((p, k, zq, rng.choice([1, 5, 20, 60, 120, 400]), rng.random() < 0.5))
+    for p in (2, 3, 5, 7, 11):
+        cases.append((p, 16, Fraction(0), 20, False))
+        # a lift wider than the Horner modulus
+        wide = Fraction(-p * (p * rng.getrandbits(3000) + 1), p * rng.getrandbits(2000) + 1)
+        cases += [(p, k, wide, prec, dagger) for k, prec, dagger in ((2, 20, False), (16, 60, True))]
+        # a z whose valuation is at least prec + loss reads as O(p^(prec + loss))
+        for k, prec in ((1, 1), (3, 2), (16, 5)):
+            v = prec + _lost_digits(k, prec, p)
+            cases += [(p, k, Fraction(p**v, 7 if p != 7 else 5), prec, dagger) for dagger in (False, True)]
+    for p, k, zq, prec, dagger in cases:
+        series = padic_li_dagger if dagger else padic_polylog
+        v = _int_valuation(zq.numerator, p) - _int_valuation(zq.denominator, p) if zq else prec
+        z = PadicNumber.from_rational(zq, p, prec + _lost_digits(k, v, p))
+        expected = _outcome(_polylog_by_terms, k, z, dagger)
+        assert _outcome(known_to, prec, series, k, zq, p) == expected, (p, k, zq, prec, dagger)
+        # the added digits are the ones whose loss would divide by a p-adic zero
+        assert expected[0] != "ZeroDivisionError" and expected[3] >= prec, (p, k, zq, prec, dagger)
+
+
+def test_lift_must_be_congruent_to_z():
+    z = PadicNumber.from_rational(Fraction(5, 7), 5, 20)
+    assert padic_polylog(3, z, lift=Fraction(5 + 5**20, 7)) == padic_polylog(3, z)
+    with pytest.raises(ValueError):
+        padic_polylog(3, z, lift=Fraction(5 + 5**19, 7))
+
+
+def test_exact_operands_never_limit_the_precision():
+    x = PadicNumber.from_rational(Fraction(1, 2), 3, 10)
+    assert (x * 27).aprec == 13 and x * 27 == PadicNumber.from_rational(Fraction(27, 2), 3, 13)
+    assert (x / 27).aprec == 7 and x / 27 == PadicNumber.from_rational(Fraction(1, 54), 3, 7)
+    # Li_16(z^3) / 3^16 used to read 3^16 at the quotient's own absolute
+    # precision, as zero, and raise "division by a p-adic zero"
+    z = PadicNumber.from_rational(Fraction(3, 2), 3, 30)
+    big = padic_polylog(16, z**3)
+    assert big / Fraction(3) ** 16 == big.shift(-16)
+    assert (big / Fraction(3) ** 16).aprec == big.shift(-16).aprec
