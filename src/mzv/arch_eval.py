@@ -1,24 +1,13 @@
 """Complex-numeric evaluation: multiple zeta values, disk polylogarithms,
 single-valued combinations, and numeric checks of relation rows.
 
-Multiple zeta values are computed by one streaming pass of nested prefix
-sums up to a cutoff M followed by an exact tail correction: the tail of a
-nested sum telescopes into tails of strictly shallower nested sums with
-larger last exponent, and the depth-one base case is Euler-Maclaurin with
-three terms.  Everything is elementary summation; no acceleration beyond
-the integral comparison is used, and the reported error bound adds the
-analytic remainder to a float-roundoff allowance.  The cutoff M depends only
-on the depth: the smallest power of two from 4,096 up at which the largest
-remainder the tail adds is at most 1e-12, so 4,096 through depth 4, doubling
-per depth from there, and _CUTOFF from depth 13 on.  A short sum also
-collects less roundoff than a long one.
-
-One pass serves a whole batch of indices at the same cutoff: each distinct
-prefix is summed once and each power n^-k once per block.  The pass works
-in physical blocks of _BLOCK terms nested in logical chunks of _CHUNK
-terms; within a chunk the cumulative sum is sequential and continued across
-blocks, and the carry from earlier chunks is added per element, so a value
-is bit-identical whichever batch it was computed in.
+Multiple zeta values are exact integer sums: the Hölder convolution at 1/2
+writes each one as a sum of products of two positive series in 2^-n, whose
+coefficients are kept in fixed point with floor division, so the error
+bound is a closed form in the weight and the only float step is the final
+correctly rounded division (see mzv_numeric).  The series of each word is
+kept in a bounded memo, so the indices of one command share their
+prefixes.
 """
 
 from __future__ import annotations
@@ -27,6 +16,8 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, repeat
+from operator import mul
 
 import numpy as np
 
@@ -46,130 +37,23 @@ from .symbols import (
 )
 
 MZV_TOLERANCE = 1e-6
-_CUTOFF = 2_000_000
-_CHUNK = 250_000
-_BLOCK = 16_384
+# the largest weight evaluated: the worst index there takes ~0.5 s (a cold
+# `mzv eval` ~0.7 s on a 2-vCPU box), the cost growing with the weight
+MAX_MZV_WEIGHT = 10_000
+_BITS = 80  # fixed-point scale 2^_BITS, and the number of terms of every series
+_ONE = 1 << _BITS
+_EMPTY = 1 << (2 * _BITS)  # the integral of the empty word, 1
+_N = range(1, _BITS + 1)
+_SHIFTS = range(_BITS - 1, -1, -1)
+# word -> (its coefficient vector, its integral), keyed by the integer with the
+# word's letters for binary digits (every word starts with 1); ~3.6 KB an entry,
+# emptied when _MAX_VECTORS are held
+_VECTORS: dict[int, tuple[list[int], int]] = {}
+_MAX_VECTORS = 4_096
 
 
 class InadmissibleIndexError(ValueError):
     pass
-
-
-def _power_tail(k: int, m: float) -> float:
-    """sum_{n>M} n^-k by Euler-Maclaurin with three terms."""
-    return m ** (1 - k) / (k - 1) - m ** (-k) / 2 + k * m ** (-k - 1) / 12
-
-
-def _power_tail_error(k: int, m: float) -> float:
-    return k * (k + 1) * (k + 2) / 720.0 * m ** (-k - 3)
-
-
-def _remainder(depth: int, k: int, m: float) -> float:
-    """The remainder of _tail's Euler-Maclaurin expansion summed against the
-    prefix, bounded with F_{d-2}(n) <= (log n + 2)^(d-2); largest at k = 2."""
-    return (math.log(m) + 2) ** (depth - 1) * _power_tail_error(k, m) * m
-
-
-def _stream_prefixes(indices, cutoff: int) -> dict[tuple[int, ...], float]:
-    """F_p(cutoff) for every prefix p = (k_1..k_j) of every index, where
-    F_p(n) = sum_{n_1 < ... < n_j <= n} n_1^-k_1 ... n_j^-k_j.
-
-    One pass over n <= cutoff serves the whole batch.  Each distinct prefix
-    is accumulated once, in sorted order, so it comes right after its parent
-    and each n^-k is computed once per block for every prefix ending in k.
-
-    The floats are those of a per-index loop over logical chunks of _CHUNK
-    terms (cumsum within the chunk, then add the carry F_p(chunk start - 1)),
-    worked in physical blocks of _BLOCK terms: np.cumsum is sequential, so
-    adding the chunk's running sum into a block's first element continues
-    the chunk's cumsum exactly, and the carry is added per element as before.
-    """
-    prefixes = sorted({e[:j] for e in indices for j in range(1, len(e) + 1)})
-    powers = {k: np.empty(_BLOCK) for k in {p[-1] for p in prefixes}}
-    # levels[j][0] holds F_p(block start - 1) and levels[j][1:] holds F_p(n)
-    # over the block, for the last prefix p of depth j + 1: levels[j][:-1] is
-    # the exclusive prefix F_p(n - 1) that its children multiply by
-    levels = [np.empty(_BLOCK + 1) for _ in range(max(map(len, prefixes)))]
-    steps = [(levels[len(p) - 1], powers[p[-1]], levels[len(p) - 2] if len(p) > 1 else None)
-             for p in prefixes]
-    carries = [0.0] * len(prefixes)  # F_p at the end of the last whole chunk
-    runs = [0.0] * len(prefixes)     # cumsum of the current chunk so far
-    for lo in range(1, cutoff + 1, _CHUNK):
-        chunk_hi = min(lo + _CHUNK, cutoff + 1)
-        for block_lo in range(lo, chunk_hi, _BLOCK):
-            size = min(_BLOCK, chunk_hi - block_lo)
-            n = np.arange(block_lo, block_lo + size, dtype=np.float64)
-            for k, buf in powers.items():
-                power = buf[:size]
-                power[:] = n
-                power **= -float(k)
-            for i, (level, power, parent) in enumerate(steps):
-                g = level[1 : size + 1]
-                if parent is None:
-                    g[:] = power[:size]
-                else:
-                    np.multiply(power[:size], parent[:size], out=g)
-                run, carry = runs[i], carries[i]
-                level[0] = run + carry
-                g[0] += run
-                np.cumsum(g, out=g)
-                runs[i] = float(g[-1])
-                g += carry
-        carries = [r + c for r, c in zip(runs, carries)]
-        runs = [0.0] * len(prefixes)
-    return dict(zip(prefixes, carries))
-
-
-def _tail(entries: tuple[int, ...], prefixes: dict, cutoff: int, memo: dict) -> tuple[float, float]:
-    """(tail value, error bound) of sum_{n>cutoff} F_{d-1}(n-1) n^-k_d.
-
-    Telescopes F_{d-1}(n-1) = F_{d-1}(M) + increments, swaps the order of
-    summation, and expands the inner power tail by Euler-Maclaurin, which
-    reduces the depth by one at a larger last exponent.  Each level asks for
-    three shorter tails that overlap those of its neighbours, so `memo`
-    (entries -> result, one per batch) keeps the work polynomial in depth.
-    """
-    if entries in memo:
-        return memo[entries]
-    m = float(cutoff)
-    depth = len(entries)
-    k = entries[-1]
-    if depth == 1:
-        memo[entries] = _power_tail(k, m), _power_tail_error(k, m)
-        return memo[entries]
-    head = prefixes[entries[:-1]]
-    base = head * _power_tail(k, m)
-    base_err = head * _power_tail_error(k, m)
-    kp = entries[-2]
-    rest = entries[:-2]
-    t1, e1 = _tail(rest + (kp + k - 1,), prefixes, cutoff, memo)
-    t2, e2 = _tail(rest + (kp + k,), prefixes, cutoff, memo)
-    t3, e3 = _tail(rest + (kp + k + 1,), prefixes, cutoff, memo)
-    value = base + t1 / (k - 1) - t2 / 2 + k * t3 / 12
-    err = base_err + e1 / (k - 1) + e2 / 2 + k * e3 / 12 + _remainder(depth, k, m)
-    memo[entries] = value, err
-    return value, err
-
-
-# (entries, cutoff) -> (value, error bound); a batch fills it in one pass
-_BOUNDS: dict[tuple[tuple[int, ...], int], tuple[float, float]] = {}
-
-
-def _stream_batch(indices, cutoff: int) -> None:
-    missing = sorted({e for e in indices if (e, cutoff) not in _BOUNDS})
-    if not missing:
-        return
-    prefixes = _stream_prefixes(missing, cutoff)
-    memo: dict = {}
-    for entries in missing:
-        tail, err = _tail(entries, prefixes, cutoff, memo)
-        roundoff = 5e-11 * (cutoff / 1e6 + 1) * len(entries)
-        _BOUNDS[entries, cutoff] = (prefixes[entries] + tail, err + roundoff)
-
-
-def _mzv_with_bound(entries: tuple[int, ...], cutoff: int) -> tuple[float, float]:
-    _stream_batch([entries], cutoff)
-    return _BOUNDS[entries, cutoff]
 
 
 def _admissible(index) -> tuple[int, ...]:
@@ -178,48 +62,73 @@ def _admissible(index) -> tuple[int, ...]:
         raise InadmissibleIndexError(f"index {entries} is not admissible")
     if any(k < 1 for k in entries):
         raise InadmissibleIndexError(f"index {entries} has nonpositive entries")
+    if sum(entries) > MAX_MZV_WEIGHT:
+        raise ValueError(f"the index has weight {sum(entries)}, past the cap of {MAX_MZV_WEIGHT}")
     return entries
 
 
-def _cutoff(entries: tuple[int, ...]) -> int:
-    """The smallest power of two >= 4,096 at which the largest remainder term
-    of _tail, the k = 2 one, is at most 1e-12, capped at _CUTOFF: 4,096
-    through depth 4, doubling per depth to 1,048,576 at depth 12, and
-    _CUTOFF from depth 13 on."""
-    m = 4_096
-    while m < _CUTOFF and _remainder(len(entries), 2, m) > 1e-12:
-        m *= 2
-    return min(m, _CUTOFF)
+def _prefix_integrals(word: tuple[int, ...]) -> list[int]:
+    """I(0; word[:j]; 1/2) * 2^(2 _BITS) rounded down, for j = 1..len(word).
+
+    A word starting with 1 stands for sum_n a[n] x^n at x = 1/2, with a
+    letter 1 opening a block and each 0 raising it: appending 0 divides a[n]
+    by n, and appending 1 replaces a[n] by sum_{m<n} a[m] / n (the empty
+    word is the constant 1, its a[0]).  The vector
+    a[1.._BITS] is kept scaled by 2^_BITS with floor division, so each
+    letter loses less than one unit per entry, and the integral sums it
+    exactly against 2^-n.
+    """
+    out, key, vec = [], 0, []
+    for letter in word:
+        key = 2 * key + letter
+        hit = _VECTORS.get(key)
+        if hit is None:
+            if letter:
+                sums = accumulate(vec, initial=0) if vec else repeat(_ONE)
+                vec = [s // n for n, s in zip(_N, sums)]
+            else:
+                vec = [a // n for n, a in zip(_N, vec)]
+            if len(_VECTORS) >= _MAX_VECTORS:
+                _VECTORS.clear()
+            hit = _VECTORS[key] = vec, sum(a << s for a, s in zip(vec, _SHIFTS))
+        vec = hit[0]
+        out.append(hit[1])
+    return out
 
 
 def mzv_numeric(index, tolerance: float = MZV_TOLERANCE) -> tuple[float, float]:
     """Numeric value of an admissible multiple zeta value with an error bound.
 
-    The cutoff depends only on the depth (see _cutoff).  The achieved bound
-    is far below the default tolerance for every index the commands use
-    (at most 3.1e-10 at weight 7, where `mzv relations --check-numeric`
-    reaches depth 6); a ValueError is raised if the cutoff cannot meet the
-    tolerance.
+    The Hölder convolution at 1/2 (Borwein, Bradley, Broadhurst and
+    Lisonek, Trans. AMS 2001) splits the iterated integral of the word w:
+    zeta(w) = sum_j I(w[:j]) I(w~_j), with w~_j the suffix w[j:] reversed
+    and its letters swapped, so every w~_j is a prefix of the dual word
+    w~_0 and both factors are positive series in 2^-n (_prefix_integrals).
+    Those vectors are kept per word, so a command's indices share prefixes.
+
+    The bound is a closed form.  Each computed entry a[n] is below the
+    true one by less than |u| units of 2^-_BITS, and a[n] <= 1 (a word
+    with d letters 1 is dominated by 1^d, and the coefficients of
+    (-log(1-x))^d/d! over all d sum to 1), so each factor is at most 1 and
+    low by less than (|u| + 1) 2^-_BITS with the tail past _BITS terms;
+    the sum is low by less than W(W+3) 2^-_BITS at weight W.  Half an ulp
+    for the rounding to float comes on top: 1.1e-16 for every value in
+    [1, 2).  A ValueError is raised if the bound exceeds the tolerance.
     """
     entries = _admissible(index)
-    cutoff = _cutoff(entries)
-    value, err = _mzv_with_bound(entries, cutoff)
-    if err > tolerance:
-        raise ValueError(f"cutoff {cutoff} only reaches error {err:g} > {tolerance:g}")
-    return value, err
+    word = tuple(x for k in entries for x in (1,) + (0,) * (k - 1))
+    left = [_EMPTY] + _prefix_integrals(word)
+    right = [_EMPTY] + _prefix_integrals(tuple(1 - a for a in reversed(word)))
+    weight = len(word)
+    value = sum(map(mul, left, reversed(right))) / _EMPTY**2
+    bound = math.ldexp(weight * (weight + 3), -_BITS) + math.ulp(value) / 2
+    if bound > tolerance:
+        raise ValueError(f"the error bound {bound:g} is above the tolerance {tolerance:g}")
+    return value, bound
 
 
 def mzv(index) -> float:
     return mzv_numeric(index)[0]
-
-
-def prefetch_mzvs(indices) -> None:
-    """Evaluate these admissible indices in one shared-prefix pass per cutoff
-    and keep them, so that later mzv/mzv_numeric calls for them are lookups;
-    the floats do not depend on the batch."""
-    wanted = set(map(_admissible, indices))
-    for c in {_cutoff(e) for e in wanted}:
-        _stream_batch([e for e in wanted if _cutoff(e) == c], c)
 
 
 # -- Bernoulli numbers -------------------------------------------------------
@@ -429,24 +338,3 @@ def evaluate_monomial(mono: Monomial) -> float:
 def evaluate_relation_row(row: RelationRow) -> float:
     """Numeric residual of a relation row under the complex MZV evaluator."""
     return sum(float(c) * evaluate_monomial(m) for m, c in row.coeffs.items())
-
-
-def evaluate_relation_rows(rows: list[RelationRow]) -> list[float]:
-    """Numeric residuals of relation rows, every MZV from one batch."""
-    prefetch_mzvs({idx for row in rows for mono in row.coeffs for idx in mono})
-    return [evaluate_relation_row(row) for row in rows]
-
-
-def sv_depth2_book_residual(a: int, b: int, z: complex) -> float:
-    """|direct depth-2 single-valued formula - symbolic expansion| at z.
-
-    The symbolic side is the word coefficient of the single-valued series
-    built in the associator module, evaluated with numeric polylogarithms
-    and zeta values; the direct side is the closed-form depth-2 display.
-    """
-    from .associator import single_valued_g0, zeta_lambda_expr
-
-    sym = zeta_lambda_expr(single_valued_g0(max(a + b, 2)), (a, b))
-    lhs = evaluate_symbol_poly(sym, z=z)
-    rhs = sv_depth2_direct(a, b, z)
-    return abs(lhs - rhs)

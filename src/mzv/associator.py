@@ -22,7 +22,7 @@ from functools import lru_cache, partial
 from .braid import BraidElement, evaluate_series
 from .rings import SYMBOLIC, Ring, complex_ring
 from .series import NCSeries, character_series, is_group_like
-from .shufflealg import admissible_indices, index_of_word, is_convergent_word, word_of_index
+from .shufflealg import admissible_indices, index_of_word, word_of_index
 from .symbols import (
     ARG_ABS_Z_SQ,
     ARG_Z,
@@ -138,10 +138,9 @@ def build_symbolic_associator(tag: str, truncation: int) -> NCSeries:
 def build_numeric_kz(truncation: int) -> NCSeries:
     """The complex associator with numeric multiple zeta value coefficients,
     over the complex ring that treats |c| <= 1e-9 as zero."""
-    from .arch_eval import lambda_value, prefetch_mzvs
+    from .arch_eval import lambda_value
 
     words = lyndon_words(truncation)
-    prefetch_mzvs(index_of_word(w)[0] for w in words if is_convergent_word(w))
     return character_series({w: complex(lambda_value(w)) for w in words}, truncation, complex_ring(1e-9))
 
 

@@ -21,9 +21,11 @@ CONTEXT_SETTINGS = {"auto_envvar_prefix": "ASSOCIATOR", "help_option_names": ["-
 
 _IDENTITIES = ("dual", "hexagon", "pentagon", "netherland", "czech", "moldova", "kz", "princeton")
 
-# checks of one `padic verify-spain` run: ~0.3 ms each at --prec 60 (4,800
-# took 1.3 s on a 2-vCPU box), so ~3 s at the bound there, more at higher --prec
-MAX_SPAIN_CHECKS = 10_000
+# the cost of one `padic verify-spain` run, in units of 0.5 ms: on a 2-vCPU box
+# a check at b = prec * p.bit_length() bits takes up to 0.3 + b/1000 +
+# (b/1000)^2 ms (0.5 ms at --prec 60, 0.23 s at 15,000 bits), so a run at the
+# bound takes ~3 s
+MAX_SPAIN_CHECKS = 6_000
 
 
 def _report(command: str, checks: list[dict], **extra) -> dict:
@@ -217,9 +219,9 @@ def mzv_relations(weight, flavor, fmt, check_numeric):
     red = reduce_relations(rows, weight)
     numeric = {}
     if check_numeric:
-        from .arch_eval import evaluate_relation_rows
+        from .arch_eval import evaluate_relation_row
 
-        numeric = dict(enumerate(evaluate_relation_rows(rows)))
+        numeric = {i: evaluate_relation_row(row) for i, row in enumerate(rows)}
     failures = sum(1 for v in numeric.values() if abs(v) > 1e-5)
     if fmt == "csv":
         click.echo("row,weight,provenance,monomial,coefficient")
@@ -443,10 +445,12 @@ def padic_verify_spain(primes, kmax, points, prec, digits, seed, pretty):
     if digits > prec:
         raise click.UsageError(f"--digits {digits} cannot be certified at --prec {prec}")
     _check_padic_bits(max(primes), prec)
-    count = len(primes) * kmax * points
-    if count > MAX_SPAIN_CHECKS:
-        raise click.UsageError(f"--primes x --kmax x --points asks for {count} checks; at most "
-                               f"{MAX_SPAIN_CHECKS} are run (about 0.3 ms each at --prec 60)")
+    bits = [prec * p.bit_length() for p in primes]
+    # 0.3 + b/1000 + (b/1000)^2 ms per check at b bits, in units of 0.5 ms
+    cost = kmax * points * sum(math.ceil((300_000 + b * (b + 1_000)) / 500_000) for b in bits)
+    if cost > MAX_SPAIN_CHECKS:
+        raise click.UsageError(f"--primes x --kmax x --points at --prec {prec} costs {cost} units of "
+                               f"0.5 ms; at most {MAX_SPAIN_CHECKS} are run")
     rng = random.Random(seed)
     tasks = []
     for p in primes:

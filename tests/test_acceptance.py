@@ -11,7 +11,6 @@ from mzv.arch_eval import (
     evaluate_relation_row,
     log_abs_sq,
     mzv,
-    sv_depth2_book_residual,
     sv_depth2_direct,
     sv_polylog,
     zagier_p,
@@ -57,6 +56,7 @@ from mzv.symbols import ARG_Z
 from mzv.words import Word, lyndon_words, words_up_to
 
 from character_recovery import recover_character
+from sv_reference import sv_depth2_book_residual
 
 
 def _line(n, label, ok):

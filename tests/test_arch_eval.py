@@ -17,11 +17,11 @@ from mzv.arch_eval import (
     mzv_numeric,
     polylog,
     polylog2,
-    sv_depth2_book_residual,
     sv_depth2_direct,
     sv_polylog,
     zagier_p,
 )
+from sv_reference import sv_depth2_book_residual
 
 ZETA3 = 1.2020569031595943
 
@@ -58,13 +58,13 @@ def test_depth_up_to_four():
 
 
 def test_error_bounds_are_honest():
-    # recomputing with a doubled cutoff agrees within the claimed bounds
-    from mzv.arch_eval import _mzv_with_bound
-
-    for idx in ((1, 2), (2, 2), (1, 1, 2)):
-        v1, e1 = _mzv_with_bound(idx, 1_000_000)
-        v2, e2 = _mzv_with_bound(idx, 2_000_000)
-        assert abs(v1 - v2) <= e1 + e2
+    # closed forms: zeta(1,2) = zeta(3), zeta(2,2) = 3/4 zeta(4), zeta(1,1,2) = zeta(4)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for idx, want in (((1, 2), mpmath.zeta(3)), ((2, 2), mpmath.zeta(4) * 3 / 4),
+                          ((1, 1, 2), mpmath.zeta(4))):
+            value, bound = mzv_numeric(idx)
+            assert abs(value - want) <= bound, idx
 
 
 def test_bernoulli_spot_values():
@@ -187,103 +187,6 @@ def test_relation_rows_vanish_within_tolerance():
             assert abs(evaluate_relation_row(row)) < 1e-5
 
 
-def _stream_prefixes_per_index(entries, cutoff):
-    """The per-index streaming loop the batched pass replaced, kept as the
-    reference its floats must match: F_j(cutoff) for j = 1..depth."""
-    np = arch_eval.np
-    chunk = arch_eval._CHUNK
-    carries = [0.0] * len(entries)
-    g_buf, prev_buf = np.empty(chunk), np.empty(chunk)
-    lo = 1
-    while lo <= cutoff:
-        hi = min(lo + chunk, cutoff + 1)
-        n = np.arange(lo, hi, dtype=np.float64)
-        g, prev_excl = g_buf[: hi - lo], prev_buf[: hi - lo]
-        for j, k in enumerate(entries):
-            g[:] = n
-            g **= -float(k)
-            if j:
-                g *= prev_excl
-            np.cumsum(g, out=g)
-            g += carries[j]
-            prev_excl[0] = carries[j]
-            prev_excl[1:] = g[:-1]
-            carries[j] = float(g[-1])
-        lo = hi
-    return carries
-
-
-def test_batched_stream_is_bit_identical_to_the_per_index_loop():
-    from mzv.shufflealg import admissible_indices
-
-    # crosses three chunk seams and many block seams, and ends mid-block
-    cutoff = 3 * arch_eval._CHUNK + 12_345
-    assert cutoff % arch_eval._BLOCK and arch_eval._CHUNK % arch_eval._BLOCK
-    indices = [e for w in range(2, 8) for e in admissible_indices(w)]
-    batched = arch_eval._stream_prefixes(indices, cutoff)
-    for entries in indices:
-        want = _stream_prefixes_per_index(entries, cutoff)
-        got = [batched[entries[: j + 1]] for j in range(len(entries))]
-        assert got == want, entries
-
-
-def test_batch_and_single_index_give_the_same_bounds(monkeypatch):
-    from mzv.shufflealg import admissible_indices
-
-    cutoff = arch_eval._CHUNK + 4_321
-    indices = [e for w in range(2, 7) for e in admissible_indices(w)]
-    monkeypatch.setattr(arch_eval, "_BOUNDS", {})
-    arch_eval._stream_batch(indices, cutoff)
-    batched = dict(arch_eval._BOUNDS)
-    assert len(batched) == len(indices)
-    monkeypatch.setattr(arch_eval, "_BOUNDS", {})
-    for entries in indices:
-        assert arch_eval._mzv_with_bound(entries, cutoff) == batched[entries, cutoff], entries
-
-
-def test_mzv_numeric_batch_is_cached_and_unchanged(monkeypatch):
-    indices = [(2,), (3,), (1, 2), (2, 3), (1, 1, 3)]
-    monkeypatch.setattr(arch_eval, "_BOUNDS", {})
-    single = [mzv_numeric(e) for e in indices]
-    monkeypatch.setattr(arch_eval, "_BOUNDS", {})
-    arch_eval.prefetch_mzvs(indices)
-    assert len(arch_eval._BOUNDS) == len(indices)
-    assert [mzv_numeric(e) for e in indices] == single
-    with pytest.raises(InadmissibleIndexError):
-        arch_eval.prefetch_mzvs([(2,), (2, 1)])
-
-
-def _unmemoized_tail(entries, prefixes, cutoff):
-    """The tail recursion before it was memoized, kept as the reference its
-    floats must match: three calls per level, 3^(d-1) at depth d."""
-    m = float(cutoff)
-    k = entries[-1]
-    if len(entries) == 1:
-        return arch_eval._power_tail(k, m), arch_eval._power_tail_error(k, m)
-    head = prefixes[entries[:-1]]
-    kp, rest = entries[-2], entries[:-2]
-    t1, e1 = _unmemoized_tail(rest + (kp + k - 1,), prefixes, cutoff)
-    t2, e2 = _unmemoized_tail(rest + (kp + k,), prefixes, cutoff)
-    t3, e3 = _unmemoized_tail(rest + (kp + k + 1,), prefixes, cutoff)
-    value = head * arch_eval._power_tail(k, m) + t1 / (k - 1) - t2 / 2 + k * t3 / 12
-    rem = (math.log(m) + 2) ** (len(entries) - 1) * arch_eval._power_tail_error(k, m) * m
-    err = head * arch_eval._power_tail_error(k, m) + e1 / (k - 1) + e2 / 2 + k * e3 / 12 + rem
-    return value, err
-
-
-def test_memoized_tail_is_bit_identical_to_the_plain_recursion(monkeypatch):
-    """One batch shares the memo across indices whose tails overlap."""
-    cutoff = arch_eval._CHUNK + 4_321
-    indices = [(1,) * 10 + (2,), (1,) * 8 + (3,), (2, 1, 1, 3), (1, 2, 1, 1, 1, 2), (4,)]
-    monkeypatch.setattr(arch_eval, "_BOUNDS", {})
-    arch_eval._stream_batch(indices, cutoff)
-    prefixes = arch_eval._stream_prefixes(indices, cutoff)
-    for entries in indices:
-        tail, err = _unmemoized_tail(entries, prefixes, cutoff)
-        roundoff = 5e-11 * (cutoff / 1e6 + 1) * len(entries)
-        assert arch_eval._BOUNDS[entries, cutoff] == (prefixes[entries] + tail, err + roundoff), entries
-
-
 # -- independent oracles from mpmath ------------------------------------------
 
 
@@ -332,22 +235,76 @@ def test_sv_polylog_against_mpmath():
 
 def test_depth1_mzv_against_mpmath():
     mpmath = pytest.importorskip("mpmath")
-    for k in range(2, 17):
-        value, bound = mzv_numeric((k,))
-        assert bound < 1e-9
-        assert abs(value - float(mpmath.zeta(k))) <= bound, k
+    with mpmath.workdps(40):
+        for k in range(2, 31):
+            value, bound = mzv_numeric((k,))
+            assert bound < 1e-9
+            assert abs(value - mpmath.zeta(k)) <= bound, k
 
 
-# -- the per-depth cutoff against an independent reference --------------------
+# -- multiple zeta values against independent references --------------------
 
 
-_DEEP = [(1,) * (d - 1) + (2,) for d in range(1, 17)]  # zeta(1^(d-1), 2) = zeta(d + 1)
+def _admissible_through(weight):
+    from mzv.shufflealg import admissible_indices
+
+    return [e for w in range(2, weight + 1) for e in admissible_indices(w)]
+
+
+def test_stuffle_products_against_mpmath():
+    """zeta(a) zeta(b) = zeta(a,b) + zeta(b,a) + zeta(a+b) for a, b <= 6,
+    within the reported bounds of a 40-digit product.  (Duality would prove
+    nothing: the Hölder sum is dual-symmetric by construction.)"""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for a in range(2, 7):
+            for b in range(2, 7):
+                (x, ex), (y, ey), (z, ez) = mzv_numeric((a, b)), mzv_numeric((b, a)), mzv_numeric((a + b,))
+                residual = mpmath.mpf(x) + mpmath.mpf(y) + mpmath.mpf(z) - mpmath.zeta(a) * mpmath.zeta(b)
+                assert abs(residual) <= ex + ey + ez, (a, b)
+
+
+def test_bounds_through_weight_twelve_are_below_1e_15():
+    """The fixed-point error is W(W+3) 2^-80; the rest is the final half ulp."""
+    for entries in _admissible_through(12):
+        value, bound = mzv_numeric(entries)
+        assert math.ulp(value) / 2 < bound <= 1e-15, entries
+
+
+def test_batch_and_single_index_give_the_same_bounds(monkeypatch):
+    """The memo only saves work: a value is the same whichever indices
+    were evaluated before it, in whatever order."""
+    indices = _admissible_through(7)
+    monkeypatch.setattr(arch_eval, "_VECTORS", {})
+    batched = [mzv_numeric(e) for e in indices]
+    monkeypatch.setattr(arch_eval, "_VECTORS", {})
+    assert [mzv_numeric(e) for e in reversed(indices)] == batched[::-1]
+    for entries, want in zip(indices, batched):
+        monkeypatch.setattr(arch_eval, "_VECTORS", {})
+        assert mzv_numeric(entries) == want, entries
+
+
+def test_mzv_numeric_batch_is_cached_and_unchanged(monkeypatch):
+    """Every prefix of a word and of its dual is kept, up to the memo's
+    bound, and a memo that overflows gives the same values."""
+    indices = [(2,), (3,), (1, 2), (2, 3), (1, 1, 3)]
+    monkeypatch.setattr(arch_eval, "_VECTORS", {})
+    single = [mzv_numeric(e) for e in indices]
+    # words 10, 100, 110, 1010, 10100 and their duals' prefixes: 1, 11, 111, 1101, ...
+    assert {0b10, 0b100, 0b110, 0b1010, 0b10100, 0b11, 0b111, 0b1101} <= set(arch_eval._VECTORS)
+    monkeypatch.setattr(arch_eval, "_VECTORS", {})
+    monkeypatch.setattr(arch_eval, "_MAX_VECTORS", 4)
+    assert [mzv_numeric(e) for e in indices] == single
+    assert len(arch_eval._VECTORS) <= 4
+    with pytest.raises(InadmissibleIndexError):
+        mzv_numeric((2, 1))
+
+
+_DEEP = [(1,) * (d - 1) + (2,) for d in range(1, 31)]  # zeta(1^(d-1), 2) = zeta(d + 1)
 
 
 def _weight_nine_indices():
-    from mzv.shufflealg import admissible_indices
-
-    return [e for w in range(2, 10) for e in admissible_indices(w)]
+    return _admissible_through(9)
 
 
 @functools.lru_cache(maxsize=None)
@@ -393,57 +350,19 @@ def _holder_reference(index):
 
     word = tuple(x for k in index for x in (1,) + (0,) * (k - 1))
     with mpmath.workdps(30):
-        return float(mpmath.fsum(_at_half(word[:j]) * _at_half(tuple(1 - a for a in reversed(word[j:])))
-                                 for j in range(len(word) + 1)))
+        return mpmath.fsum(_at_half(word[:j]) * _at_half(tuple(1 - a for a in reversed(word[j:])))
+                           for j in range(len(word) + 1))
 
 
 def test_values_meet_their_bounds_against_the_holder_reference():
     """Every admissible index of weight <= 9 and zeta(1^(d-1), 2) for
-    d <= 16 lie within their reported bound of an independent 30-digit
+    d <= 30 lie within their reported bound of an independent 30-digit
     value, and within 1e-13 relative."""
     mpmath = pytest.importorskip("mpmath")
-    arch_eval.prefetch_mzvs(_weight_nine_indices() + _DEEP)
     with mpmath.workdps(30):
         cases = [(e, _holder_reference(e)) for e in _weight_nine_indices()]
-        cases += [(e, float(mpmath.zeta(len(e) + 1))) for e in _DEEP]
-    for entries, ref in cases:
-        value, bound = mzv_numeric(entries)
-        assert abs(value - ref) <= bound, entries
-        assert abs(value - ref) <= 1e-13 * max(1.0, abs(value)), (entries, value - ref)
-
-
-def test_bounds_are_no_larger_than_at_the_fixed_cutoffs():
-    """The fixed cutoffs were 100,000 at depth one and 2,000,000 deeper.
-    Where the cutoff moved, the old bound is at least its roundoff
-    allowance, which is checked for every index; the whole old bound is
-    also computed for weight <= 6 and for zeta(1^(d-1), 2) through depth 12."""
-    from mzv.shufflealg import admissible_indices
-
-    def old_cutoff(entries):
-        return 100_000 if len(entries) == 1 else arch_eval._CUTOFF
-
-    for entries in _weight_nine_indices() + _DEEP:
-        if arch_eval._cutoff(entries) == old_cutoff(entries):
-            continue  # depth >= 13: the same pass and the same bound
-        old_roundoff = 5e-11 * (old_cutoff(entries) / 1e6 + 1) * len(entries)
-        assert mzv_numeric(entries)[1] <= old_roundoff, entries
-    full = [e for w in range(2, 7) for e in admissible_indices(w)] + _DEEP[:12]
-    for cutoff in (100_000, arch_eval._CUTOFF):
-        arch_eval._stream_batch([e for e in full if old_cutoff(e) == cutoff], cutoff)
-    for entries in full:
-        assert mzv_numeric(entries)[1] <= arch_eval._mzv_with_bound(entries, old_cutoff(entries))[1], entries
-
-
-def test_cutoff_is_the_smallest_power_of_two_meeting_the_remainder():
-    cutoffs = [arch_eval._cutoff((2,) * depth) for depth in range(1, 25)]
-    assert cutoffs == sorted(cutoffs)
-    assert cutoffs[:12] == [4_096] * 4 + [2**j for j in range(13, 21)]
-    assert cutoffs[12:] == [arch_eval._CUTOFF] * 12
-    for depth, m in enumerate(cutoffs, 1):
-        assert m <= arch_eval._CUTOFF
-        assert m == arch_eval._CUTOFF or arch_eval._remainder(depth, 2, m) <= 1e-12
-        if 4_096 < m < arch_eval._CUTOFF:
-            assert arch_eval._remainder(depth, 2, m // 2) > 1e-12
-        # k = 2 is the largest remainder for any last exponent
-        assert all(arch_eval._remainder(depth, k, m) <= arch_eval._remainder(depth, 2, m)
-                   for k in range(3, 12))
+        cases += [(e, mpmath.zeta(len(e) + 1)) for e in _DEEP]
+        for entries, ref in cases:
+            value, bound = mzv_numeric(entries)
+            assert abs(value - ref) <= bound, entries
+            assert abs(value - ref) <= 1e-13 * max(1.0, abs(value)), (entries, value - ref)

@@ -179,6 +179,16 @@ def test_padic_verify_spain_bound_counts_every_check(monkeypatch):
     assert 3 * 4 * 40 <= MAX_SPAIN_CHECKS
 
 
+def test_padic_verify_spain_refuses_a_costly_run_before_any_work():
+    """10,000 checks at 5,000 digits would run for most of an hour."""
+    start = time.monotonic()
+    args = ["verify-spain", "--primes", "7", "--kmax", "10", "--points", "1000", "--prec", "5000"]
+    result = _run(padic, args)
+    assert result.exit_code == 2, result.output
+    assert str(MAX_SPAIN_CHECKS) in result.output
+    assert time.monotonic() - start < 5.0
+
+
 def test_assoc_verify_numeric_identities():
     for identity in ("dual", "hexagon"):
         result = _run(assoc, ["verify", "--identity", identity, "--weight", "3"])
@@ -299,11 +309,13 @@ def test_series_parse_rejects_the_integer_ring_tag():
 # from one two-word shuffle, which rounds words of three or more Lyndon
 # factors differently, by at most 1.1e-13 at weight 8; complex_KZ w4-w6
 # again when each multiple zeta cutoff was sized from its Euler-Maclaurin
-# remainder, which moved zeta(2) from 1.6e-14 to 9.8e-15 off)
+# remainder, which moved zeta(2) from 1.6e-14 to 9.8e-15 off; complex_KZ
+# w4-w6 again when multiple zeta values became integer Hölder sums, which
+# moved coefficients by at most 1.9e-13 and made zeta(2) correctly rounded)
 DUMP_SHA256 = {
-    ("complex_KZ", 4): "5ed3a45ae087aff20cf74db4c1528a70820cb6c871c4c624c4e93dbb49be26af",
-    ("complex_KZ", 5): "92a7330c328c5f31a0658bb7f392a74d7a0cd91a2bdf6871b3cde1449d49ec1f",
-    ("complex_KZ", 6): "b9a4fd5d89f3d5ce3856f559cfe79b5d182f83d240937f7296cc79b9aaf19829",
+    ("complex_KZ", 4): "d08e0e6d6b686c6e0d50f32336d096697425a78a035851975cdd75f2ac680770",
+    ("complex_KZ", 5): "9e3cb28b7b1d069dd315857332fa08d43ba657de6008ba515143724bc35118fc",
+    ("complex_KZ", 6): "796ccc94094f890f26e3c6494fd7bf6272cf30d913dddd5f94f431f1ea42e57b",
     ("padic_KZ", 4): "4230e05ebe9a6ed371de192d53784ccd21fbcbf3505cbc587a8b0b26251e7928",
     ("padic_KZ", 5): "1d644ab928430f46c902ae9b7699a252b6ec25453db89d2385508c3ec04e283a",
     ("padic_KZ", 6): "035936927fe3504248352ebff3c7d6c2ffc6e064558235ef6b1df11a0d6ebc68",
@@ -411,16 +423,18 @@ def test_mzv_relations_without_a_certified_reduction_is_an_internal_error(monkey
 # (3^(d-1) calls at depth d: 48 s at depth 16); the four shallow mzv eval
 # values when each cutoff was sized from its Euler-Maclaurin remainder
 # (bounds 5e-11 to 1.5e-10, were 5.5e-11 to 4.5e-10; depth 14 and 16 keep
-# the 2,000,000-term cutoff)
+# the 2,000,000-term cutoff); all six mzv eval values again when they became
+# integer Hölder sums (values moved by at most 3.6e-15, bounds fell from
+# 5e-11 to 6.5e-9 to 6.9e-18 to 1.1e-16)
 _DEPTH14, _DEPTH16 = ",".join(["1"] * 13 + ["2"]), ",".join(["1"] * 15 + ["2"])
 NUMERIC_SHA256 = {
-    ("mzv", "eval", "--index", "2"): "291b56fae9b5dd5775fb5965900e3ee7887b9509af89aa058660345eb2feda40",
-    ("mzv", "eval", "--index", "1,2"): "bb35ec8d0083b8b28b605c47420074410a1cdd2dfb253b507b6fd672220f3018",
+    ("mzv", "eval", "--index", "2"): "c12298c1895042f44be45dd41b684d29113bbd45fb561c0a51fc51305e977fb9",
+    ("mzv", "eval", "--index", "1,2"): "114e68964616d9363a500c923f28034db3553ebcf06463d8307fc45a7f9550a1",
     ("mzv", "eval", "--index", "2,3", "--tolerance", "1e-9"):
-        "cb07f3009e95a89ae792a5a748a3f92f7e308c034e01774f86a3cff4f93b09c9",
-    ("mzv", "eval", "--index", "1,1,3"): "b331a6ca55f843fbea62097a5d11af15c1d54cd17e678904b6236e4350608d9c",
-    ("mzv", "eval", "--index", _DEPTH14): "9ed0584d0ca0ece910234f77ca4c1070917447c2b34046bd64dffb948c6cfa1f",
-    ("mzv", "eval", "--index", _DEPTH16): "46cbd8110bdb86b0676f7766af3ab4a1c2fb831244d6989ca63b6c221953dedc",
+        "a0dfd81d2b21285e102832ae3e977e8c565b6634cab14f611e1953e301d0e2df",
+    ("mzv", "eval", "--index", "1,1,3"): "7b49e3aa6b1cb7e574caa0eaa07aa252a3cf7ffc22cde5e94f214fb0aafffbb7",
+    ("mzv", "eval", "--index", _DEPTH14): "bead73434035459cbe1b7919631cbe97924497c0c56213b9cd33bb9c5a99f433",
+    ("mzv", "eval", "--index", _DEPTH16): "5905562bef7823832767f46cab94249bf4e3ede25a59b42267c03491d2bf5957",
     ("padic", "polylog", "--p", "5", "--k", "2", "--z", "5/7", "--prec", "20"):
         "9f7f034334ff58ee276bb8fe8abd0c70f86794a9c378d0c24af23911bf6c0521",
     ("padic", "polylog", "--p", "3", "--k", "4", "--z", "3/2"):
@@ -550,14 +564,16 @@ def test_series_parse_rejects_bad_words(word):
 # the hexagon when its residual stopped dropping coefficients below 1e-9;
 # all three when each cutoff was sized from its Euler-Maclaurin remainder;
 # the relations value when each expression came to list its terms in basis
-# order)
+# order; all three when multiple zeta values became integer Hölder sums:
+# the largest w7 row residual fell from 4.7e-14 to 3.3e-16, pentagon w5 from
+# 4.7e-13 to 5.8e-15 and hexagon w6 from 1.7e-12 to 1.7e-14)
 BATCHED_NUMERIC_SHA256 = {
     ("mzv", "relations", "--weight", "7", "--check-numeric", "--format", "json"):
-        "9cceae626e05dd376349eb9e0e436afa81d1daf8dacbc35f1ffbbf1f19e17462",
+        "47b7b28cc3b8cb40a025833a0a0afae84184c565079b29f8c3255d35f43e5249",
     ("assoc", "verify", "--identity", "pentagon", "--weight", "5"):
-        "f796e3c9754d4ae724e8b831f6fda2c9e8f79b765fc23f2d35af46cd526ecf0f",
+        "b048742cf1fd24a04472af9837a6fcb1acafcfadf49c665370defbe5bdade69a",
     ("assoc", "verify", "--identity", "hexagon", "--weight", "6"):
-        "e6f62201707af76b5c04badead6cc4bfb93b6d3667b03bcbe2297feece5ce45c",
+        "569bf96d491f102a1c00ccc7ccd3561cc7d048d946ea80974e123e2d58445a7d",
 }
 
 
@@ -565,10 +581,12 @@ BATCHED_NUMERIC_SHA256 = {
 # one function computed every relation (and the group-like test) per call
 # (dual w6 again when its residual stopped dropping coefficients below 1e-9;
 # dual w6 and pentagon w6 when each multiple zeta cutoff was sized from its
-# Euler-Maclaurin remainder, which shrank their residuals about tenfold)
+# Euler-Maclaurin remainder, which shrank their residuals about tenfold, and
+# again when multiple zeta values became integer Hölder sums: dual from
+# 2.0e-13 to 1.1e-15, pentagon from 4.7e-13 to 3.4e-14)
 RELATION_SHA256 = {
-    ("--identity", "dual", "--weight", "6"): "d788629d03d9a848e5a145a02ca9c0f35aab993aca3e8c138fc15c724be13ac7",
-    ("--identity", "pentagon", "--weight", "6"): "7dcbcf7665cf8dfd33b33c6af9257d3ce26355e1601392734a463b2e1ea8f4aa",
+    ("--identity", "dual", "--weight", "6"): "c6bef2eb3b09af95c3d37b7b6f42058176bba384f6dadba2c516622c6e6bd792",
+    ("--identity", "pentagon", "--weight", "6"): "5c3d5edec5bc46dfa37740d74ebb5ad8684b411acf89628043248689c7516632",
     ("--identity", "hexagon", "--flavor", "padic_KZ", "--weight", "2"):
         "3cf6443165d0fa608c6072e71998a0057839d2f3a2f953739695c4735998e1c0",
     ("--identity", "hexagon", "--flavor", "padic_KZ", "--weight", "2", "--format", "csv"):
@@ -597,14 +615,23 @@ def test_tolerance_must_be_positive_and_finite(group, argv, value):
     assert "tolerance" in result.output and "positive finite" in result.output
 
 
-def test_mzv_eval_fails_fast_past_the_reachable_depth():
-    """Depth 24 is refused by the error bound, after a tail recursion that
-    must not take 3^23 calls."""
-    start = time.perf_counter()
+def test_mzv_eval_answers_depth_24_within_its_bound():
+    """zeta(1^23, 2) = zeta(25), with a bound near half an ulp."""
+    mpmath = pytest.importorskip("mpmath")
     result = _run(mzv, ["eval", "--index", ",".join(["1"] * 23 + ["2"])])
+    assert result.exit_code == 0, result.output
+    (check,) = _validated(result)["checks"]
+    with mpmath.workdps(40):
+        assert abs(check["value"] - mpmath.zeta(25)) <= check["residual"] <= 1e-15
+
+
+def test_mzv_eval_past_the_weight_cap_fails_fast():
+    start = time.perf_counter()
+    result = _run(mzv, ["eval", "--index", str(arch_eval.MAX_MZV_WEIGHT + 1)])
     assert result.exit_code == 2, result.output
-    assert "only reaches error" in result.output
-    assert time.perf_counter() - start < 10
+    assert f"past the cap of {arch_eval.MAX_MZV_WEIGHT}" in result.output
+    assert time.perf_counter() - start < 5
+    assert _run(mzv, ["eval", "--index", str(arch_eval.MAX_MZV_WEIGHT)]).exit_code == 0
 
 
 @pytest.mark.parametrize("argv", sorted(BATCHED_NUMERIC_SHA256))
