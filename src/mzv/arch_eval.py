@@ -21,7 +21,7 @@ from operator import mul
 
 import numpy as np
 
-from .shufflealg import Monomial, RelationRow
+from .shufflealg import RelationRow
 from .symbols import (
     ARG_ABS_Z_SQ,
     ARG_ONE_MINUS_Z,
@@ -328,13 +328,20 @@ def evaluate_symbol_poly(poly: SymbolPoly, z: complex | None = None) -> complex:
     return total
 
 
-def evaluate_monomial(mono: Monomial) -> float:
-    out = 1.0
-    for idx in mono:
-        out *= mzv(idx)
-    return out
-
-
-def evaluate_relation_row(row: RelationRow) -> float:
-    """Numeric residual of a relation row under the complex MZV evaluator."""
-    return sum(float(c) * evaluate_monomial(m) for m, c in row.coeffs.items())
+def evaluate_relation_row(row: RelationRow) -> tuple[float, float]:
+    """Numeric residual of a relation row under the MZV evaluator, and the
+    largest residual a true relation can show: each monomial c M, M the
+    float product of d values x with bounds b, is off by at most
+    |c M| (sum b / x + (d + n + 2) 2^-53) with n the row's term count, which
+    covers the factor bounds, the rounding of c and of the d products, and
+    the n - 1 roundings of the sum."""
+    residual = tolerance = 0.0
+    for mono, c in row.coeffs.items():
+        term, rel = float(c), (len(mono) + len(row.coeffs) + 2) * 2.0**-53
+        for idx in mono:
+            value, bound = mzv_numeric(idx)
+            term *= value
+            rel += bound / value
+        residual += term
+        tolerance += abs(term) * rel
+    return residual, tolerance

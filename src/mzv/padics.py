@@ -254,67 +254,3 @@ def parse_padic(text: str, p: int, aprec: int) -> PadicNumber:
             total += Fraction(int(part))
     return PadicNumber.from_rational(total, p, aprec)
 
-
-def teichmuller_unit(u: int, p: int, aprec: int) -> int:
-    """The Teichmuller representative of u mod p**aprec (u prime to p).
-
-    For p == 2 the torsion is {1, -1}; the representative is chosen so that
-    u divided by it is 1 mod 4.
-    """
-    mod = p**aprec
-    if p == 2:
-        return 1 if u % 4 == 1 else mod - 1
-    x = u % mod
-    for _ in range(aprec + 1):
-        nxt = pow(x, p, mod)
-        if nxt == x:
-            break
-        x = nxt
-    return x
-
-
-def padic_log(z: PadicNumber, branch=0) -> PadicNumber:
-    """Branch-parameterized p-adic logarithm.
-
-    Writes z = p**v * w * u with w the Teichmuller representative and u a
-    1-unit (1 mod 4 when p == 2), and returns v*branch + log(u) using the
-    alternating series on 1-units.  The branch value only fixes log(p);
-    Teichmuller torsion maps to 0.
-    """
-    if z.is_zero():
-        raise ValueError("p-adic logarithm of zero")
-    p = z.p
-    rel = z.aprec - z.val
-    guard = _division_guard(p, rel) + 4
-    work = rel + guard
-    mod = p**work
-    u = z.unit % mod
-    w = teichmuller_unit(u, p, work)
-    u1 = u * pow(w, -1, mod) % mod
-    t = (u1 - 1) % mod
-    acc = 0
-    tn = 1
-    step = 2 if p == 2 else 1  # valuation gained per factor of t
-    n = 1
-    while n * step <= work:
-        tn = tn * t % mod
-        if tn == 0:
-            break
-        e = _int_valuation(n, p) if n % p == 0 else 0
-        q = tn // p**e
-        term = q * pow(n // p**e, -1, mod) % mod
-        acc = (acc + term if n % 2 == 1 else acc - term) % mod
-        n += 1
-    log_u = PadicNumber(p, 0, acc % p**rel, rel)
-    b = branch if isinstance(branch, PadicNumber) else PadicNumber.from_rational(branch, p, z.aprec)
-    return b * z.valuation() + log_u
-
-
-def _division_guard(p: int, aprec: int) -> int:
-    """Digits lost to the worst 1/n factor over the summation range."""
-    g = 0
-    n = 1
-    while n <= 2 * (aprec + 8):
-        n *= p
-        g += 1
-    return g

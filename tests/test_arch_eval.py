@@ -182,9 +182,20 @@ def test_scaled_derivative_matches_a_finite_difference():
 def test_relation_rows_vanish_within_tolerance():
     from mzv.shufflealg import generate_double_shuffle
 
-    for w in (3, 4, 5):
+    for w in (3, 4, 5, 7):
         for row in generate_double_shuffle(w):
-            assert abs(evaluate_relation_row(row)) < 1e-5
+            residual, tolerance = evaluate_relation_row(row)
+            assert abs(residual) <= tolerance < 1e-13
+
+
+def test_a_relation_row_wrong_by_one_part_in_a_billion_fails():
+    from mzv.shufflealg import generate_double_shuffle
+
+    for row in generate_double_shuffle(7):
+        mono = max(row.coeffs, key=lambda m: abs(row.coeffs[m]))
+        row.coeffs[mono] *= 1 + Fraction(1, 10**9)
+        residual, tolerance = evaluate_relation_row(row)
+        assert abs(residual) > tolerance, row.provenance
 
 
 # -- independent oracles from mpmath ------------------------------------------

@@ -242,11 +242,12 @@ def test_padic_verify_spain_passes_are_certified(kmax):
 
 def test_padic_verify_spain_fails_an_agreement_it_cannot_certify(monkeypatch):
     from mzv import padic_eval
-    from mzv.padics import PadicNumber
 
-    # summed with no extra digits for z, the series lose them at large k
-    monkeypatch.setattr(padic_eval, "known_to",
-                        lambda prec, series, k, z, p: series(k, PadicNumber.from_rational(z, p, prec)))
+    # an evaluator that knows k fewer digits than asked leaves the k = 12
+    # difference known to 18 < 20 digits, which must fail, not pass
+    evaluate = padic_eval.padic_polylog
+    monkeypatch.setattr(padic_eval, "padic_polylog",
+                        lambda k, z, p, prec, skip_p_multiples=False: evaluate(k, z, p, prec - k, skip_p_multiples))
     result = _run(padic, ["verify-spain", "--primes", "3", "--kmax", "12", "--points", "1"])
     assert result.exit_code == 1, result.output
     checks = {c["name"].split()[1]: c for c in json.loads(result.output)["checks"]}
@@ -414,6 +415,25 @@ def test_mzv_relations_without_a_certified_reduction_is_an_internal_error(monkey
     assert "expressions" not in payload
 
 
+def test_mzv_relations_check_numeric_fails_a_row_off_by_one_part_in_a_billion(monkeypatch):
+    from mzv import shufflealg
+
+    generate = shufflealg.generate_double_shuffle
+
+    def with_one_wrong_coefficient(weight):
+        rows = generate(weight)
+        mono = next(iter(rows[0].coeffs))
+        rows[0].coeffs[mono] *= 1 + Fraction(1, 10**9)
+        return rows
+
+    monkeypatch.setattr(shufflealg, "generate_double_shuffle", with_one_wrong_coefficient)
+    result = _run(mzv, ["relations", "--weight", "7", "--check-numeric", "--format", "json"])
+    assert result.exit_code == 1, result.output
+    rows = json.loads(result.output)["rows"]
+    assert abs(rows[0]["numeric_residual"]) > 1e-10 > rows[0]["tolerance"]
+    assert all(abs(row["numeric_residual"]) <= row["tolerance"] < 1e-13 for row in rows[1:])
+
+
 # sha256 of the numeric evaluators' stdout at a few fixed inputs, recorded
 # before the polylog index got its range check (padic polylog z=3/2 again
 # when z got the digits the series loses: O(3^27) became O(3^30)); the
@@ -425,7 +445,9 @@ def test_mzv_relations_without_a_certified_reduction_is_an_internal_error(monkey
 # (bounds 5e-11 to 1.5e-10, were 5.5e-11 to 4.5e-10; depth 14 and 16 keep
 # the 2,000,000-term cutoff); all six mzv eval values again when they became
 # integer Hölder sums (values moved by at most 3.6e-15, bounds fell from
-# 5e-11 to 6.5e-9 to 6.9e-18 to 1.1e-16)
+# 5e-11 to 6.5e-9 to 6.9e-18 to 1.1e-16); the k=16 dagger value when every
+# p-adic value came to state exactly --prec digits (O(5^223) became O(5^200),
+# with every digit below 5^200 unchanged)
 _DEPTH14, _DEPTH16 = ",".join(["1"] * 13 + ["2"]), ",".join(["1"] * 15 + ["2"])
 NUMERIC_SHA256 = {
     ("mzv", "eval", "--index", "2"): "c12298c1895042f44be45dd41b684d29113bbd45fb561c0a51fc51305e977fb9",
@@ -444,7 +466,7 @@ NUMERIC_SHA256 = {
     ("padic", "polylog", "--p", "3", "--k", "4", "--z", "42/55", "--prec", "2000"):
         "f125c1237f0f24272310bc03c65cab8dea56f2109a8799a8e2e15a0c2013f53b",
     ("padic", "polylog", "--p", "5", "--k", "16", "--z", "10/7", "--prec", "200", "--dagger"):
-        "a1b4b13c31bfc34d968632ca7c3c180a4911568a0010f6a777400ccce6ea8552",
+        "d73fd0afdab298e97780e6b01a79a61fcb3b41350a2bb7ed5835d1fe4fb2a5b5",
     ("padic", "verify-spain", "--points", "40", "--prec", "60", "--seed", "7"):
         "756911ff4868ca2622c20153fe44813c7640dcc1675afb3ae97253320099a01f",
     ("sv", "polylog", "--k", "2", "--z", "0.3+0.2i", "--zagier"):
@@ -464,18 +486,22 @@ def test_numeric_evaluators_golden(argv):
     assert hashlib.sha256(result.output.encode()).hexdigest() == NUMERIC_SHA256[argv]
 
 
-@pytest.mark.parametrize("p,k,z,prec", [(2, 14, "2/3", 30), (3, 12, "30/29", 30), (3, 12, "30/29", 45)])
+@pytest.mark.parametrize("p,k,z,prec", [(2, 14, "2/3", 30), (3, 12, "30/29", 30), (3, 12, "30/29", 45),
+                                         # each was wrong when the sum stopped after ten consecutive
+                                         # terms past prec: from 13^1 (n = 13 was never summed), from
+                                         # 2^994 (n = 1024), from 11^89 (n = 121), and at 7^999
+                                         (13, 12, "13/2", 2), (2, 3, "2", 1000), (11, 16, "11", 100),
+                                         (7, 10, "-182/23", 1000)])
 def test_padic_polylog_reports_the_requested_precision(p, k, z, prec):
-    """An exact rational z is given the digits the series loses, so the value
-    is known to --prec digits and agrees with the exact partial sum there."""
+    """The value of an exact rational z is known to exactly --prec digits and
+    agrees with the exact partial sum there."""
     from mzv.padics import parse_padic
     from padic_reference import polylog_reference
 
     result = _run(padic, ["polylog", "--p", str(p), "--k", str(k), "--z", z, "--prec", str(prec)])
     assert result.exit_code == 0, result.output
     check = _validated(result)["checks"][0]
-    got = int(check["tolerance"].split("^")[1].rstrip(")"))
-    assert got >= prec
+    assert check["tolerance"] == f"O({p}^{prec})"
     assert parse_padic(check["value"], p, prec) == polylog_reference(k, Fraction(z), p, prec)
 
 
@@ -542,10 +568,9 @@ def test_padic_polylog_at_the_precision_caps(p, k, z, prec, dagger):
                   + ["--dagger"] * dagger)
     assert result.exit_code == 0, result.output
     check = _validated(result)["checks"][0]
-    aprec = int(check["tolerance"].split("^")[1].rstrip(")"))
-    assert aprec >= prec
-    e, expected = _li_partial_sum(k, Fraction(z), p, aprec, dagger)
-    assert _scaled_value(check["value"], p, e) % p ** (aprec + e) == expected
+    assert check["tolerance"] == f"O({p}^{prec})"
+    e, expected = _li_partial_sum(k, Fraction(z), p, prec, dagger)
+    assert _scaled_value(check["value"], p, e) % p ** (prec + e) == expected
 
 
 @pytest.mark.parametrize("word", ["AXB", "ABAB"])
@@ -566,10 +591,12 @@ def test_series_parse_rejects_bad_words(word):
 # the relations value when each expression came to list its terms in basis
 # order; all three when multiple zeta values became integer Hölder sums:
 # the largest w7 row residual fell from 4.7e-14 to 3.3e-16, pentagon w5 from
-# 4.7e-13 to 5.8e-15 and hexagon w6 from 1.7e-12 to 1.7e-14)
+# 4.7e-13 to 5.8e-15 and hexagon w6 from 1.7e-12 to 1.7e-14); the relations
+# value when each row's tolerance came from its values' bounds (1e-05 became
+# 5.7e-17 to 1.1e-14, every residual unchanged)
 BATCHED_NUMERIC_SHA256 = {
     ("mzv", "relations", "--weight", "7", "--check-numeric", "--format", "json"):
-        "47b7b28cc3b8cb40a025833a0a0afae84184c565079b29f8c3255d35f43e5249",
+        "e03e892ca1c558a0559a21068117aa7ab1ed19b4f089c4ee057e333ed11c6b85",
     ("assoc", "verify", "--identity", "pentagon", "--weight", "5"):
         "b048742cf1fd24a04472af9837a6fcb1acafcfadf49c665370defbe5bdade69a",
     ("assoc", "verify", "--identity", "hexagon", "--weight", "6"):

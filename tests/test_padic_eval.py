@@ -1,51 +1,54 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from mzv.padic_eval import OutsideDiskError, _lost_digits, known_to, padic_li_dagger, padic_polylog
-from mzv.padics import PadicNumber, _int_valuation, padic_log
+from mzv.padic_eval import OutsideDiskError, _plan, padic_polylog
+from mzv.padics import PadicNumber, _int_valuation
 
-from padic_reference import _guard, padic_mpl2, polylog_reference
+from padic_reference import padic_log, padic_mpl2, polylog_reference
 
 
-def _disk_point(rng, p, prec=30):
+def _disk_point(rng, p):
     num = p * rng.randint(1, 40)
     den = rng.choice([d for d in range(1, 50) if d % p])
-    return PadicNumber.from_rational(Fraction(num, den), p, prec), Fraction(num, den)
+    return Fraction(num, den)
+
+
+def _digits(x: PadicNumber):
+    return x.p, x.val, x.unit, x.aprec
 
 
 def test_polylog_at_zero():
-    z = PadicNumber.zero(5, 30)
-    assert padic_polylog(3, z).is_zero()
-    assert padic_li_dagger(2, z).is_zero()
-    assert padic_mpl2(1, 2, z).is_zero()
+    assert _digits(padic_polylog(3, 0, 5, 30)) == _digits(PadicNumber.zero(5, 30))
+    assert padic_polylog(2, Fraction(0), 5, 30, skip_p_multiples=True).is_zero()
+    assert padic_mpl2(1, 2, PadicNumber.zero(5, 30)).is_zero()
 
 
 def test_outside_disk_rejected():
-    z = PadicNumber.from_rational(Fraction(7), 5, 20)
-    for fn in (lambda: padic_polylog(2, z), lambda: padic_li_dagger(2, z), lambda: padic_mpl2(1, 2, z)):
-        with pytest.raises(OutsideDiskError):
-            fn()
+    for z in (7, Fraction(1, 5), Fraction(3, 2)):
+        for fn in (lambda: padic_polylog(2, z, 5, 20), lambda: padic_polylog(2, z, 5, 20, skip_p_multiples=True),
+                   lambda: padic_mpl2(1, 2, PadicNumber.from_rational(z, 5, 20)),
+                   lambda: polylog_reference(2, z, 5, 20)):
+            with pytest.raises(OutsideDiskError):
+                fn()
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_li1_is_minus_log_one_minus_z(p):
     rng = random.Random(p)
     for _ in range(6):
-        z, zq = _disk_point(rng, p)
+        zq = _disk_point(rng, p)
         one_minus = PadicNumber.from_rational(1 - zq, p, 30)
         # 1 - z is a 1-unit, so the branch does not enter
-        assert (padic_polylog(1, z) + padic_log(one_minus)).is_zero()
+        assert (padic_polylog(1, zq, p, 30) + padic_log(one_minus)).is_zero()
 
 
 def test_against_independent_reference():
     for p, k in ((5, 2), (3, 3), (7, 1)):
         zq = Fraction(p, p + 2)
-        z = PadicNumber.from_rational(zq, p, 20)
-        direct = padic_polylog(k, z)
-        ref = polylog_reference(k, zq, p, 20)
-        assert (direct - ref).is_zero()
+        assert padic_polylog(k, zq, p, 20) == polylog_reference(k, zq, p, 20)
     # at p = 2, k = 16 the term n = 128 has valuation 128 - 16*7 = 16, so a
     # partial sum that stops before it is wrong modulo 2^20
     zq, acc = Fraction(38, 7), Fraction(0)
@@ -59,20 +62,21 @@ def test_against_independent_reference():
 def test_dagger_equals_frobenius_combination(p, k):
     rng = random.Random(100 * p + k)
     for _ in range(3):
-        z, _ = _disk_point(rng, p)
-        lhs = padic_li_dagger(k, z)
-        rhs = padic_polylog(k, z) - padic_polylog(k, z**p) / Fraction(p) ** k
+        zq = _disk_point(rng, p)
+        lhs = padic_polylog(k, zq, p, 30, skip_p_multiples=True)
+        rhs = padic_polylog(k, zq, p, 30) - padic_polylog(k, zq**p, p, 30 + k).shift(-k)
         diff = lhs - rhs
-        assert diff.is_zero() and diff.aprec >= 20
+        assert diff.is_zero() and diff.aprec == 30
 
 
 def test_depth2_shuffle_identities():
     # C_B^2 = 2 C_BB and the (B, AB) interleaving at the function level
     for p in (3, 5):
         rng = random.Random(p)
-        z, _ = _disk_point(rng, p)
-        li1 = padic_polylog(1, z)
-        li2 = padic_polylog(2, z)
+        zq = _disk_point(rng, p)
+        z = PadicNumber.from_rational(zq, p, 30)
+        li1 = padic_polylog(1, zq, p, 30)
+        li2 = padic_polylog(2, zq, p, 30)
         assert (li1 * li1 - 2 * padic_mpl2(1, 1, z)).is_zero()
         assert (li1 * li2 - padic_mpl2(2, 1, z) - 2 * padic_mpl2(1, 2, z)).is_zero()
 
@@ -81,12 +85,12 @@ def test_depth2_identities_emitted_by_shuffle_module():
     # every depth-<=2 identity from the word-level expansion evaluates to 0
     from mzv.shufflealg import index_of_word, shuffle_words, word_of_index
 
-    p = 5
-    z = PadicNumber.from_rational(Fraction(5, 7), p, 30)
+    p, zq = 5, Fraction(5, 7)
+    z = PadicNumber.from_rational(zq, p, 30)
 
     def li(entries):
         if len(entries) == 1:
-            return padic_polylog(entries[0], z)
+            return padic_polylog(entries[0], zq, p, 30)
         return padic_mpl2(entries[0], entries[1], z)
 
     for i in ((1,), (2,)):
@@ -104,28 +108,27 @@ def test_depth2_identities_emitted_by_shuffle_module():
 
 
 def test_higher_precision_confirms_claimed_digits():
-    p, k = 5, 2
-    zq = Fraction(5, 7)
-    lo = padic_polylog(k, PadicNumber.from_rational(zq, p, 18))
-    hi = padic_polylog(k, PadicNumber.from_rational(zq, p, 34))
+    p, k, zq = 5, 2, Fraction(5, 7)
+    lo, hi = padic_polylog(k, zq, p, 18), padic_polylog(k, zq, p, 34)
+    assert (lo.aprec, hi.aprec) == (18, 34)
     assert (hi - lo).is_zero()  # compared at min precision
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_known_to_keeps_the_requested_digits(p):
-    # at large k the series lose digits of z to the denominators n^k; known_to
-    # gives an exact z enough digits, checked against the exact partial sum
+    # at large k the denominators n^k reach far below p^0; the value is still
+    # known to exactly the requested digits, checked against the exact sum
     rng = random.Random(40 + p)
     for k in (6, 11, 16):
         den = rng.choice([d for d in range(1, 40) if d % p])
         zq = Fraction(p ** rng.randint(1, 2) * rng.randint(1, 20), den)
-        value = known_to(20, padic_polylog, k, zq, p)
-        assert value.aprec >= 20
-        assert value == polylog_reference(k, zq, p, 20)
-        assert known_to(20, padic_li_dagger, k, zq, p).aprec >= 20
-    assert known_to(20, padic_polylog, 16, Fraction(0), p).is_zero()
+        for dagger in (False, True):
+            value = padic_polylog(k, zq, p, 20, skip_p_multiples=dagger)
+            assert value.aprec == 20
+            assert value == polylog_reference(k, zq, p, 20, skip_p_multiples=dagger)
+    assert padic_polylog(16, Fraction(0), p, 20).is_zero()
     with pytest.raises(OutsideDiskError):
-        known_to(20, padic_polylog, 3, Fraction(1, p + 1), p)
+        padic_polylog(3, Fraction(1, p + 1), p, 20)
 
 
 def test_shift_multiplies_by_a_power_of_p_exactly():
@@ -138,94 +141,52 @@ def test_shift_multiplies_by_a_power_of_p_exactly():
     assert zero.is_zero() and zero.aprec == 14
 
 
-def _polylog_by_terms(k, z, skip_p_multiples=False):
-    """The term-by-term PadicNumber sum padic_polylog replaced: z^n, then n^k
-    read at the precision of z^n, then the quotient, added until ten
-    consecutive summed terms have valuation at least aprec."""
-    p, aprec = z.p, z.aprec
-    if z.is_zero():
-        return PadicNumber.zero(p, aprec)
-
-    def terms():
-        zn = PadicNumber.from_rational(1, p, aprec + _guard(p, aprec, k))
-        n = 0
-        while True:
-            n += 1
-            zn = zn * z
-            if skip_p_multiples and n % p == 0:
-                continue
-            yield zn / PadicNumber.from_rational(Fraction(n) ** k, p, zn.aprec)
-
-    acc, flat = PadicNumber.zero(p, aprec), 0
-    for t in terms():
-        acc = acc + t
-        if t.is_zero() or t.valuation() >= aprec:
-            flat += 1
-            if flat >= 10:
-                break
-        else:
-            flat = 0
-    return acc
+def _last_term_below(k, p, v, prec, dagger):
+    """The largest summed n whose term z^n / n^k has valuation below prec,
+    by brute force past the point where n v - k log_p n >= prec."""
+    last, n = 0, 1
+    while n <= 4 * (prec + k * 8):  # n v - k log_p n >= prec well before this
+        j = _int_valuation(n, p)
+        if not (dagger and j) and n * v - k * j < prec:
+            last = n
+        n += 1
+    return last
 
 
-def _outcome(fn, *args):
-    try:
-        value = fn(*args)
-    except ZeroDivisionError as exc:
-        return "ZeroDivisionError", str(exc)
-    return value.p, value.val, value.unit, value.aprec
+# --p 13 --k 12 --z 13/2 --prec 2 was wrong from 13^1 (n = 13 was never
+# summed), --p 2 --k 3 --z 2 --prec 1000 from 2^994 (n = 1024), --p 11 --k 16
+# --z 11 --prec 100 from 11^89 (n = 121) and --p 7 --k 10 --z -182/23 --prec
+# 1000 at 7^999, when the sum stopped after ten consecutive terms past prec
+REPRODUCERS = [(13, 12, Fraction(13, 2), 2), (2, 3, Fraction(2), 1000), (11, 16, Fraction(11), 100),
+               (7, 10, Fraction(-182, 23), 1000)]
 
 
 def test_polylog_is_bit_identical_to_the_term_by_term_sum():
-    rng = random.Random(2024)
-    raised = 0
-    for _ in range(2000):
-        p, k, v = rng.choice([2, 3, 5, 7, 11]), rng.randint(1, 16), rng.randint(1, 3)
-        prec, dagger = rng.choice([1, 5, 20, 60, 120]), rng.random() < 0.5
+    """Exactly prec digits, equal to the exact rational partial sum modulo
+    p^prec, with the last summed term the last one below p^prec."""
+    rng = random.Random(2026)
+    cases = [(p, k, zq, prec, dagger) for p, k, zq, prec in REPRODUCERS for dagger in (False, True)]
+    for p in (2, 3, 5, 7, 11, 13, 101):
+        cases += [(p, 16, Fraction(0), 20, dagger) for dagger in (False, True)]
+    while len(cases) < 2100:
+        p, k, v = rng.choice([2, 3, 5, 7, 11, 13, 101]), rng.randint(1, 16), rng.randint(1, 3)
+        prec, dagger = rng.randint(1, 120), rng.random() < 0.5
         den = rng.choice([d for d in range(1, 100) if d % p])
         zq = Fraction(rng.choice([1, -1]) * p**v * rng.choice([x for x in range(1, 200) if x % p]), den)
-        z = PadicNumber.from_rational(zq, p, prec)
-        expected = _outcome(_polylog_by_terms, k, z, dagger)
-        assert _outcome(padic_polylog, k, z, dagger) == expected, (p, k, zq, prec, dagger)
-        raised += expected[0] == "ZeroDivisionError"
-    # both outcomes are exercised: values and the same division-by-zero error
-    assert 0 < raised < 200
-
-
-def test_known_to_sums_the_exact_lift_to_the_term_by_term_digits():
-    # known_to sums z = P/Q itself, a lift of PadicNumber.from_rational(z, p,
-    # prec + loss); the reported value must not depend on the lift
-    rng = random.Random(2025)
-    cases = []
-    for _ in range(2000):
-        p, k, v = rng.choice([2, 3, 5, 7, 11]), rng.randint(1, 16), rng.randint(1, 3)
-        den = rng.choice([d for d in range(1, 100) if d % p])
-        zq = Fraction(rng.choice([1, -1]) * p**v * rng.choice([x for x in range(1, 200) if x % p]), den)
-        cases.append((p, k, zq, rng.choice([1, 5, 20, 60, 120, 400]), rng.random() < 0.5))
-    for p in (2, 3, 5, 7, 11):
-        cases.append((p, 16, Fraction(0), 20, False))
-        # a lift wider than the Horner modulus
-        wide = Fraction(-p * (p * rng.getrandbits(3000) + 1), p * rng.getrandbits(2000) + 1)
-        cases += [(p, k, wide, prec, dagger) for k, prec, dagger in ((2, 20, False), (16, 60, True))]
-        # a z whose valuation is at least prec + loss reads as O(p^(prec + loss))
-        for k, prec in ((1, 1), (3, 2), (16, 5)):
-            v = prec + _lost_digits(k, prec, p)
-            cases += [(p, k, Fraction(p**v, 7 if p != 7 else 5), prec, dagger) for dagger in (False, True)]
+        cases.append((p, k, zq, prec, dagger))
+    start = time.monotonic()
     for p, k, zq, prec, dagger in cases:
-        series = padic_li_dagger if dagger else padic_polylog
-        v = _int_valuation(zq.numerator, p) - _int_valuation(zq.denominator, p) if zq else prec
-        z = PadicNumber.from_rational(zq, p, prec + _lost_digits(k, v, p))
-        expected = _outcome(_polylog_by_terms, k, z, dagger)
-        assert _outcome(known_to, prec, series, k, zq, p) == expected, (p, k, zq, prec, dagger)
-        # the added digits are the ones whose loss would divide by a p-adic zero
-        assert expected[0] != "ZeroDivisionError" and expected[3] >= prec, (p, k, zq, prec, dagger)
-
-
-def test_lift_must_be_congruent_to_z():
-    z = PadicNumber.from_rational(Fraction(5, 7), 5, 20)
-    assert padic_polylog(3, z, lift=Fraction(5 + 5**20, 7)) == padic_polylog(3, z)
-    with pytest.raises(ValueError):
-        padic_polylog(3, z, lift=Fraction(5 + 5**19, 7))
+        value = padic_polylog(k, zq, p, prec, skip_p_multiples=dagger)
+        assert value.aprec == prec, (p, k, zq, prec, dagger)
+        expected = polylog_reference(k, zq, p, prec, skip_p_multiples=dagger)
+        assert _digits(value) == _digits(expected), (p, k, zq, prec, dagger)
+        if zq:
+            v = _int_valuation(zq.numerator, p)
+            plan = _plan(k, p, v, prec, dagger)
+            last = 1 + sum(d for _, _, d in plan[2]) if plan else 0
+            if prec <= 120:
+                assert last == _last_term_below(k, p, v, prec, dagger), (p, k, zq, prec, dagger)
+    assert time.monotonic() - start < 10.0
 
 
 def test_exact_operands_never_limit_the_precision():
@@ -234,7 +195,6 @@ def test_exact_operands_never_limit_the_precision():
     assert (x / 27).aprec == 7 and x / 27 == PadicNumber.from_rational(Fraction(1, 54), 3, 7)
     # Li_16(z^3) / 3^16 used to read 3^16 at the quotient's own absolute
     # precision, as zero, and raise "division by a p-adic zero"
-    z = PadicNumber.from_rational(Fraction(3, 2), 3, 30)
-    big = padic_polylog(16, z**3)
+    big = padic_polylog(16, Fraction(27, 8), 3, 30)
     assert big / Fraction(3) ** 16 == big.shift(-16)
     assert (big / Fraction(3) ** 16).aprec == big.shift(-16).aprec

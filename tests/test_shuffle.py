@@ -344,7 +344,8 @@ def test_product_rows_vanish_numerically():
     assert [r.provenance for r in products] == ["shuffle product of zeta[1,2]*zeta[2]^2",
                                                 "shuffle product of zeta[2]^2*zeta[3]"]
     for row in products:
-        assert abs(evaluate_relation_row(row)) < 1e-9, row.provenance
+        residual, tolerance = evaluate_relation_row(row)
+        assert abs(residual) <= tolerance < 1e-13, row.provenance
 
 
 def test_rows_are_weight_homogeneous_and_nonzero():
@@ -359,7 +360,8 @@ def test_rows_vanish_numerically():
 
     for w in (3, 4, 5):
         for row in generate_double_shuffle(w):
-            assert abs(evaluate_relation_row(row)) < 1e-6, row.provenance
+            residual, tolerance = evaluate_relation_row(row)
+            assert abs(residual) <= tolerance < 1e-13, row.provenance
 
 
 def test_reduce_relations_empty_input():
