@@ -1,5 +1,5 @@
-"""Associator-type group-like series, their twisted composition law, and
-the machinery that verifies the worked identities.
+"""Associator-type group-like series, their twisted quotients, and the
+machinery that verifies the worked identities.
 
 Symbolic associators are parameterized by free character coordinates
 (lambda symbols) on Lyndon words of weight >= 2; zeta symbols of every
@@ -15,13 +15,12 @@ and logarithms, log(z^p) to p log z and log|z|^2 to log z + log zbar.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 
 from .braid import BraidElement, evaluate_series
-from .rings import SYMBOLIC, Ring, complex_ring
-from .series import NCSeries, character_series, is_group_like
+from .rings import SYMBOLIC, complex_ring
+from .series import NCSeries, character_series
 from .shufflealg import admissible_indices, index_of_word, word_of_index
 from .symbols import (
     ARG_ABS_Z_SQ,
@@ -46,78 +45,18 @@ MINUS_KZ = "minus_KZ"
 SYMBOLIC_LAMBDA = "symbolic_lambda"
 FLAVORS = (COMPLEX_KZ, PADIC_KZ, PADIC_DELIGNE, MINUS_KZ, SYMBOLIC_LAMBDA)
 
-# -- Grothendieck-Teichmueller pairs ------------------------------------------
-
-
-@dataclass(frozen=True)
-class GTPair:
-    c: object
-    g: NCSeries
-
-    def validate(self) -> "GTPair":
-        ring = self.g.ring
-        if not ring.is_unit(self.c):
-            raise ValueError("the scalar of a GT pair must be invertible")
-        for letter in ("A", "B"):
-            if not ring.is_zero(self.g[letter]):
-                raise ValueError("GT pair series must have vanishing letter coefficients")
-        if not is_group_like(self.g):
-            raise ValueError("GT pair series must be group-like")
-        return self
-
-
-def gt_unit(ring: Ring, truncation: int) -> GTPair:
-    return GTPair(ring.one, NCSeries.one(ring, truncation))
+# -- the twisted substitution ----------------------------------------------------
 
 
 def twisted_substitution(f: NCSeries, g: NCSeries, s) -> NCSeries:
-    """f(sA, g^-1 (sB) g): the substitution behind the composition law, the
-    Frobenius and conjugation quotients and the comparison identity."""
+    """f(sA, g^-1 (sB) g): the substitution behind the Frobenius and
+    conjugation quotients and the comparison identity."""
     ring = f.ring
     n = min(f.truncation, g.truncation)
     s = ring.from_fraction(s) if isinstance(s, (int, Fraction)) else s
     img_a = NCSeries.letter(ring, "A", n, coeff=s)
     img_b = g.invert() * NCSeries.letter(ring, "B", n, coeff=s) * g
     return f.substitute(img_a, img_b)
-
-
-def gt_compose(p2: GTPair, p1: GTPair) -> GTPair:
-    """(c2,g2) o (c1,g1) = (c1 c2, g2 * g1(A/c2, g2^-1 (B/c2) g2))."""
-    ring = p2.g.ring
-    if not ring.compatible(p1.g.ring):
-        raise ValueError("GT pairs over incompatible rings")
-    if not ring.is_unit(p2.c):
-        raise ValueError("the scalar of a GT pair must be invertible")
-    return GTPair(p1.c * p2.c, p2.g * twisted_substitution(p1.g, p2.g, ring.invert(p2.c)))
-
-
-def substitution_preimage(target: NCSeries, g: NCSeries, s) -> NCSeries:
-    """Solve twisted_substitution(h, g, s) == target, one weight per pass.
-
-    The scale s must be a unit.  Invariant: a word w maps to s^|w| w plus
-    words of higher weight, so the weight-k part of the substitution of h
-    is s^k h_k plus terms that depend on h only through its weights < k.
-    With h exact below weight k, the weight-k part of target minus the
-    substitution of h at truncation k, divided by s^k, is h_k; the preimage
-    is unique.
-    """
-    ring = target.ring
-    if not ring.is_unit(s):
-        raise ValueError("the twisted substitution needs a unit scale")
-    s_inv = ring.invert(s)
-    coeffs = target.weight_part(0)  # the substitution fixes the constant term
-    scale = s_inv  # s^-k
-    for k in range(1, target.truncation + 1):
-        image = twisted_substitution(NCSeries(ring, k, coeffs), g, s)
-        residual = (target.truncate(k) - image).weight_part(k)
-        coeffs.update((w, c * scale) for w, c in residual.items())
-        scale = scale * s_inv
-    return NCSeries(ring, target.truncation, coeffs)
-
-
-def gt_invert(p: GTPair) -> GTPair:
-    c_inv = p.g.ring.invert(p.c)
-    return GTPair(c_inv, substitution_preimage(p.g.invert(), p.g, c_inv))
 
 
 # -- symbolic and numeric associator builders ----------------------------------
@@ -341,7 +280,7 @@ def verify_kz_equation(g: NCSeries, p: int | None = None,
     return NCSeries(SYMBOLIC, n, {w: canonicalize_li_symbols(c, n, p) for w, c in residual.coeffs.items()})
 
 
-# -- defining relations of the twisted composition group -------------------------
+# -- defining relations: duality, hexagon and pentagon ---------------------------
 
 
 def duality_residual(phi: NCSeries) -> NCSeries:
@@ -385,39 +324,6 @@ def pentagon_residual(phi: NCSeries) -> BraidElement:
 
 def complex_hexagon_scale() -> complex:
     return 2j * math.pi
-
-
-# -- Lie leading terms -------------------------------------------------------------
-
-
-def ad_power_bracket(m: int, ring: Ring, truncation: int) -> NCSeries:
-    """(ad A)^(m-1)(B) expanded in words."""
-    coeffs = {}
-    for j in range(m):
-        coeffs["A" * (m - 1 - j) + "B" + "A" * j] = ring.from_fraction(Fraction((-1) ** j * math.comb(m - 1, j)))
-    return NCSeries(ring, truncation, coeffs)
-
-
-def lie_leading_term(phi: NCSeries, m: int):
-    """Coefficient of A^(m-1) B in log(phi) and the matching coordinate on
-    (ad A)^(m-1)(B) in the Lie basis.
-
-    The single-B weight-m part of a Lie series is a multiple of the
-    iterated bracket, so the two agree; the full single-B part is checked
-    against the bracket expansion.
-    """
-    if m < 2 or m > phi.truncation:
-        raise ValueError("need 2 <= m <= truncation")
-    ring = phi.ring
-    log_phi = phi.log()
-    lead = log_phi["A" * (m - 1) + "B"]
-    bracket = ad_power_bracket(m, ring, phi.truncation)
-    for w, c in bracket.coeffs.items():
-        got = log_phi[w]
-        want = lead * c
-        if not ring.is_zero(got - want):
-            raise AssertionError(f"single-B part of log(phi) at weight {m} is not a bracket multiple")
-    return lead, lead
 
 
 # -- worked-identity formulas -----------------------------------------------------

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-import itertools
 
 from .series import _substitute_letters
 
@@ -63,22 +62,6 @@ def generator_form(i: int, j: int) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _quadratic_relations() -> tuple[dict[Monomial, int], ...]:
-    """[X_ij, X_kl] for the disjoint pairs, in the free letters."""
-    rels = []
-    for a, b in itertools.combinations(_FORMS, 2):
-        if set(a) & set(b):
-            continue
-        row: dict[Monomial, int] = {}
-        for k1, c1 in _FORMS[a]:
-            for k2, c2 in _FORMS[b]:
-                row[(k1, k2)] = row.get((k1, k2), 0) + c1 * c2
-                row[(k2, k1)] = row.get((k2, k1), 0) - c1 * c2
-        rels.append({m: c for m, c in row.items() if c})
-    return tuple(rels)
-
-
-@lru_cache(maxsize=None)
 def _split(m: Monomial) -> tuple[Monomial, Monomial]:
     """A standard monomial as its fibre word and its base word."""
     k = len(m)
@@ -114,6 +97,7 @@ def _product(m1: Monomial, m2: Monomial):
     return ((f1 + mid + b2, k) for mid, k in _move_right(b1, f2))
 
 
+# no caller in mzv: perfbench/tracer.py times it as `braid.reduce` (tests/test_perfbench_contract.py)
 def reduce_monomial_dict(coeffs: dict[Monomial, object]) -> dict[Monomial, object]:
     """Write an element given on arbitrary words in standard monomials, one
     letter at a time.  Coefficients of any kind (float, complex, Fraction,
@@ -132,11 +116,6 @@ def reduce_monomial_dict(coeffs: dict[Monomial, object]) -> dict[Monomial, objec
                 add = c * k
                 out[m] = out[m] + add if m in out else add
     return out
-
-
-def graded_dimension(degree: int) -> int:
-    """The number of standard monomials of one degree."""
-    return sum(_FIBRE ** i * (len(FREE_LETTERS) - _FIBRE) ** (degree - i) for i in range(degree + 1))
 
 
 class BraidElement:
@@ -196,9 +175,6 @@ class BraidElement:
                     add = c * k
                     out[m] = out[m] + add if m in out else add
         return BraidElement(cap, out)
-
-    def commutator(self, other: "BraidElement") -> "BraidElement":
-        return self * other - other * self
 
     def max_abs(self) -> float:
         return max((abs(c) for c in self.coeffs.values()), default=0.0)

@@ -20,6 +20,12 @@ import click
 CONTEXT_SETTINGS = {"auto_envvar_prefix": "ASSOCIATOR", "help_option_names": ["-h", "--help"]}
 
 _IDENTITIES = ("dual", "hexagon", "pentagon", "netherland", "czech", "moldova", "kz", "princeton")
+# the identities whose checks involve no prime
+_PRIMELESS = ("dual", "hexagon", "pentagon", "moldova", "kz")
+
+# the accuracy `sv polylog` reports, |error| <= SV_TOLERANCE * max(1, |value|):
+# each disk series is cut where its tail falls below 1e-12
+SV_TOLERANCE = 1e-9
 
 # the cost of one `padic verify-spain` run, in units of 0.15 ms: on a 2-vCPU box
 # a check at b = prec * p.bit_length() bits takes about 0.1 + 1.2 b/1000 +
@@ -268,6 +274,10 @@ def assoc():
 def _verify_identity(identity: str, weight: int, p: int | None, flavor: str, tolerance: float) -> list[dict]:
     from . import associator as asc
 
+    if p is not None and identity in _PRIMELESS:
+        raise click.UsageError(f"--identity {identity} takes no --p")
+    if flavor == "padic_KZ" and identity != "hexagon":
+        raise click.UsageError("--flavor padic_KZ is only read by --identity hexagon")
     checks: list[dict] = []
 
     def exact(name, is_zero, detail=None):
@@ -284,7 +294,7 @@ def _verify_identity(identity: str, weight: int, p: int | None, flavor: str, tol
         if identity == "pentagon" and weight > MAX_PENTAGON_WEIGHT:
             raise click.UsageError(f"--weight {weight} is past the pentagon's limit of {MAX_PENTAGON_WEIGHT}")
         if flavor == "padic_KZ":
-            if weight != 2 or identity != "hexagon":
+            if weight != 2:
                 raise click.UsageError("the symbolic relations are exposed at weight 2 for the hexagon")
             phi = asc.build_symbolic_associator("p", 2)
             constraint = asc.hexagon_residual(phi, 0)["AB"]
@@ -486,21 +496,20 @@ def sv():
 @sv.command("polylog")
 @click.option("--k", type=int, required=True, callback=_weight)
 @click.option("--z", required=True, help="complex point, e.g. 0.3+0.2i")
-@click.option("--tolerance", default=1e-9, show_default=True, callback=_tolerance)
 @click.option("--zagier", is_flag=True, help="also print the Bernoulli-weighted projection")
 @click.option("--pretty", is_flag=True)
 @_internal_errors
-def sv_polylog_cmd(k, z, tolerance, zagier, pretty):
+def sv_polylog_cmd(k, z, zagier, pretty):
     """Evaluate the single-valued polylogarithm at a disk point."""
     from .arch_eval import sv_polylog, zagier_p
 
     zc = _parse_complex(z)
     val = sv_polylog(k, zc)
     checks = [{"name": f"Li_minus[{k}]({z})", "status": "pass",
-               "value": f"{val.real!r}{val.imag:+}j", "tolerance": tolerance}]
+               "value": f"{val.real!r}{val.imag:+}j", "tolerance": SV_TOLERANCE}]
     if zagier:
         checks.append({"name": f"P[{k}]({z})", "status": "pass",
-                       "value": zagier_p(k, zc), "tolerance": tolerance})
+                       "value": zagier_p(k, zc), "tolerance": SV_TOLERANCE})
     _emit(_report("sv polylog", checks), pretty)
 
 
@@ -520,9 +529,11 @@ def series():
 @_internal_errors
 def series_dump(flavor, weight, p):
     """Serialize a built series to canonical JSON on stdout."""
-    from .associator import build_associator
+    from .associator import PADIC_DELIGNE, build_associator
     from .serialize import series_to_json
 
+    if p is not None and flavor != PADIC_DELIGNE:
+        raise click.UsageError(f"--flavor {flavor} takes no --p")
     click.echo(series_to_json(build_associator(flavor, weight, p)), nl=False)
 
 

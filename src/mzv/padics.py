@@ -232,25 +232,3 @@ class PadicNumber:
         body = " + ".join(parts) if parts else "0"
         return f"{body} + O({self.p}^{self.aprec})"
 
-
-def parse_padic(text: str, p: int, aprec: int) -> PadicNumber:
-    """Inverse of str() for serialization round trips."""
-    text = text.strip()
-    body, _, tail = text.rpartition("+ O(")
-    if not tail:
-        raise ValueError(f"not a p-adic literal: {text!r}")
-    if not body.strip():
-        return PadicNumber.zero(p, int(tail.rstrip(")").split("^")[1]) if "^" in tail else 1)
-    total = Fraction(0)
-    for part in body.split(" + "):
-        part = part.strip()
-        if not part or part == "0":
-            continue
-        if "*" in part:
-            d, pw = part.split("*")
-            base, _, exp = pw.partition("^")
-            total += Fraction(int(d)) * Fraction(int(base)) ** int(exp or 1)
-        else:
-            total += Fraction(int(part))
-    return PadicNumber.from_rational(total, p, aprec)
-

@@ -3,15 +3,14 @@
 A ring object describes how coefficients behave (zero/one, equality,
 units, embedding of the rationals) without wrapping the coefficient
 values themselves: rational coefficients are `fractions.Fraction`,
-symbolic ones are `SymbolPoly`, p-adic ones are `PadicNumber` and complex
-ones are the built-in `complex`.
+symbolic ones are `SymbolPoly` and complex ones are the built-in
+`complex`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .padics import DEFAULT_PRECISION, PadicNumber, parse_padic
 from .symbols import SymbolPoly, parse_symbol_poly
 
 
@@ -110,34 +109,6 @@ class SymbolicRing(Ring):
         return parse_symbol_poly(text)
 
 
-class PadicRing(Ring):
-    def __init__(self, p: int, precision: int = DEFAULT_PRECISION):
-        self.p = p
-        self.precision = precision
-        self.name = f"Q_{p} (prec {precision})"
-
-    def from_fraction(self, q):
-        return PadicNumber.from_rational(q, self.p, self.precision)
-
-    def is_zero(self, x):
-        return x.is_zero()
-
-    def is_unit(self, x):
-        return not x.is_zero()
-
-    def invert(self, x):
-        return 1 / x
-
-    def __eq__(self, other):
-        return isinstance(other, PadicRing) and other.p == self.p and other.precision == self.precision
-
-    def __hash__(self):
-        return hash((self.p, self.precision))
-
-    def coeff_parse(self, text):
-        return parse_padic(text, self.p, self.precision)
-
-
 class ComplexRing(Ring):
     """Double-precision complex numbers with tolerance-tagged equality:
     |x| <= tolerance is zero, so tolerance 0 keeps every nonzero float."""
@@ -176,10 +147,6 @@ class ComplexRing(Ring):
 
 QQ = RationalRing()
 SYMBOLIC = SymbolicRing()
-
-
-def padic_ring(p: int, precision: int = DEFAULT_PRECISION) -> PadicRing:
-    return PadicRing(p, precision)
 
 
 def complex_ring(tolerance: float = 1e-9) -> ComplexRing:

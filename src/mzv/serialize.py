@@ -8,8 +8,9 @@ rational and symbolic rings the round trip is bit-exact.
 from __future__ import annotations
 
 import json
+import math
 
-from .rings import QQ, SYMBOLIC, ComplexRing, PadicRing, RationalRing, Ring, SymbolicRing
+from .rings import QQ, SYMBOLIC, ComplexRing, RationalRing, Ring, SymbolicRing
 from .series import NCSeries
 from .words import Word, word_key
 
@@ -21,8 +22,6 @@ def ring_tag(ring: Ring) -> str:
         return "Q"
     if isinstance(ring, SymbolicRing):
         return "symbolic"
-    if isinstance(ring, PadicRing):
-        return f"Qp:{ring.p}:{ring.precision}"
     if isinstance(ring, ComplexRing):
         return f"C:{ring.tolerance!r}"
     raise ValueError(f"no tag for ring {ring!r}")
@@ -33,11 +32,11 @@ def ring_from_tag(tag: str) -> Ring:
         return QQ
     if tag == "symbolic":
         return SYMBOLIC
-    if tag.startswith("Qp:"):
-        _, p, prec = tag.split(":")
-        return PadicRing(int(p), int(prec))
     if tag.startswith("C:"):
-        return ComplexRing(float(tag.split(":", 1)[1]))
+        tolerance = float(tag.split(":", 1)[1])
+        if not (math.isfinite(tolerance) and tolerance >= 0):
+            raise ValueError(f"ring tag {tag!r} needs a finite tolerance >= 0")
+        return ComplexRing(tolerance)
     raise ValueError(f"unknown ring tag {tag!r}")
 
 
@@ -57,14 +56,25 @@ def series_to_json(f: NCSeries) -> str:
     return json.dumps(series_to_dict(f), indent=2, sort_keys=False) + "\n"
 
 
-def series_from_dict(data: dict) -> NCSeries:
+def series_from_dict(data) -> NCSeries:
+    """The series of a parsed document; a ValueError names the first field
+    that does not have the shape `series_to_dict` writes."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a series document is a JSON object, not {type(data).__name__}")
     if data.get("format") != FORMAT:
         raise ValueError(f"unsupported series format {data.get('format')!r}")
+    for key, kind, name in (("ring", str, "string"), ("truncation", int, "integer"), ("terms", list, "array")):
+        if not isinstance(data.get(key), kind) or isinstance(data[key], bool):
+            raise ValueError(f"series field {key!r} must be a JSON {name}")
     ring = ring_from_tag(data["ring"])
     coeffs = {}
-    for term in data["terms"]:
+    for i, term in enumerate(data["terms"]):
+        if not (isinstance(term, dict) and isinstance(term.get("word"), str) and isinstance(term.get("coeff"), str)):
+            raise ValueError(f"series field 'terms'[{i}] must be an object with string 'word' and 'coeff'")
+        if term["word"] in coeffs:
+            raise ValueError(f"series field 'terms'[{i}] repeats the word {term['word']!r}")
         coeffs[Word(term["word"])] = ring.coeff_parse(term["coeff"])
-    return NCSeries(ring, int(data["truncation"]), coeffs)
+    return NCSeries(ring, data["truncation"], coeffs)
 
 
 def series_from_json(text: str) -> NCSeries:

@@ -10,11 +10,10 @@ recursion, and one letter substitution also serves `braid.evaluate_series`.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .rings import Ring, RingMismatchError
 from .shufflealg import shuffle_words
-from .words import all_words, duval_factorization, is_lyndon, lyndon_words, word_key, words_up_to
+from .words import all_words, duval_factorization, is_lyndon, word_key, words_up_to
 
 DEFAULT_TRUNCATION = 5
 # hard cap; reassign to go higher (word counts double per weight)
@@ -68,9 +67,6 @@ class NCSeries:
 
     def constant_term(self):
         return self[""]
-
-    def weight_part(self, n: int) -> dict[str, object]:
-        return {w: c for w, c in self.coeffs.items() if len(w) == n}
 
     # -- ring plumbing ----------------------------------------------------
 
@@ -181,7 +177,7 @@ class NCSeries:
         images = {"A": img_a.truncate(n), "B": img_b.truncate(n)}
         return self._from(n, _substitute_letters(self, images, NCSeries.one(self.ring, n), n))
 
-    # -- exp / log ------------------------------------------------------------
+    # -- exp ------------------------------------------------------------------
 
     def exp(self) -> "NCSeries":
         if not self.ring.is_zero(self.constant_term()):
@@ -193,19 +189,6 @@ class NCSeries:
             if not term.coeffs:
                 break
             acc = acc + term
-        return acc
-
-    def log(self) -> "NCSeries":
-        if not self.ring.eq(self.constant_term(), self.ring.one):
-            raise ValueError("log is defined for series with constant term 1")
-        x = self - NCSeries.one(self.ring, self.truncation)
-        acc = NCSeries.zero(self.ring, self.truncation)
-        power = NCSeries.one(self.ring, self.truncation)
-        for k in range(1, self.truncation + 1):
-            power = power * x
-            if not power.coeffs:
-                break
-            acc = acc + power.scale(Fraction((-1) ** (k + 1), k))
         return acc
 
     # -- comparison and display -----------------------------------------------
@@ -256,42 +239,6 @@ def _substitute_letters(series: NCSeries, images: dict, one, cap: int) -> dict:
     return out
 
 
-@lru_cache(maxsize=None)
-def _word_splits(letters: str) -> tuple[tuple[str, str, int], ...]:
-    """All (left, right, multiplicity) splittings of a word under the coproduct
-    that makes both letters primitive."""
-    n = len(letters)
-    acc: dict[tuple[str, str], int] = {}
-    for mask in range(2**n):
-        left = "".join(letters[i] for i in range(n) if mask >> i & 1)
-        right = "".join(letters[i] for i in range(n) if not mask >> i & 1)
-        acc[(left, right)] = acc.get((left, right), 0) + 1
-    return tuple((l, r, m) for (l, r), m in acc.items())
-
-
-def coproduct(f: NCSeries) -> dict[tuple[str, str], object]:
-    """The coproduct with A and B primitive, truncated at f's weight, as
-    {(left, right): coefficient}."""
-    out: dict[tuple[str, str], object] = {}
-    for w, c in f.coeffs.items():
-        for left, right, mult in _word_splits(w):
-            key = (left, right)
-            add = c * mult
-            out[key] = out[key] + add if key in out else add
-    return out
-
-
-def is_group_like(f: NCSeries) -> bool:
-    """True iff f has constant term 1 and its coproduct equals f tensor f
-    coefficientwise up to the truncation."""
-    ring, n = f.ring, f.truncation
-    if not ring.eq(f.constant_term(), ring.one):
-        return False
-    cop = coproduct(f)
-    pairs = {(u, v) for u in f.coeffs for v in f.coeffs if len(u) + len(v) <= n}
-    return all(ring.eq(cop.get((u, v), ring.zero), f[u] * f[v]) for u, v in pairs | cop.keys())
-
-
 def character_series(assignments: dict[str, object], truncation: int, ring: Ring) -> NCSeries:
     """The unique group-like series whose shuffle character takes the given
     values on Lyndon words (missing words default to 0).
@@ -324,21 +271,3 @@ def character_series(assignments: dict[str, object], truncation: int, ring: Ring
             values[w] = acc if m == 1 else acc * ring.from_fraction(Fraction(1, m))
     return NCSeries(ring, truncation, values)
 
-
-def series_character(f: NCSeries) -> dict[str, object]:
-    """Restriction of f's coefficients to Lyndon words (the free coordinates)."""
-    return {w: f[w] for w in lyndon_words(f.truncation)}
-
-
-def random_series(ring: Ring, truncation: int, rng, constant=None) -> NCSeries:
-    """A random series for property tests: each nonempty word gets a small
-    rational coefficient with probability 0.7."""
-    coeffs: dict[str, object] = {}
-    if constant is not None:
-        coeffs[""] = ring.from_fraction(constant)
-    elif rng.random() < 0.8:
-        coeffs[""] = ring.from_fraction(Fraction(rng.randint(-3, 3)))
-    for w in words_up_to(truncation):
-        if w and rng.random() < 0.7:
-            coeffs[w] = ring.from_fraction(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
-    return NCSeries(ring, truncation, coeffs)

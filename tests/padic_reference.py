@@ -1,7 +1,8 @@
 """Test-only p-adic references: the depth-2 polylogarithm summed term by
 term in PadicNumber arithmetic, an exact rational partial sum of Li_k
-reduced once at the end, and the p-adic logarithm (the Li_1 = -log(1 - z)
-oracle).  Each series stops at a term bound proven from valuations."""
+reduced once at the end, the p-adic logarithm (the Li_1 = -log(1 - z)
+oracle), and a reader of printed p-adic values.  Each series stops at a
+term bound proven from valuations."""
 
 import math
 from fractions import Fraction
@@ -147,3 +148,26 @@ def _division_guard(p: int, aprec: int) -> int:
         n *= p
         g += 1
     return g
+
+
+def parse_padic(text: str, p: int, aprec: int) -> PadicNumber:
+    """The PadicNumber that str() printed as `text`, read to aprec digits."""
+    text = text.strip()
+    body, _, tail = text.rpartition("+ O(")
+    if not tail:
+        raise ValueError(f"not a p-adic literal: {text!r}")
+    if not body.strip():
+        return PadicNumber.zero(p, int(tail.rstrip(")").split("^")[1]) if "^" in tail else 1)
+    total = Fraction(0)
+    for part in body.split(" + "):
+        part = part.strip()
+        if not part or part == "0":
+            continue
+        if "*" in part:
+            d, pw = part.split("*")
+            base, _, exp = pw.partition("^")
+            total += Fraction(int(d)) * Fraction(int(base)) ** int(exp or 1)
+        else:
+            total += Fraction(int(part))
+    return PadicNumber.from_rational(total, p, aprec)
+

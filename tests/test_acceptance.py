@@ -11,12 +11,10 @@ from mzv.arch_eval import (
     evaluate_relation_row,
     log_abs_sq,
     mzv,
-    sv_depth2_direct,
     sv_polylog,
     zagier_p,
 )
 from mzv.associator import (
-    GTPair,
     build_numeric_kz,
     build_symbolic_associator,
     canonicalize_li_symbols,
@@ -29,7 +27,6 @@ from mzv.associator import (
     deligne_depth2_formula,
     duality_residual,
     g0_symbolic,
-    gt_compose,
     hexagon_residual,
     overconvergent_g0,
     pentagon_residual,
@@ -43,7 +40,7 @@ from mzv.associator import (
 )
 from mzv.padic_eval import padic_polylog
 from mzv.rings import QQ
-from mzv.series import NCSeries, character_series, is_group_like, series_character
+from mzv.series import NCSeries, character_series
 from mzv.shufflealg import (
     convergent_words,
     generate_double_shuffle,
@@ -55,7 +52,8 @@ from mzv.symbols import ARG_Z
 from mzv.words import Word, lyndon_words, words_up_to
 
 from character_recovery import recover_character
-from sv_reference import sv_depth2_book_residual
+from series_reference import gt_compose, is_group_like, series_character
+from sv_reference import sv_depth2_book_residual, sv_depth2_direct
 
 
 def _line(n, label, ok):
@@ -128,8 +126,8 @@ def test_criterion_3_single_valued_expansion():
 
 def test_criterion_4_defining_relations():
     phi = build_numeric_kz(4)
-    log_phi = phi.log()
-    ok = is_group_like(phi) and abs(log_phi["A"]) < 1e-6 and abs(log_phi["B"]) < 1e-6
+    # log phi = phi - 1 at the letters: (phi - 1)^k starts at weight k
+    ok = is_group_like(phi) and abs(phi["A"]) < 1e-6 and abs(phi["B"]) < 1e-6
     for rel in (duality_residual(phi), hexagon_residual(phi, complex_hexagon_scale())):
         ok &= max([abs(c) for c in rel.coeffs.values()], default=0.0) < 1e-6
     ok &= pentagon_residual(phi).max_abs() < 1e-6
@@ -242,12 +240,9 @@ def test_criterion_7_property_suites():
         for _ in range(3):
             assignments = {w: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                            for w in lyndon_words(4) if len(w) >= 2}
-            pairs.append(GTPair(Fraction(rng.choice([1, 2, -2, 3])),
-                                character_series(assignments, 4, QQ)))
+            pairs.append((Fraction(rng.choice([1, 2, -2, 3])), character_series(assignments, 4, QQ)))
         x, y, z = pairs
-        lhs = gt_compose(gt_compose(x, y), z)
-        rhs = gt_compose(x, gt_compose(y, z))
-        ok &= lhs.c == rhs.c and lhs.g == rhs.g
+        ok &= gt_compose(gt_compose(x, y), z) == gt_compose(x, gt_compose(y, z))
 
     _line(7, "group-likeness of all constructed series; 100 character round trips; "
              "recovery/character agreement; shuffle oracle <= 3+3; stuffle and "

@@ -11,17 +11,15 @@ from mzv.arch_eval import (
     InadmissibleIndexError,
     bernoulli,
     evaluate_relation_row,
-    evaluate_symbol_poly,
     log_abs_sq,
     mzv,
     mzv_numeric,
     polylog,
     polylog2,
-    sv_depth2_direct,
     sv_polylog,
     zagier_p,
 )
-from sv_reference import sv_depth2_book_residual
+from sv_reference import evaluate_symbol_poly, sv_depth2_book_residual, sv_depth2_direct
 
 ZETA3 = 1.2020569031595943
 

@@ -283,6 +283,66 @@ def test_sv_polylog_near_the_unit_circle_is_refused(monkeypatch):
     assert time.monotonic() - start < 5.0
 
 
+def test_sv_polylog_takes_no_tolerance(monkeypatch):
+    """The reported tolerance is the accuracy of the float evaluation, not a
+    setting: --tolerance is refused and its environment variable is not read."""
+    argv = ["polylog", "--k", "2", "--z", "0.3"]
+    assert _run(sv, [*argv, "--tolerance", "1e-30"]).exit_code == 2
+    default = _run(sv, argv)
+    assert _validated(default)["checks"][0]["tolerance"] == 1e-9
+    monkeypatch.setenv("ASSOCIATOR_SV_POLYLOG_TOLERANCE", "1e-30")
+    assert _run(sv, argv).output == default.output
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 16])
+@pytest.mark.parametrize("radius", [1e-3, 0.05, 0.5, 0.99, 0.999])
+def test_sv_polylog_is_within_its_reported_tolerance(radius, k):
+    """Both checks of `sv polylog --zagier` agree with 30-digit mpmath values
+    to the reported tolerance, relative above 1."""
+    mpmath = pytest.importorskip("mpmath")
+    for angle in (1.0, -2.5):
+        z = complex(radius * math.cos(angle), radius * math.sin(angle))
+        result = _run(sv, ["polylog", "--k", str(k), "--z", repr(z).strip("()"), "--zagier"])
+        assert result.exit_code == 0, result.output
+        li_minus, projection = _validated(result)["checks"]
+        with mpmath.workdps(30):
+            zz = mpmath.mpc(z.real, z.imag)
+            ell = 2 * mpmath.log(abs(zz))
+            want_li = mpmath.polylog(k, zz) - sum(
+                (-1) ** (k - a) * ell**a / mpmath.factorial(a) * mpmath.polylog(k - a, mpmath.conj(zz))
+                for a in range(k))
+            acc = sum(mpmath.bernoulli(a) / mpmath.factorial(a) * ell**a * mpmath.polylog(k - a, zz)
+                      for a in range(k))
+            want_p = acc.real if k % 2 else acc.imag
+        for check, want in ((li_minus, complex(want_li)), (projection, float(want_p))):
+            got = complex(check["value"])
+            assert abs(got - want) <= check["tolerance"] * max(1.0, abs(want)), (z, check["name"], got, want)
+
+
+@pytest.mark.parametrize("identity", ["dual", "hexagon", "pentagon", "moldova", "kz"])
+def test_assoc_verify_refuses_a_prime_it_would_not_read(identity):
+    result = _run(assoc, ["verify", "--identity", identity, "--weight", "3", "--p", "5"])
+    assert result.exit_code == 2, result.output
+    assert "takes no --p" in result.output
+
+
+@pytest.mark.parametrize("identity", ["dual", "pentagon", "netherland", "czech", "moldova", "kz", "princeton"])
+def test_assoc_verify_refuses_the_padic_flavor_off_the_hexagon(identity):
+    args = ["verify", "--identity", identity, "--weight", "3", "--flavor", "padic_KZ"]
+    if identity in ("netherland", "czech", "princeton"):
+        args += ["--p", "5"]
+    result = _run(assoc, args)
+    assert result.exit_code == 2, result.output
+    assert "--flavor padic_KZ" in result.output
+
+
+@pytest.mark.parametrize("flavor", ["complex_KZ", "padic_KZ", "minus_KZ", "symbolic_lambda"])
+def test_series_dump_refuses_a_prime_it_would_not_read(flavor):
+    result = _run(series, ["dump", "--flavor", flavor, "--weight", "3", "--p", "3"])
+    assert result.exit_code == 2, result.output
+    assert "takes no --p" in result.output
+
+
 def test_series_dump_parse_round_trip():
     dump = _run(series, ["dump", "--flavor", "padic_KZ", "--weight", "3"])
     assert dump.exit_code == 0
@@ -294,6 +354,44 @@ def test_series_dump_parse_round_trip():
 def test_series_parse_rejects_garbage():
     parsed = _run(series, ["parse", "-"], input="{}")
     assert parsed.exit_code == 2
+
+
+_TERM = {"word": "A", "coeff": "1"}
+
+
+@pytest.mark.parametrize("document, field", [
+    ([], "JSON object"),
+    ("ncseries/1", "JSON object"),
+    ({"format": "ncseries/1", "truncation": 2, "terms": []}, "'ring'"),
+    ({"format": "ncseries/1", "ring": "Q", "terms": []}, "'truncation'"),
+    ({"format": "ncseries/1", "ring": "Q", "truncation": "2", "terms": []}, "'truncation'"),
+    ({"format": "ncseries/1", "ring": "Q", "truncation": True, "terms": []}, "'truncation'"),
+    ({"format": "ncseries/1", "ring": "Q", "truncation": 2, "terms": 5}, "'terms'"),
+    ({"format": "ncseries/1", "ring": "Q", "truncation": 2, "terms": [5]}, "'terms'[0]"),
+    ({"format": "ncseries/1", "ring": "Q", "truncation": 2, "terms": [_TERM, {"word": "B"}]}, "'terms'[1]"),
+    ({"format": "ncseries/1", "ring": "Q", "truncation": 2, "terms": [{"word": 1, "coeff": "1"}]}, "'terms'[0]"),
+    ({"format": "ncseries/1", "ring": "Q", "truncation": 2, "terms": [{"word": "A", "coeff": 1}]}, "'terms'[0]"),
+    ({"format": "ncseries/1", "ring": "Q", "truncation": 2, "terms": [_TERM, _TERM]}, "'terms'[1] repeats"),
+    ({"format": "ncseries/1", "ring": "C:inf", "truncation": 2, "terms": [_TERM]}, "finite tolerance"),
+    ({"format": "ncseries/1", "ring": "C:-1", "truncation": 2, "terms": [_TERM]}, "finite tolerance"),
+    ({"format": "ncseries/1", "ring": "C:nan", "truncation": 2, "terms": [_TERM]}, "finite tolerance"),
+], ids=["array", "string", "no-ring", "no-truncation", "string-truncation", "bool-truncation",
+        "int-terms", "int-term", "no-coeff", "int-word", "int-coeff", "repeated-word",
+        "inf-tolerance", "negative-tolerance", "nan-tolerance"])
+def test_series_parse_names_the_malformed_field(document, field):
+    parsed = _run(series, ["parse", "-"], input=json.dumps(document))
+    assert parsed.exit_code == 2, parsed.output
+    assert field in parsed.output
+
+
+@pytest.mark.parametrize("tag", ["Qp:5:10", "Qp:4:3"])
+def test_series_parse_rejects_the_padic_ring_tag(tag):
+    """No `series dump` writes a p-adic series; the tag is not read."""
+    text = json.dumps({"format": "ncseries/1", "ring": tag, "truncation": 2,
+                       "terms": [{"word": "", "coeff": "1 + O(5^2)"}]})
+    parsed = _run(series, ["parse", "-"], input=text)
+    assert parsed.exit_code == 2, parsed.output
+    assert f"unknown ring tag {tag!r}" in parsed.output
 
 
 def test_series_parse_rejects_the_integer_ring_tag():
@@ -495,8 +593,7 @@ def test_numeric_evaluators_golden(argv):
 def test_padic_polylog_reports_the_requested_precision(p, k, z, prec):
     """The value of an exact rational z is known to exactly --prec digits and
     agrees with the exact partial sum there."""
-    from mzv.padics import parse_padic
-    from padic_reference import polylog_reference
+    from padic_reference import parse_padic, polylog_reference
 
     result = _run(padic, ["polylog", "--p", str(p), "--k", str(k), "--z", z, "--prec", str(prec)])
     assert result.exit_code == 0, result.output
@@ -632,8 +729,7 @@ def test_relation_identities_golden(argv):
 @pytest.mark.parametrize("group, argv", [
     (mzv, ["eval", "--index", "2"]),
     (assoc, ["verify", "--identity", "dual", "--weight", "2"]),
-    (sv, ["polylog", "--k", "2", "--z", "0.3"]),
-], ids=["mzv-eval", "assoc-verify", "sv-polylog"])
+], ids=["mzv-eval", "assoc-verify"])
 def test_tolerance_must_be_positive_and_finite(group, argv, value):
     """A NaN tolerance would pass or fail every check and is not valid JSON;
     every tolerance outside (0, inf) is a usage error."""

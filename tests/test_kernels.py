@@ -19,7 +19,7 @@ import pytest
 from mzv.associator import build_numeric_kz
 from mzv.braid import BraidElement, evaluate_series
 from mzv.rings import QQ, SYMBOLIC, complex_ring
-from mzv.series import NCSeries, coproduct, is_group_like, random_series
+from mzv.series import NCSeries
 from mzv.symbols import (
     ARG_ABS_Z_SQ,
     ARG_ONE_MINUS_Z,
@@ -39,12 +39,14 @@ from mzv.symbols import (
 )
 from mzv.words import all_words
 
+from series_reference import coproduct, is_group_like, random_series
+
 
 def _invert_reference(f: NCSeries) -> NCSeries:
     inv0 = f.ring.invert(f.constant_term())
     n = f.truncation
     out = {"": inv0}
-    by_weight = [f.weight_part(k) for k in range(n + 1)]
+    by_weight = [{w: c for w, c in f.coeffs.items() if len(w) == k} for k in range(n + 1)]
     for weight in range(1, n + 1):
         for w in all_words(weight):
             acc = None

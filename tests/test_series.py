@@ -6,19 +6,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mzv.rings import QQ, SYMBOLIC, RingMismatchError, complex_ring, padic_ring
-from mzv.series import (
-    NCSeries,
-    character_series,
-    coproduct,
-    is_group_like,
-    random_series,
-    series_character,
-)
+from mzv.rings import QQ, SYMBOLIC, RingMismatchError, complex_ring
+from mzv.series import NCSeries, character_series
 from mzv.serialize import series_from_json, series_to_json
 from mzv.shufflealg import shuffle_many, shuffle_words
 from mzv.symbols import LambdaSym, SymbolPoly
 from mzv.words import Word, all_words, duval_factorization, is_lyndon, lyndon_words
+
+from series_reference import coproduct, is_group_like, random_series, series_character
 
 
 def _letters(ring, n):
@@ -51,7 +46,7 @@ def test_exp_product_cancellation_to_weight_2():
 
 def test_mul_is_associative_randomized():
     rng = random.Random(2)
-    for ring in (QQ, padic_ring(3, 20)):
+    for ring in (QQ, SYMBOLIC):
         for _ in range(6):
             f, g, h = (random_series(ring, 4, rng) for _ in range(3))
             assert (f * g) * h == f * (g * h)
@@ -59,7 +54,7 @@ def test_mul_is_associative_randomized():
 
 def test_ring_mismatch():
     f = NCSeries.one(QQ, 3)
-    g = NCSeries.one(padic_ring(5), 3)
+    g = NCSeries.one(SYMBOLIC, 3)
     with pytest.raises(RingMismatchError):
         f * g
 
@@ -127,23 +122,9 @@ def test_substitute_rejects_constant_terms():
         f.substitute(one + a, b)
 
 
-def test_exp_log_round_trips():
-    a, b, _ = _letters(QQ, 5)
-    x = a + b
-    assert x.exp().log() == x
-    rng = random.Random(6)
-    for _ in range(6):
-        f = random_series(QQ, 4, rng, constant=0)
-        assert f.exp().log() == f
-        g = random_series(QQ, 4, rng, constant=1)
-        assert g.log().exp() == g
-
-
 def test_exp_requires_rationals_and_preconditions():
     with pytest.raises(ValueError):
         NCSeries.one(QQ, 3).exp()
-    with pytest.raises(ValueError):
-        NCSeries.zero(QQ, 3).log()
 
 
 def test_exp_of_primitive_is_group_like():
@@ -168,17 +149,6 @@ def test_coproduct_counit_and_duality():
                 continue
             want = sum(c * f[w] for w, c in shuffle_words(u, v).items())
             assert cp.get((u, v), 0) == want
-
-
-def test_log_coefficient_of_single_b_words_matches_series():
-    # for group-like f with vanishing letters, log(f)[A^(m-1) B] == f[A^(m-1) B]
-    rng = random.Random(8)
-    for m in (3, 4):
-        assignments = {w: Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-                       for w in lyndon_words(m) if len(w) >= 2}
-        f = character_series(assignments, m, QQ)
-        w = Word("A" * (m - 1) + "B")
-        assert f.log()[w] == f[w]
 
 
 def test_character_series_examples():
@@ -365,10 +335,12 @@ def test_invert_is_two_sided(f, c):
 
 @settings(max_examples=40, deadline=None)
 @given(steps=st.lists(st.tuples(st.sampled_from("AB"), _COEFF), max_size=4))
-def test_exp_log_round_trip_on_group_like(steps):
-    # a product of exponentials of letters is group-like
+def test_product_of_letter_exponentials_is_group_like(steps):
+    # its inverse is the reversed product of the negated exponentials
     f = NCSeries.one(QQ, _TRUNC)
+    inverse = NCSeries.one(QQ, _TRUNC)
     for letter, c in steps:
         f = f * NCSeries.letter(QQ, letter, _TRUNC, coeff=c).exp()
+        inverse = NCSeries.letter(QQ, letter, _TRUNC, coeff=-c).exp() * inverse
     assert is_group_like(f)
-    assert f.log().exp() == f
+    assert f.invert() == inverse

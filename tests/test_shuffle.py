@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from mzv.rings import QQ, SYMBOLIC
-from mzv.series import NCSeries, character_series, is_group_like
+from mzv.series import NCSeries, character_series
 from mzv.shufflealg import (
     ReductionResult,
     RelationRow,
@@ -35,6 +35,7 @@ from mzv.symbols import SymbolPoly, ZetaSym
 from mzv.words import Word, all_words, lyndon_words, words_up_to
 
 from character_recovery import InconsistentCharacterError, recover_character
+from series_reference import is_group_like
 
 
 def brute_shuffle(u: str, v: str) -> dict[str, int]:
