@@ -26,9 +26,6 @@ _FIBRE = 3
 
 Monomial = tuple[int, ...]
 
-# highest weight whose pentagon is checked: weight 7 takes ~5 s and ~115 MB on 2 CPUs
-MAX_PENTAGON_WEIGHT = 7
-
 # X_ij as an integer form in the free letters, solved from sum_j X_ij = 0
 _FORMS = {
     (1, 2): ((3, 1),),

@@ -23,6 +23,12 @@ _IDENTITIES = ("dual", "hexagon", "pentagon", "netherland", "czech", "moldova", 
 # the identities whose checks involve no prime
 _PRIMELESS = ("dual", "hexagon", "pentagon", "moldova", "kz")
 
+# the highest `assoc verify --weight` per identity, where a cold run on a 2-CPU
+# box stays within about 10 s and 1 GB: pentagon w7 ~5 s and 115 MB, hexagon
+# w13 6-10 s and 730 MB (w16 passed 7.6 GB), dual w14 3.4-6 s and 400 MB (w15
+# 15 s and 1.1 GB); past it the command exits 2 before any work
+MAX_VERIFY_WEIGHT = {"pentagon": 7, "hexagon": 13, "dual": 14}
+
 # the accuracy `sv polylog` reports, |error| <= SV_TOLERANCE * max(1, |value|):
 # each disk series is cut where its tail falls below 1e-12
 SV_TOLERANCE = 1e-9
@@ -288,11 +294,10 @@ def _verify_identity(identity: str, weight: int, p: int | None, flavor: str, tol
         checks.append({"name": name, "status": "pass" if residual < tolerance else "fail",
                        "residual": residual, "tolerance": tolerance})
 
+    cap = MAX_VERIFY_WEIGHT.get(identity)
+    if cap is not None and weight > cap:
+        raise click.UsageError(f"--weight {weight} is past the {identity}'s limit of {cap}")
     if identity in ("dual", "hexagon", "pentagon"):
-        from .braid import MAX_PENTAGON_WEIGHT
-
-        if identity == "pentagon" and weight > MAX_PENTAGON_WEIGHT:
-            raise click.UsageError(f"--weight {weight} is past the pentagon's limit of {MAX_PENTAGON_WEIGHT}")
         if flavor == "padic_KZ":
             if weight != 2:
                 raise click.UsageError("the symbolic relations are exposed at weight 2 for the hexagon")

@@ -3,8 +3,9 @@
 A ring object describes how coefficients behave (zero/one, equality,
 units, embedding of the rationals) without wrapping the coefficient
 values themselves: rational coefficients are `fractions.Fraction`,
-symbolic ones are `SymbolPoly` and complex ones are the built-in
-`complex`.
+symbolic ones are `SymbolPoly` (integer numerators over one denominator,
+read and written as Fractions at this interface) and complex ones are the
+built-in `complex`.
 """
 
 from __future__ import annotations

@@ -18,10 +18,14 @@ Generators are interned: equal field values, positional or by keyword,
 give the same object, so they hash and compare by identity, and each keeps
 its sort key `key = (kind rank, str(g))` from when it was made.
 
-A SymbolPoly is a finite map {monomial: scalar} with monomials sorted
-tuples of (generator, exponent) in `key` order.  Scalars are
-`fractions.Fraction` only; all z-dependence lives in the generators.  Only
-the public constructor coerces ints; each pair of monomials is merged once.
+A SymbolPoly is a finite map {monomial: int} of numerators over one
+positive denominator, with monomials sorted tuples of (generator, exponent)
+in `key` order; all z-dependence lives in the generators.  The form is
+canonical (no zero numerator, no factor common to the denominator and every
+numerator), so equality compares it directly.  Arithmetic works on ints and
+divides out the common factor once per result, not a gcd per term; the
+constructor takes int or `fractions.Fraction` coefficients and `terms`
+gives them back as Fractions.  Each pair of monomials is merged once.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 import re
 
 # argument tags for function symbols
@@ -36,7 +41,6 @@ ARG_Z = "z"
 ARG_Z_POW_P = "z^p"
 ARG_Z_CONJ = "zbar"
 ARG_ONE_MINUS_Z = "1-z"
-ARG_ONE_MINUS_Z_CONJ = "1-zbar"
 ARG_ABS_Z_SQ = "|z|^2"
 
 ZETA_FLAVORS = {"complex": "zeta", "p-adic": "zeta_p", "p-adic-Deligne": "zetaDe_p"}
@@ -133,16 +137,29 @@ Monomial = tuple[tuple[object, int], ...]
 
 
 class SymbolPoly:
-    """Exact commutative polynomial in the tagged generators."""
+    """Exact commutative polynomial in the tagged generators: integer
+    numerators `nums` {monomial: int} over one positive `den`, in lowest
+    terms (gcd(den, *nums) == 1, no zero numerator), so equal polynomials
+    have equal (den, nums)."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, terms: dict[Monomial, object] | None = None):
-        clean = {m: Fraction(c) if isinstance(c, int) else c for m, c in (terms or {}).items() if c}
-        object.__setattr__(self, "terms", clean)
+        """From {monomial: int or Fraction}; zero coefficients are dropped."""
+        terms = {m: c for m, c in (terms or {}).items() if c}
+        # the lcm of reduced denominators leaves no common factor
+        den = lcm(*(c.denominator for c in terms.values()))
+        _set_nums(self, {m: c.numerator * (den // c.denominator) for m, c in terms.items()})
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("SymbolPoly is immutable")
+
+    @property
+    def terms(self) -> dict[Monomial, Fraction]:
+        """The coefficients as {monomial: Fraction}, built on each call."""
+        den = self.den
+        return {m: Fraction(c, den) for m, c in self.nums.items()}
 
     # -- constructors --------------------------------------------------
 
@@ -151,7 +168,7 @@ class SymbolPoly:
         return SymbolPoly({(): c})
 
     @staticmethod
-    def gen(g, c=Fraction(1)) -> "SymbolPoly":
+    def gen(g, c=1) -> "SymbolPoly":
         return SymbolPoly({((g, 1),): c})
 
     ZERO: "SymbolPoly"
@@ -160,19 +177,19 @@ class SymbolPoly:
     # -- structure -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def is_constant(self) -> bool:
-        return all(m == () for m in self.terms)
+        return all(m == () for m in self.nums)
 
-    def constant_value(self):
+    def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return self.terms.get((), Fraction(0))
+        return Fraction(self.nums.get((), 0), self.den)
 
     def weight(self) -> int | None:
         """The common weight of all monomials, or None if mixed/zero."""
-        weights = {sum(g.weight * e for g, e in m) for m in self.terms}
+        weights = {sum(g.weight * e for g, e in m) for m in self.nums}
         return weights.pop() if len(weights) == 1 else None
 
     # -- arithmetic ------------------------------------------------------
@@ -184,25 +201,39 @@ class SymbolPoly:
             return SymbolPoly.constant(other)
         return None
 
+    def _combine(self, o: "SymbolPoly", sign: int) -> "SymbolPoly":
+        """self + sign * o over the lcm of the two denominators."""
+        d1, d2 = self.den, o.den
+        g = gcd(d1, d2)
+        s1, s2 = d2 // g, sign * (d1 // g)
+        # self keeps its numerators when o's denominator divides its own
+        out = dict(self.nums) if s1 == 1 else {m: c * s1 for m, c in self.nums.items()}
+        for m, c in o.nums.items():
+            c *= s2
+            if m in out:
+                c += out[m]
+                if not c:  # each monomial of o comes once, so it stays out
+                    del out[m]
+                    continue
+            out[m] = c
+        return _reduced(out, d1 * s1)
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = dict(self.terms)
-        for m, c in o.terms.items():
-            out[m] = out[m] + c if m in out else c
-        return _poly(out)
+        return self._combine(o, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _wrap({m: -c for m, c in self.terms.items()})
+        return _wrap({m: -c for m, c in self.nums.items()}, self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return self._combine(o, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -211,14 +242,23 @@ class SymbolPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out: dict[Monomial, object] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in o.terms.items():
-                m = _merge_monomials(m1, m2)
-                c = c1 * c2
-                out[m] = out[m] + c if m in out else c
+        n1, n2 = self.nums, o.nums
         # by one term, distinct monomials have distinct products: nothing cancels
-        return _wrap(out) if len(self.terms) == 1 or len(o.terms) == 1 else _poly(out)
+        if len(n1) == 1:
+            ((m1, c1),) = n1.items()
+            out = {_merge_monomials(m1, m2): c1 * c2 for m2, c2 in n2.items()}
+        elif len(n2) == 1:
+            ((m2, c2),) = n2.items()
+            out = {_merge_monomials(m1, m2): c1 * c2 for m1, c1 in n1.items()}
+        else:
+            out = {}
+            for m1, c1 in n1.items():
+                for m2, c2 in n2.items():
+                    m = _merge_monomials(m1, m2)
+                    c = c1 * c2
+                    out[m] = out[m] + c if m in out else c
+            out = {m: c for m, c in out.items() if c}
+        return _reduced(out, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -242,7 +282,7 @@ class SymbolPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return (self - o).is_zero()
+        return self.den == o.den and self.nums == o.nums
 
     # -- substitution ---------------------------------------------------
 
@@ -251,29 +291,27 @@ class SymbolPoly:
         caches monomial images, and calls whose mappings agree may share it."""
         images = {} if images is None else images
         powers: dict[tuple[object, int], SymbolPoly] = {}
-        out: dict[Monomial, Fraction] = {}
-        for mono, c in self.terms.items():
+        for mono in self.nums:
             if mono not in images:
                 image = SymbolPoly.ONE
                 for g, e in mono:
                     if (g, e) not in powers:
                         base = mapping.get(g)
-                        powers[g, e] = base**e if base is not None else _wrap({((g, e),): Fraction(1)})
+                        powers[g, e] = base**e if base is not None else _wrap({((g, e),): 1}, 1)
                     image = image * powers[g, e]
                 images[mono] = image
-            for m, v in images[mono].terms.items():
-                out[m] = out[m] + c * v if m in out else c * v
-        return _poly(out)
+        return _sum_scaled([(c, (), images[mono]) for mono, c in self.nums.items()], self.den)
 
     def generators(self) -> set:
-        return {g for m in self.terms for g, _ in m}
+        return {g for m in self.nums for g, _ in m}
 
     # -- display ----------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
+        if not self.nums:
             return "0"
-        parts = [_term_str(m, self.terms[m]) for m in sorted(self.terms, key=_mono_sort_key)]
+        den = self.den
+        parts = [_term_str(m, Fraction(self.nums[m], den)) for m in sorted(self.nums, key=_mono_sort_key)]
         out = parts[0]
         for t in parts[1:]:
             out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
@@ -283,21 +321,43 @@ class SymbolPoly:
         return f"SymbolPoly({self})"
 
 
+_set_nums = SymbolPoly.nums.__set__
+_set_den = SymbolPoly.den.__set__
 SymbolPoly.ZERO = SymbolPoly({})
 SymbolPoly.ONE = SymbolPoly.constant(1)
-_set_terms = SymbolPoly.terms.__set__
 
 
-def _wrap(terms: dict[Monomial, Fraction]) -> SymbolPoly:
-    """A SymbolPoly around nonzero Fraction coefficients, as they are."""
+def _wrap(nums: dict[Monomial, int], den: int) -> SymbolPoly:
+    """A SymbolPoly around numerators and a denominator already in lowest terms."""
     out = object.__new__(SymbolPoly)
-    _set_terms(out, terms)
+    _set_nums(out, nums)
+    _set_den(out, den)
     return out
 
 
-def _poly(terms: dict[Monomial, Fraction]) -> SymbolPoly:
-    """A SymbolPoly from Fraction coefficients: zeros dropped, nothing coerced."""
-    return _wrap({m: c for m, c in terms.items() if c})
+def _reduced(nums: dict[Monomial, int], den: int) -> SymbolPoly:
+    """A SymbolPoly from nonzero numerators over a positive `den`, with their
+    common factor divided out once."""
+    g = gcd(den, *nums.values()) if den != 1 else 1
+    if g == 1:
+        return _wrap(nums, den)
+    return _wrap({m: c // g for m, c in nums.items()}, den // g)
+
+
+def _sum_scaled(triples: list[tuple[int, Monomial, SymbolPoly]], den: int) -> SymbolPoly:
+    """The sum of c * mono * q over (c, mono, q) in `triples`, divided by
+    `den`: every q is brought to the lcm of their denominators, the numerators
+    are added as ints, and the result is reduced once."""
+    common = lcm(*(q.den for _, _, q in triples))
+    out: dict[Monomial, int] = {}
+    for c, mono, q in triples:
+        s = c * (common // q.den)
+        for m, v in q.nums.items():
+            if mono:
+                m = _merge_monomials(mono, m)
+            v *= s
+            out[m] = out[m] + v if m in out else v
+    return _reduced({m: c for m, c in out.items() if c}, den * common)
 
 
 _MERGED: dict[tuple[Monomial, Monomial], Monomial] = {}
@@ -342,7 +402,7 @@ class NotDifferentiableError(ValueError):
 
 def z_poly(coeffs) -> SymbolPoly:
     """The polynomial sum_i coeffs[i] z^i."""
-    return SymbolPoly({((Z, i),) if i else (): Fraction(c) for i, c in enumerate(coeffs) if c})
+    return SymbolPoly({((Z, i),) if i else (): c for i, c in enumerate(coeffs)})
 
 
 @lru_cache(maxsize=None)
@@ -391,17 +451,14 @@ def formal_derivative(q: SymbolPoly, p: int | None = None) -> SymbolPoly:
     dx/(1-x) for k == 1.  Symbols with conjugate arguments are rejected,
     and z^p symbols need p.
     """
-    out: dict[Monomial, Fraction] = {}
-    for mono, c in q.terms.items():
+    triples = []
+    for mono, c in q.nums.items():
         for i, (g, e) in enumerate(mono):
             if isinstance(g, (ZetaSym, LambdaSym)):
                 continue
             rest = mono[:i] + (((g, e - 1),) if e > 1 else ()) + mono[i + 1 :]
-            ce = c * e
-            for m2, c2 in _d_generator(g, p).terms.items():
-                m = _merge_monomials(rest, m2)
-                out[m] = out[m] + ce * c2 if m in out else ce * c2
-    return _poly(out)
+            triples.append((c * e, rest, _d_generator(g, p)))
+    return _sum_scaled(triples, q.den)
 
 
 # -- canonical parsing --------------------------------------------------

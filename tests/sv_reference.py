@@ -11,7 +11,6 @@ from mzv.associator import single_valued_g0, zeta_lambda_expr
 from mzv.symbols import (
     ARG_ABS_Z_SQ,
     ARG_ONE_MINUS_Z,
-    ARG_ONE_MINUS_Z_CONJ,
     ARG_Z,
     ARG_Z_CONJ,
     LambdaSym,
@@ -21,6 +20,10 @@ from mzv.symbols import (
     ZetaSym,
     ZSym,
 )
+
+# the argument tag of log(1-zbar): the package mints no symbol at 1 - zbar,
+# so only the evaluator below names it
+ARG_ONE_MINUS_Z_CONJ = "1-zbar"
 
 
 def sv_depth2_direct(a: int, b: int, z: complex) -> complex:

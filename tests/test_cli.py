@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from mzv import arch_eval
-from mzv.cli import MAX_SPAIN_CHECKS, _is_prime, assoc, mzv, padic, series, sv
+from mzv.cli import MAX_SPAIN_CHECKS, MAX_VERIFY_WEIGHT, _is_prime, assoc, mzv, padic, series, sv
 
 try:
     from importlib.resources import files
@@ -106,6 +106,16 @@ def test_weight_past_the_cap_fails_before_any_work(group, args):
     result = _run(group, args)
     assert result.exit_code == 2, result.output
     assert "--weight" in result.output
+    assert time.monotonic() - start < 5.0
+
+
+@pytest.mark.parametrize("identity", sorted(MAX_VERIFY_WEIGHT))
+def test_weight_one_past_an_identity_cap_fails_before_any_work(identity):
+    cap = MAX_VERIFY_WEIGHT[identity]
+    start = time.monotonic()
+    result = _run(assoc, ["verify", "--identity", identity, "--weight", str(cap + 1)])
+    assert result.exit_code == 2, result.output
+    assert f"--weight {cap + 1} is past the {identity}'s limit of {cap}" in result.output
     assert time.monotonic() - start < 5.0
 
 
@@ -445,7 +455,9 @@ def test_series_dump_golden(flavor, weight):
 # princeton w5: before the residuals were scaled by D; netherland w6 at
 # p = 3, 5, 7, czech w6 and princeton w5 at p = 5, and moldova w6: before the
 # symbol generators were interned; netherland w7 p=7, czech w7 p=3 and
-# moldova w7: before each formula check read its series' own truncation)
+# moldova w7: before each formula check read its series' own truncation;
+# netherland w8 p=5, czech w8 p=5, moldova w8 and kz w8: before the symbol
+# polynomials held integer numerators over one denominator)
 VERIFY_SHA256 = {
     ("netherland", 5, 3): "0eb024bb0521be4911a90d6eb032e9bf458b4d63b56b015b032dbd32a233fc3a",
     ("czech", 5, 5): "693c5eaafb8ec882814fc64a23f66e49680c87b2d3a0c0d3e73f04ac753ab438",
@@ -465,6 +477,10 @@ VERIFY_SHA256 = {
     ("netherland", 7, 7): "4c2262aa42d42d6d05aeccc3397e95ad207c0e3b77a887cbedf46a5fd9da8eca",
     ("czech", 7, 3): "a8360b739b31455e97a9d6d3efca9769cc54660532b89e77bd356b7aa9ac0759",
     ("moldova", 7, None): "b6f3cea1c6f8f22de836b644a6a91fbacee578097cf446fca39a375e96e62203",
+    ("netherland", 8, 5): "35709fa83367451af0f57b6b72c3b43724720462513436570c041b1ba8ca36dc",
+    ("czech", 8, 5): "cd57b33b83a93068b2edb4cb5eca56f47aedaf3f0e288119fe5e4384cbbe8518",
+    ("moldova", 8, None): "7c1150cd150f0f38d2e21d2b562a99283c5900ace50bb2b82926021daf3a73ff",
+    ("kz", 8, None): "ab1ac7074499a29725edd48af62781f41fa9c3de15ad5353de0155c3e7f8d747",
 }
 
 

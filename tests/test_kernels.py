@@ -10,6 +10,7 @@ product over the complex ring the same floats in the same order.
 """
 
 import copy
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -34,6 +35,7 @@ from mzv.symbols import (
     ZetaSym,
     ZSym,
     _d_generator,
+    _wrap,
     formal_derivative,
     parse_symbol_poly,
 )
@@ -401,7 +403,12 @@ def _random_terms(rng, gens, terms=5, max_exp=3) -> dict:
     return out
 
 
+def _in_lowest_terms(poly: SymbolPoly) -> bool:
+    return poly.den >= 1 and math.gcd(poly.den, *poly.nums.values()) == 1 and all(poly.nums.values())
+
+
 def _same(poly: SymbolPoly, ref: dict) -> bool:
+    assert _in_lowest_terms(poly), (poly.den, poly.nums)
     return list(poly.terms.items()) == list(ref.items())
 
 
@@ -426,6 +433,37 @@ def test_symbol_arithmetic_matches_the_earlier_kernel_in_order(seed):
     assert str(a * b) == _old_str(_old_mul(ra, rb))
     for poly, ref in ((a, ra), (a * b, _old_mul(ra, rb))):
         assert _same(parse_symbol_poly(str(poly)), {m: ref[m] for m in sorted(ref, key=_old_mono_key)})
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_symbol_arithmetic_divides_out_the_content(p, k):
+    x, y = SymbolPoly.gen(LogSym(ARG_Z)), SymbolPoly.gen(ZetaSym("complex", (2,)))
+    half_x, two_y = x / 2, 2 * y
+    assert (half_x.den, two_y.den) == (2, 1)
+    prod = half_x * two_y
+    assert _in_lowest_terms(prod) and prod.den == 1 and prod == x * y
+    c = p**k
+    a = _random_poly(random.Random(p * 100 + k), terms=4) + Fraction(1, 3)
+    for q in (a / c * c, (a * Fraction(1, c)) * c, c * (a / c), (a / -c) * -c):
+        assert _in_lowest_terms(q) and q == a and q.den == a.den
+    # sums whose numerators cancel, and sums whose content is an integer
+    for q in (a - a, a + (-a), a / c - a / c, (x + y) / c - x / c - y / c, half_x + half_x - x):
+        assert q == SymbolPoly.ZERO and (q.den, q.nums) == (1, {})
+    whole = Fraction(1, 6) * x + Fraction(5, 6) * x
+    assert _in_lowest_terms(whole) and (whole.den, whole.nums) == (1, {((LogSym(ARG_Z), 1),): 1})
+    assert (x / c).substitute({LogSym(ARG_Z): c * y}) == y
+    assert formal_derivative(SymbolPoly.gen(LiSym("plain", (1, 2), ARG_Z), Fraction(1, c))).den == c
+
+
+def test_unreduced_numerators_compare_unequal():
+    # equality compares the canonical (den, nums) and does not reduce first
+    g = LambdaSym("c", "AB")
+    unreduced = _wrap({((g, 1),): 2}, 2)
+    assert not _in_lowest_terms(unreduced)
+    assert unreduced.terms == SymbolPoly.gen(g).terms
+    assert unreduced != SymbolPoly.gen(g)
+    assert _wrap({(): 0}, 1) != SymbolPoly.ZERO
 
 
 @pytest.mark.parametrize("p", [None, 3])
