@@ -10,15 +10,19 @@ A monomial is standard when its fibre letters come before its base letters
 (3^(d+1) - 2^(d+1) of degree d).  A product only moves a base letter y right
 past a fibre letter x, by y*x = x*y + [y, x] with [y, x] quadratic in the
 fibre letters, so every coefficient it introduces is an integer.
-`evaluate_series` is the letter substitution of `series` with braid images.
+
+A product splits each monomial into its fibre and base words once: a left
+monomial with no base letters just concatenates, and any other pair looks up
+its base word moved past the right fibre word.  `evaluate_series` sums
+c_w * image(w) by Horner's rule over the prefixes u of the series' words,
+E(u) = c_u + x*E(uA) + y*E(uB), so every product has x or y as its left
+factor and no prefix image is held.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-
-from .series import _substitute_letters
 
 # letters 0, 1, 2 are the fibre letters X15, X25, X35; 3, 4 the base letters X12, X23
 FREE_LETTERS = ((1, 5), (2, 5), (3, 5), (1, 2), (2, 3))
@@ -159,19 +163,7 @@ class BraidElement:
         if not isinstance(other, BraidElement):
             return NotImplemented
         cap = min(self.degree_cap, other.degree_cap)
-        # the terms of `other` that fit beside a left factor of each degree
-        fits = [[(m2, c2) for m2, c2 in other.coeffs.items() if len(m2) <= room] for room in range(cap + 1)]
-        out: dict[Monomial, object] = {}
-        for m1, c1 in self.coeffs.items():
-            room = cap - len(m1)
-            if room < 0:
-                continue
-            for m2, c2 in fits[room]:
-                c = c1 * c2
-                for m, k in _product(m1, m2):
-                    add = c * k
-                    out[m] = out[m] + add if m in out else add
-        return BraidElement(cap, out)
+        return BraidElement(cap, _mul_into({}, self.coeffs, other.coeffs, cap))
 
     def max_abs(self) -> float:
         return max((abs(c) for c in self.coeffs.values()), default=0.0)
@@ -186,16 +178,53 @@ class BraidElement:
         return "BraidElement(" + " + ".join(parts) + ")"
 
 
+def _mul_into(out: dict, left: dict, right: dict, cap: int) -> dict:
+    """Add left*right, truncated at degree cap, into out, one term pair at a time."""
+    # the terms of `right` that fit beside a left factor of each degree, split once
+    rooms = {cap - len(m1) for m1 in left if len(m1) <= cap}
+    split = [(m2, c2, *_split(m2)) for m2, c2 in right.items() if len(m2) <= cap]
+    fits = {room: [t for t in split if len(t[0]) <= room] for room in rooms}
+    for m1, c1 in left.items():
+        room = cap - len(m1)
+        if room < 0:
+            continue
+        f1, b1 = _split(m1)
+        if not b1:
+            for m2, c2, _, _ in fits[room]:
+                m = m1 + m2
+                add = c1 * c2
+                out[m] = out[m] + add if m in out else add
+            continue
+        for m2, c2, f2, b2 in fits[room]:
+            c = c1 * c2
+            for mid, k in _move_right(b1, f2):
+                m = f1 + mid + b2
+                add = c * k
+                out[m] = out[m] + add if m in out else add
+    return out
+
+
 def _is_exact_zero(c) -> bool:
+    if isinstance(c, (float, complex)):
+        return False  # floats are kept; tolerance decisions belong to the caller
     if isinstance(c, (int, Fraction)):
         return c == 0
-    if hasattr(c, "is_zero"):
-        return c.is_zero()
-    return False  # floats are kept; tolerance decisions belong to the caller
+    return hasattr(c, "is_zero") and c.is_zero()
 
 
 def evaluate_series(series, x: BraidElement, y: BraidElement, degree_cap: int | None = None) -> BraidElement:
-    """Substitute braid elements for the letters of an NCSeries."""
+    """Substitute braid elements for the letters of an NCSeries, by Horner's rule
+    over the prefixes of its words up to the cap."""
     cap = degree_cap if degree_cap is not None else min(series.truncation, x.degree_cap, y.degree_cap)
-    coeffs = _substitute_letters(series, {"A": x, "B": y}, BraidElement.one(cap), cap)
-    return BraidElement(cap, coeffs)
+    coeffs = {w: c for w, c in series.coeffs.items() if len(w) <= cap}
+    prefixes = {w[:k] for w in coeffs for k in range(len(w) + 1)}
+    images = (("A", x.coeffs), ("B", y.coeffs))
+
+    def horner(u: str) -> dict:
+        out = {(): coeffs[u]} if u in coeffs else {}
+        for letter, image in images:
+            if u + letter in prefixes:
+                _mul_into(out, image, horner(u + letter), cap)
+        return out
+
+    return BraidElement(cap, horner(""))

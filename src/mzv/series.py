@@ -4,7 +4,7 @@ All values are immutable after construction and every operation is a pure
 function, so series can be shared freely.  Arithmetic truncates at the
 minimum truncation weight of the operands and is weight-exact below it.
 Coefficients are a flat {word: coefficient} dict; the inverse is a prefix
-recursion, and one letter substitution also serves `braid.evaluate_series`.
+recursion, and a substitution builds the image of each prefix once.
 """
 
 from __future__ import annotations
@@ -175,7 +175,21 @@ class NCSeries:
             if not self.ring.is_zero(img.constant_term()):
                 raise ValueError("substitution images must have zero constant term")
         images = {"A": img_a.truncate(n), "B": img_b.truncate(n)}
-        return self._from(n, _substitute_letters(self, images, NCSeries.one(self.ring, n), n))
+        memo = {"": NCSeries.one(self.ring, n)}
+
+        def image(word: str) -> "NCSeries":
+            if word not in memo:
+                memo[word] = image(word[:-1]) * images[word[-1]]
+            return memo[word]
+
+        # every term sums into one dict
+        out: dict[str, object] = {}
+        for w, c in self.coeffs.items():
+            if len(w) <= n:
+                for m, v in image(w).coeffs.items():
+                    add = v * c
+                    out[m] = out[m] + add if m in out else add
+        return self._from(n, out)
 
     # -- exp ------------------------------------------------------------------
 
@@ -217,26 +231,6 @@ class NCSeries:
 
     def __repr__(self):
         return f"NCSeries(N={self.truncation}, {self})"
-
-
-def _substitute_letters(series: NCSeries, images: dict, one, cap: int) -> dict:
-    """The coefficients of sum c * image(w) over the words w of `series` up to
-    weight cap, for letter images of any type with `coeffs` and `*` (`one` its
-    unit); each prefix image is built once and the terms sum into one dict."""
-    memo = {"": one}
-
-    def image(word: str):
-        if word not in memo:
-            memo[word] = image(word[:-1]) * images[word[-1]]
-        return memo[word]
-
-    out: dict = {}
-    for w, c in series.coeffs.items():
-        if len(w) <= cap:
-            for m, v in image(w).coeffs.items():
-                add = v * c
-                out[m] = out[m] + add if m in out else add
-    return out
 
 
 def character_series(assignments: dict[str, object], truncation: int, ring: Ring) -> NCSeries:

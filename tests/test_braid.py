@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from mzv.braid import (
     generator_form,
     reduce_monomial_dict,
 )
-from mzv.cli import assoc
+from mzv.cli import MAX_VERIFY_WEIGHT, assoc
 from mzv.rings import QQ
 from mzv.series import NCSeries
 
@@ -179,7 +180,7 @@ def test_product_is_associative(a, b, c):
     assert all(_standard(m) for m in (a * b).coeffs)
 
 
-@pytest.mark.parametrize("weight", [4, 5])
+@pytest.mark.parametrize("weight", [4, 5, 6])
 def test_pentagon_catches_a_perturbed_coefficient(weight):
     phi = build_numeric_kz(weight)
     assert pentagon_residual(phi).max_abs() < 1e-9
@@ -194,6 +195,14 @@ def test_cli_pentagon_weight5_passes():
     result = CliRunner().invoke(assoc, ["verify", "--identity", "pentagon", "--weight", "5"])
     assert result.exit_code == 0, result.output
     assert '"status": "pass"' in result.output
+
+
+def test_cli_pentagon_passes_at_the_weight_cap():
+    weight = MAX_VERIFY_WEIGHT["pentagon"]
+    result = CliRunner().invoke(assoc, ["verify", "--identity", "pentagon", "--weight", str(weight)])
+    assert result.exit_code == 0, result.output
+    (check,) = json.loads(result.output)["checks"]
+    assert check["status"] == "pass" and check["residual"] < 1e-11
 
 
 def test_evaluate_series_unit_and_letter():

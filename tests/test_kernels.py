@@ -4,7 +4,8 @@ Each reference is the earlier, rebuild-per-term form of a kernel: invert
 by a scan over every coefficient of each weight, substitute and
 evaluate_series by adding one image per word, SymbolPoly.substitute by
 adding one product per term, the NCSeries product by testing the length of
-every pair, and the SymbolPoly arithmetic before its generators were
+every pair, the BraidElement product by one `_product` per pair of
+monomials, and the SymbolPoly arithmetic before its generators were
 interned.  The kernels must give the same values, and invert and the
 product over the complex ring the same floats in the same order.
 """
@@ -18,7 +19,7 @@ from fractions import Fraction
 import pytest
 
 from mzv.associator import build_numeric_kz
-from mzv.braid import BraidElement, evaluate_series
+from mzv.braid import BraidElement, _product, evaluate_series
 from mzv.rings import QQ, SYMBOLIC, complex_ring
 from mzv.series import NCSeries
 from mzv.symbols import (
@@ -173,19 +174,78 @@ def _random_braid(rng, cap, unit=Fraction(1)):
     return acc
 
 
+def _edge_series(kind, ring, n, rng):
+    def coeff():
+        return ring.from_fraction(Fraction(rng.randint(-6, 6), rng.randint(1, 4))) if ring is QQ else _random_poly(rng)
+
+    if kind == "zero":
+        return NCSeries.zero(ring, n)
+    if kind == "constant":
+        return NCSeries(ring, n, {"": coeff()})
+    # "sparse": only words of length >= 3, so the shorter prefixes carry no coefficient
+    return NCSeries(ring, n, {w: coeff() for k in range(3, n + 1) for w in all_words(k) if rng.random() < 0.5})
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_evaluate_series_matches_reference(seed):
+    """Horner over the prefixes that occur is the sum of the word images, also for
+    words that skip prefixes, the zero and constant series, a cap below the
+    truncation, and an image of degrees 1 and 2."""
     rng = random.Random(200 + seed)
     cap = 4
     f = random_series(QQ, cap, rng)
     x, y = _random_braid(rng, cap), _random_braid(rng, cap)
-    got = evaluate_series(f, x, y, cap)
-    want = _evaluate_series_reference(f, x, y, cap)
-    assert (got - want).is_zero()
-    g = _random_symbolic_series(rng, 3)
-    got = evaluate_series(g, x, y, 3)
-    want = _evaluate_series_reference(g, x, y, 3)
-    assert (got - want).is_zero()
+    cases = [(f, x, y, cap), (_random_symbolic_series(rng, 3), x, y, 3)]
+    y2 = y + _random_braid(rng, cap) * _random_braid(rng, cap)
+    for ring in (QQ, SYMBOLIC):
+        for kind in ("sparse", "zero", "constant"):
+            g = _edge_series(kind, ring, 5, rng)
+            cases += [(g, x, y2, 3), (g, x, y2, 4)]
+    for g, a, b, c in cases:
+        got, want = evaluate_series(g, a, b, c), _evaluate_series_reference(g, a, b, c)
+        assert got.degree_cap == want.degree_cap == c
+        assert (got - want).is_zero()
+        assert g.coeffs or got.is_zero()
+
+
+def _braid_product_reference(a: BraidElement, b: BraidElement) -> BraidElement:
+    """a*b by one `_product` per pair of monomials."""
+    cap = min(a.degree_cap, b.degree_cap)
+    out: dict = {}
+    for m1, c1 in a.coeffs.items():
+        for m2, c2 in b.coeffs.items():
+            if len(m1) + len(m2) <= cap:
+                for m, k in _product(m1, m2):
+                    add = c1 * c2 * k
+                    out[m] = out[m] + add if m in out else add
+    return BraidElement(cap, out)
+
+
+def _random_standard(rng, cap, fibre=True, base=True) -> BraidElement:
+    """Up to six standard monomials (fibre letters 0-2, then base letters 3-4)."""
+    coeffs = {}
+    for _ in range(rng.randint(1, 6)):
+        d = rng.randint(0, cap)
+        nf = rng.randint(0, d) if fibre and base else (d if fibre else 0)
+        m = tuple(rng.randrange(3) for _ in range(nf)) + tuple(rng.randrange(3, 5) for _ in range(d - nf))
+        coeffs[m] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+    return BraidElement(cap, coeffs)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_braid_product_matches_the_pairwise_reference(seed):
+    """Fibre-only left factors take the concatenation shortcut, base-only right
+    factors have no fibre word to move past, unequal caps truncate, and
+    symbolic coefficients multiply like rationals."""
+    rng = random.Random(500 + seed)
+    left = [_random_standard(rng, 4), _random_standard(rng, 4, base=False), _random_standard(rng, 3),
+            _random_standard(rng, 4).scale(_random_poly(rng))]
+    right = [_random_standard(rng, 4), _random_standard(rng, 4, fibre=False), _random_standard(rng, 5)]
+    for a in left:
+        for b in right:
+            got, want = a * b, _braid_product_reference(a, b)
+            assert got.degree_cap == want.degree_cap
+            assert got.coeffs == want.coeffs
 
 
 @pytest.mark.parametrize("seed", range(10))
