@@ -11,18 +11,19 @@ A monomial is standard when its fibre letters come before its base letters
 past a fibre letter x, by y*x = x*y + [y, x] with [y, x] quadratic in the
 fibre letters, so every coefficient it introduces is an integer.
 
-A product splits each monomial into its fibre and base words once: a left
-monomial with no base letters just concatenates, and any other pair looks up
-its base word moved past the right fibre word.  `evaluate_series` sums
-c_w * image(w) by Horner's rule over the prefixes u of the series' words,
-E(u) = c_u + x*E(uA) + y*E(uB), so every product has x or y as its left
-factor and no prefix image is held.
+Every product goes through `_mul_into`, which splits each monomial into its
+fibre and base words once: a left monomial with no base letters just
+concatenates, and any other pair looks up its base word moved past the right
+fibre word.  `evaluate_series` is the series substitution `series.horner`
+with this product, so each of its products has x or y as its left factor.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+
+from .series import horner
 
 # letters 0, 1, 2 are the fibre letters X15, X25, X35; 3, 4 the base letters X12, X23
 FREE_LETTERS = ((1, 5), (2, 5), (3, 5), (1, 2), (2, 3))
@@ -91,13 +92,6 @@ def _move_right(base: Monomial, fibre: Monomial) -> tuple[tuple[Monomial, int], 
     return tuple((m, c) for m, c in out.items() if c)
 
 
-def _product(m1: Monomial, m2: Monomial):
-    """m1*m2 for standard monomials, as integer multiples of standard monomials."""
-    f1, b1 = _split(m1)
-    f2, b2 = _split(m2)
-    return ((f1 + mid + b2, k) for mid, k in _move_right(b1, f2))
-
-
 # no caller in mzv: perfbench/tracer.py times it as `braid.reduce` (tests/test_perfbench_contract.py)
 def reduce_monomial_dict(coeffs: dict[Monomial, object]) -> dict[Monomial, object]:
     """Write an element given on arbitrary words in standard monomials, one
@@ -107,11 +101,7 @@ def reduce_monomial_dict(coeffs: dict[Monomial, object]) -> dict[Monomial, objec
     for word, c in coeffs.items():
         terms: dict[Monomial, int] = {(): 1}
         for x in word:
-            nxt: dict[Monomial, int] = {}
-            for m, k in terms.items():
-                for m2, k2 in _product(m, (x,)):
-                    nxt[m2] = nxt.get(m2, 0) + k * k2
-            terms = nxt
+            terms = _mul_into({}, terms, {(x,): 1}, len(word))
         for m, k in terms.items():
             if k:
                 add = c * k
@@ -181,13 +171,10 @@ class BraidElement:
 def _mul_into(out: dict, left: dict, right: dict, cap: int) -> dict:
     """Add left*right, truncated at degree cap, into out, one term pair at a time."""
     # the terms of `right` that fit beside a left factor of each degree, split once
-    rooms = {cap - len(m1) for m1 in left if len(m1) <= cap}
     split = [(m2, c2, *_split(m2)) for m2, c2 in right.items() if len(m2) <= cap]
-    fits = {room: [t for t in split if len(t[0]) <= room] for room in rooms}
+    fits = {room: [t for t in split if len(t[0]) <= room] for room in {cap - len(m1) for m1 in left}}
     for m1, c1 in left.items():
         room = cap - len(m1)
-        if room < 0:
-            continue
         f1, b1 = _split(m1)
         if not b1:
             for m2, c2, _, _ in fits[room]:
@@ -213,18 +200,6 @@ def _is_exact_zero(c) -> bool:
 
 
 def evaluate_series(series, x: BraidElement, y: BraidElement, degree_cap: int | None = None) -> BraidElement:
-    """Substitute braid elements for the letters of an NCSeries, by Horner's rule
-    over the prefixes of its words up to the cap."""
+    """Substitute braid elements for the letters of an NCSeries, by `series.horner`."""
     cap = degree_cap if degree_cap is not None else min(series.truncation, x.degree_cap, y.degree_cap)
-    coeffs = {w: c for w, c in series.coeffs.items() if len(w) <= cap}
-    prefixes = {w[:k] for w in coeffs for k in range(len(w) + 1)}
-    images = (("A", x.coeffs), ("B", y.coeffs))
-
-    def horner(u: str) -> dict:
-        out = {(): coeffs[u]} if u in coeffs else {}
-        for letter, image in images:
-            if u + letter in prefixes:
-                _mul_into(out, image, horner(u + letter), cap)
-        return out
-
-    return BraidElement(cap, horner(""))
+    return BraidElement(cap, horner(series.coeffs, (("A", x.coeffs), ("B", y.coeffs)), _mul_into, (), cap))

@@ -24,10 +24,19 @@ _IDENTITIES = ("dual", "hexagon", "pentagon", "netherland", "czech", "moldova", 
 _PRIMELESS = ("dual", "hexagon", "pentagon", "moldova", "kz")
 
 # the highest `assoc verify --weight` per identity, where a cold run on a 2-CPU
-# box stays within about 10 s and 1 GB: pentagon w7 ~5 s and 115 MB, hexagon
-# w13 6-10 s and 730 MB (w16 passed 7.6 GB), dual w14 3.4-6 s and 400 MB (w15
-# 15 s and 1.1 GB); past it the command exits 2 before any work
-MAX_VERIFY_WEIGHT = {"pentagon": 7, "hexagon": 13, "dual": 14}
+# box stays within about 10 s and 1 GB: pentagon w7 1.0-1.7 s and 78 MB (w8 12
+# s), hexagon w14 3.6-6.2 s and 410 MB (w15 9 s and 1.1 GB), dual w14 3.4-6 s
+# and 400 MB (w15 15 s and 1.1 GB); past it the command exits 2 before any work
+MAX_VERIFY_WEIGHT = {"pentagon": 7, "hexagon": 14, "dual": 14}
+
+# the largest (p + 10) * 3.5**weight that the princeton identity runs (its
+# kernels z + ... + z^p have p terms): near it, cold on the same box, p = 163,003
+# at w2 takes 10.6 s and 550 MB, 1,009 at w6 9.7 s and 540 MB, 13 at w9 7.8 s
+# and 340 MB; past it, p = 3 at w10 28 s and at w11 115 s and 2.1 GB
+MAX_PRINCETON_COST = 2_000_000
+
+# `_is_prime` is exact below the least strong pseudoprime to its twelve bases
+PRIME_BOUND = 318_665_857_834_031_151_167_461
 
 # the accuracy `sv polylog` reports, |error| <= SV_TOLERANCE * max(1, |value|):
 # each disk series is cut where its tail falls below 1e-12
@@ -88,7 +97,7 @@ def _internal_errors(fn):
 
 
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin with the first twelve prime bases, exact for n < 3.18e23."""
+    """Miller-Rabin with the first twelve prime bases, exact for n < PRIME_BOUND."""
     bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
     if n < 2:
         return False
@@ -113,6 +122,8 @@ def _is_prime(n: int) -> bool:
 
 
 def _prime(ctx, param, p):
+    if p is not None and p >= PRIME_BOUND:
+        raise click.BadParameter(f"p = {p} is not below {PRIME_BOUND}, where primality is decided exactly")
     if p is not None and not _is_prime(p):
         raise click.BadParameter(f"p = {p} is not prime")
     return p
@@ -377,6 +388,9 @@ def _verify_identity(identity: str, weight: int, p: int | None, flavor: str, tol
     if identity == "princeton":
         if p is None:
             raise click.UsageError("--p is required for this identity")
+        if (p + 10) * 3.5**weight > MAX_PRINCETON_COST:
+            raise click.UsageError(f"--p {p} at --weight {weight} is past the princeton's limit "
+                                   f"(p + 10) * 3.5^weight <= {MAX_PRINCETON_COST}")
         phi_de = asc.build_associator(asc.PADIC_DELIGNE, weight, p)
         res = asc.verify_kz_equation(asc.overconvergent_g0(p, weight), p=p, frobenius_conjugator=phi_de)
         exact(f"modified differential equation residual at weight {weight}, p={p}", res.is_zero())

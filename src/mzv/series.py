@@ -4,7 +4,7 @@ All values are immutable after construction and every operation is a pure
 function, so series can be shared freely.  Arithmetic truncates at the
 minimum truncation weight of the operands and is weight-exact below it.
 Coefficients are a flat {word: coefficient} dict; the inverse is a prefix
-recursion, and a substitution builds the image of each prefix once.
+recursion, and a substitution is Horner's rule over the prefixes (`horner`).
 """
 
 from __future__ import annotations
@@ -121,21 +121,7 @@ class NCSeries:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         n = self._join(other)
-        # fits[r]: the right factor's terms of length <= r, in their order
-        fits: list[list] = [[] for _ in range(n + 1)]
-        for vc in other.coeffs.items():
-            for r in range(len(vc[0]), n + 1):
-                fits[r].append(vc)
-        out: dict[str, object] = {}
-        for u, cu in self.coeffs.items():
-            room = n - len(u)
-            if room < 0:
-                continue
-            for v, cv in fits[room]:
-                w = u + v
-                add = cu * cv
-                out[w] = out[w] + add if w in out else add
-        return self._from(n, out)
+        return self._from(n, _mul_into({}, self.coeffs, other.coeffs, n))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -174,22 +160,8 @@ class NCSeries:
             self._join(img)
             if not self.ring.is_zero(img.constant_term()):
                 raise ValueError("substitution images must have zero constant term")
-        images = {"A": img_a.truncate(n), "B": img_b.truncate(n)}
-        memo = {"": NCSeries.one(self.ring, n)}
-
-        def image(word: str) -> "NCSeries":
-            if word not in memo:
-                memo[word] = image(word[:-1]) * images[word[-1]]
-            return memo[word]
-
-        # every term sums into one dict
-        out: dict[str, object] = {}
-        for w, c in self.coeffs.items():
-            if len(w) <= n:
-                for m, v in image(w).coeffs.items():
-                    add = v * c
-                    out[m] = out[m] + add if m in out else add
-        return self._from(n, out)
+        images = (("A", img_a.coeffs), ("B", img_b.coeffs))
+        return self._from(n, horner(self.coeffs, images, _mul_into, "", n))
 
     # -- exp ------------------------------------------------------------------
 
@@ -231,6 +203,38 @@ class NCSeries:
 
     def __repr__(self):
         return f"NCSeries(N={self.truncation}, {self})"
+
+
+def _mul_into(out: dict, left: dict, right: dict, cap: int) -> dict:
+    """Add left*right, truncated at weight cap, into out, one term pair at a time."""
+    # the terms of `right` that fit beside a left factor of each length that occurs
+    fits = {room: [(v, cv) for v, cv in right.items() if len(v) <= room] for room in {cap - len(u) for u in left}}
+    for u, cu in left.items():
+        for v, cv in fits[cap - len(u)]:
+            w = u + v
+            add = cu * cv
+            out[w] = out[w] + add if w in out else add
+    return out
+
+
+def horner(coeffs: dict, images, mul_into, one, cap: int) -> dict:
+    """sum_w c_w image(w_1)...image(w_k) over the words of `coeffs`, truncated at degree cap.
+
+    By Horner's rule over the prefixes u that occur, E(u) = c_u + sum_X
+    image(X) E(uX), node u kept only to degree cap - |u|: `images` pairs each
+    letter with its image, a dict with no constant term.  `mul_into(out, left,
+    right, cap)` adds left*right into out; `one` keys the empty monomial.
+    """
+    prefixes = {w[:k] for w in coeffs if len(w) <= cap for k in range(len(w) + 1)}
+
+    def node(u: str) -> dict:
+        out = {one: coeffs[u]} if u in coeffs else {}
+        for letter, image in images:
+            if u + letter in prefixes:
+                mul_into(out, image, node(u + letter), cap - len(u))
+        return out
+
+    return node("")
 
 
 def character_series(assignments: dict[str, object], truncation: int, ring: Ring) -> NCSeries:

@@ -9,7 +9,8 @@ import pytest
 from click.testing import CliRunner
 
 from mzv import arch_eval
-from mzv.cli import MAX_SPAIN_CHECKS, MAX_VERIFY_WEIGHT, _is_prime, assoc, mzv, padic, series, sv
+from mzv.cli import (MAX_PRINCETON_COST, MAX_SPAIN_CHECKS, MAX_VERIFY_WEIGHT, PRIME_BOUND, _is_prime, assoc, mzv,
+                     padic, series, sv)
 
 try:
     from importlib.resources import files
@@ -79,6 +80,33 @@ def test_is_prime_matches_trial_division():
     # Carmichael numbers, a strong pseudoprime to bases 2, 3, 5, 7, and large primes
     assert not any(_is_prime(n) for n in (561, 41041, 3215031751, (2**61 - 1) * (2**31 - 1)))
     assert _is_prime(2**61 - 1) and _is_prime(10**18 + 9)
+
+
+# the least strong pseudoprimes to the first twelve and thirteen prime bases:
+# `_is_prime` calls the first prime, and both lie at or past its exact range
+@pytest.mark.parametrize("p", [318_665_857_834_031_151_167_461, 3_317_044_064_679_887_385_961_981])
+def test_p_at_or_past_the_exact_primality_bound_is_a_usage_error(p):
+    assert p >= PRIME_BOUND
+    result = _run(padic, ["polylog", "--p", str(p), "--k", "2", "--z", f"{p}/2", "--prec", "3"])
+    assert result.exit_code == 2, result.output
+    assert f"p = {p} is not below {PRIME_BOUND}" in result.output
+
+
+def test_a_large_prime_below_the_bound_is_accepted():
+    p = 10**18 + 9
+    result = _run(padic, ["polylog", "--p", str(p), "--k", "2", "--z", f"{p}/2", "--prec", "3"])
+    assert result.exit_code == 0, result.output
+    assert _validated(result)["status"] == "pass"
+
+
+@pytest.mark.parametrize("p, weight", [(1_000_003, 2), (100_000_000_003, 1), (331, 7), (3, 10)])
+def test_princeton_past_its_cost_bound_fails_before_any_work(p, weight):
+    assert (p + 10) * 3.5**weight > MAX_PRINCETON_COST
+    start = time.monotonic()
+    result = _run(assoc, ["verify", "--identity", "princeton", "--p", str(p), "--weight", str(weight)])
+    assert result.exit_code == 2, result.output
+    assert f"is past the princeton's limit (p + 10) * 3.5^weight <= {MAX_PRINCETON_COST}" in result.output
+    assert time.monotonic() - start < 5.0
 
 
 @pytest.mark.parametrize("group,args", [
@@ -708,14 +736,15 @@ def test_series_parse_rejects_bad_words(word):
 # value when each row's tolerance came from its values' bounds (1e-05 became
 # 5.7e-17 to 1.1e-14, every residual unchanged); the pentagon when each braid
 # substitution came to be summed by Horner's rule, which reorders its complex
-# sums (5.8e-15 became 4.0e-15)
+# sums (5.8e-15 became 4.0e-15); the hexagon when the series substitution came
+# to be summed by the same Horner's rule (1.7024e-14 became 1.8689e-14)
 BATCHED_NUMERIC_SHA256 = {
     ("mzv", "relations", "--weight", "7", "--check-numeric", "--format", "json"):
         "e03e892ca1c558a0559a21068117aa7ab1ed19b4f089c4ee057e333ed11c6b85",
     ("assoc", "verify", "--identity", "pentagon", "--weight", "5"):
         "a1b14c4293e06c787d112fbb79068dbbdc7afbcc23c9d67c6184d84e2d9b74b4",
     ("assoc", "verify", "--identity", "hexagon", "--weight", "6"):
-        "569bf96d491f102a1c00ccc7ccd3561cc7d048d946ea80974e123e2d58445a7d",
+        "358df70ebb2dccba63de93d753b855a3b16dad7bc466288c872c2715d498d4c0",
 }
 
 

@@ -1,14 +1,14 @@
-"""Every module-level function and class of the `mzv` package is named
-somewhere in the package outside its own definition, so `src/mzv` holds
-only what a command runs.  Test-only oracles live under `tests/`."""
+"""Every module-level function and class of the `mzv` package is reachable
+from a click command or a module-level statement, through the names each
+definition mentions, so `src/mzv` holds only what a command runs.  Test-only
+oracles live under `tests/`."""
 
 import ast
-from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "mzv"
 
-# names that no mzv module refers to, each kept for the reason given;
+# names that no command reaches, each kept for the reason given;
 # "<module>.*" keeps a whole module
 ALLOWED = {
     "ratfunc.*": "perfbench/tracer.py times RatFunc arithmetic as `ratfunc.ops`",
@@ -27,19 +27,39 @@ def _is_click_command(node) -> bool:
     return False
 
 
-def _names(tree) -> Counter:
-    return Counter(node.id if isinstance(node, ast.Name) else node.attr
-                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+def _names(tree) -> set[str]:
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
 
 
-def _unreferenced(sources: dict[str, str]) -> list[str]:
+def _unreachable(sources: dict[str, str], kept=lambda name: False) -> list[str]:
     """`<module>.<name>` of each module-level function or class of `sources`
-    (module name -> source text) that no node outside its definition names."""
-    trees = {module: ast.parse(text) for module, text in sources.items()}
-    mentions = sum((_names(tree) for tree in trees.values()), Counter())
-    return [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not _is_click_command(node)
-            and mentions[node.name] == _names(node)[node.name]]
+    (module name -> source text) that no chain of mentioned names reaches
+    from a click command, a module-level statement other than an import, or
+    a definition that `kept` names.  A mention reaches every definition of
+    that name, in any module."""
+    definitions: dict[str, ast.AST] = {}
+    by_name: dict[str, list[str]] = {}
+    reached: set[str] = set()
+    stack: list[ast.AST] = []
+    for module, text in sources.items():
+        for node in ast.parse(text).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                key = f"{module}.{node.name}"
+                definitions[key] = node
+                by_name.setdefault(node.name, []).append(key)
+                if _is_click_command(node) or kept(key):
+                    reached.add(key)
+                    stack.append(node)
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                stack.append(node)
+    while stack:
+        for name in _names(stack.pop()):
+            for key in by_name.get(name, ()):
+                if key not in reached:
+                    reached.add(key)
+                    stack.append(definitions[key])
+    return [key for key in definitions if key not in reached]
 
 
 def _allowed(name: str) -> bool:
@@ -51,22 +71,26 @@ def _sources() -> dict[str, str]:
 
 
 def test_every_function_and_class_has_a_caller():
-    assert [name for name in _unreferenced(_sources()) if not _allowed(name)] == []
+    assert _unreachable(_sources(), kept=_allowed) == []
 
 
 def test_every_allowed_name_still_lacks_a_caller():
     sources = _sources()
-    unreferenced = set(_unreferenced(sources))
+    unreachable = set(_unreachable(sources))
     imported = {node.module for module, text in sources.items() for node in ast.walk(ast.parse(text))
                 if isinstance(node, ast.ImportFrom) and node.module}
     for name in ALLOWED:
         module, _, attr = name.partition(".")
-        assert module in sources and (module not in imported if attr == "*" else name in unreferenced), name
+        assert module in sources and (module not in imported if attr == "*" else name in unreachable), name
 
 
 def test_the_scan_finds_an_unused_function():
     sources = {
-        "a": "def used():\n    return 1\n\n\ndef unused(n):\n    return unused(n - 1)\n\n\nclass Kept:\n    pass\n",
-        "b": "from .a import Kept, used\n\n\n@group.command('run')\ndef run():\n    return used(), Kept\n",
+        "a": ("def used():\n    return helper()\n\n\ndef helper():\n    return 1\n\n\n"
+              "def unused(n):\n    return unused(n - 1)\n\n\n"
+              "def ping(n):\n    return pong(n)\n\n\ndef pong(n):\n    return ping(n - 1)\n\n\n"
+              "class Kept:\n    pass\n\n\ndef tabled():\n    return 2\n\n\nTABLE = {'t': tabled}\n"),
+        "b": "from .a import Kept, ping, used\n\n\n@group.command('run')\ndef run():\n    return used(), Kept\n",
     }
-    assert _unreferenced(sources) == ["a.unused"]
+    assert _unreachable(sources) == ["a.unused", "a.ping", "a.pong"]
+    assert _unreachable(sources, kept=lambda name: name == "a.ping") == ["a.unused"]

@@ -1,13 +1,15 @@
 """The substitution, inversion and product kernels against straightforward references.
 
 Each reference is the earlier, rebuild-per-term form of a kernel: invert
-by a scan over every coefficient of each weight, substitute and
-evaluate_series by adding one image per word, SymbolPoly.substitute by
-adding one product per term, the NCSeries product by testing the length of
-every pair, the BraidElement product by one `_product` per pair of
-monomials, and the SymbolPoly arithmetic before its generators were
-interned.  The kernels must give the same values, and invert and the
-product over the complex ring the same floats in the same order.
+by a scan over every coefficient of each weight, NCSeries.substitute and
+evaluate_series by adding the image of every word, built and held per
+prefix, SymbolPoly.substitute by adding one product per term, the NCSeries
+product by testing the length of every pair, the BraidElement product and
+reduce_monomial_dict by one `_product` per pair of monomials, and the
+SymbolPoly arithmetic before its generators were interned.  The kernels
+must give the same values, and invert and the product over the complex ring
+the same floats in the same order; a substitution over the complex ring
+sums in Horner order, so it agrees within a stated rounding bound.
 """
 
 import copy
@@ -19,7 +21,7 @@ from fractions import Fraction
 import pytest
 
 from mzv.associator import build_numeric_kz
-from mzv.braid import BraidElement, _product, evaluate_series
+from mzv.braid import BraidElement, _move_right, _split, evaluate_series, reduce_monomial_dict
 from mzv.rings import QQ, SYMBOLIC, complex_ring
 from mzv.series import NCSeries
 from mzv.symbols import (
@@ -152,8 +154,16 @@ def test_invert_over_the_complex_ring_is_bit_identical(n):
         assert list(f.invert().coeffs.items()) == list(_invert_reference(f).coeffs.items())
 
 
+def _series_with_tail(ring, truncation, top, rng, coeff) -> NCSeries:
+    """A series with zero constant term and terms up to length `top`."""
+    return NCSeries(ring, truncation, {w: coeff() for k in range(1, top + 1) for w in all_words(k)
+                                       if rng.random() < 0.6})
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_substitute_matches_reference_over_qq_and_symbolic(seed):
+    """Also for images of a higher truncation than the series, with terms past
+    it, and of unequal truncations: the result stops at the least of the three."""
     rng = random.Random(100 + seed)
     n = 3 + seed % 3
     f = random_series(QQ, n, rng)
@@ -163,6 +173,41 @@ def test_substitute_matches_reference_over_qq_and_symbolic(seed):
     g = _random_symbolic_series(rng, 4)
     sa, sb = _random_symbolic_series(rng, 4, constant=0), _random_symbolic_series(rng, 4, constant=0)
     assert g.substitute(sa, sb) == _substitute_reference(g, sa, sb)
+
+    def coeff():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    for ta, tb in ((n + 2, n + 2), (n - 1, n + 1), (n + 1, 2)):
+        img_a, img_b = _series_with_tail(QQ, ta, ta, rng, coeff), _series_with_tail(QQ, tb, tb, rng, coeff)
+        got = f.substitute(img_a, img_b)
+        assert got.truncation == min(n, ta, tb)
+        assert got == _substitute_reference(f, img_a, img_b)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_substitute_over_the_exact_complex_ring_is_within_rounding(seed):
+    """Over complex_ring(0.0) no coefficient is dropped, and Horner's rule only
+    reorders the sums: every coefficient is within 1e-12 of the reference,
+    relative to the same sum taken over the absolute values."""
+    ring = complex_ring(0.0)
+    rng = random.Random(170 + seed)
+
+    def coeff():
+        return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+
+    n = 5
+    f = NCSeries(ring, n, {w: coeff() for k in range(n + 1) for w in all_words(k) if rng.random() < 0.7})
+    img_a, img_b = _series_with_tail(ring, n, 3, rng, coeff), _series_with_tail(ring, 6, 6, rng, coeff)
+    got, want = f.substitute(img_a, img_b), _substitute_reference(f, img_a, img_b)
+
+    def absolute(g):
+        return NCSeries(ring, g.truncation, {w: abs(c) for w, c in g.coeffs.items()})
+
+    scale = _substitute_reference(absolute(f), absolute(img_a), absolute(img_b))
+    assert got.truncation == want.truncation == n
+    assert set(got.coeffs) <= set(scale.coeffs) and set(want.coeffs) <= set(scale.coeffs)
+    for w, bound in scale.coeffs.items():
+        assert abs(got.coeffs.get(w, 0) - want.coeffs.get(w, 0)) <= 1e-12 * bound.real
 
 
 def _random_braid(rng, cap, unit=Fraction(1)):
@@ -208,6 +253,13 @@ def test_evaluate_series_matches_reference(seed):
         assert g.coeffs or got.is_zero()
 
 
+def _product(m1, m2):
+    """m1*m2 for standard monomials, as integer multiples of standard monomials."""
+    f1, b1 = _split(m1)
+    f2, b2 = _split(m2)
+    return ((f1 + mid + b2, k) for mid, k in _move_right(b1, f2))
+
+
 def _braid_product_reference(a: BraidElement, b: BraidElement) -> BraidElement:
     """a*b by one `_product` per pair of monomials."""
     cap = min(a.degree_cap, b.degree_cap)
@@ -246,6 +298,38 @@ def test_braid_product_matches_the_pairwise_reference(seed):
             got, want = a * b, _braid_product_reference(a, b)
             assert got.degree_cap == want.degree_cap
             assert got.coeffs == want.coeffs
+
+
+def _reduce_reference(coeffs: dict) -> dict:
+    """Each word in standard monomials by one `_product` per letter."""
+    out = {}
+    for word, c in coeffs.items():
+        terms = {(): 1}
+        for x in word:
+            nxt = {}
+            for m, k in terms.items():
+                for m2, k2 in _product(m, (x,)):
+                    nxt[m2] = nxt.get(m2, 0) + k * k2
+            terms = nxt
+        for m, k in terms.items():
+            if k:
+                add = c * k
+                out[m] = out[m] + add if m in out else add
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_reduce_monomial_dict_matches_the_letterwise_reference(seed):
+    """Arbitrary words in the five letters, base letters before fibre letters
+    included, with rational, symbolic and complex coefficients."""
+    rng = random.Random(600 + seed)
+    words = {tuple(rng.randrange(5) for _ in range(rng.randint(0, 5))) for _ in range(12)}
+    for coeff in (lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 3)), lambda: _random_poly(rng),
+                  lambda: complex(rng.uniform(-2, 2), rng.uniform(-2, 2))):
+        coeffs = {w: coeff() for w in words}
+        got, want = reduce_monomial_dict(coeffs), _reduce_reference(coeffs)
+        assert list(got) == list(want)
+        assert all(got[m] == want[m] for m in want)
 
 
 @pytest.mark.parametrize("seed", range(10))
