@@ -131,6 +131,12 @@ def _solve_twisted(phi: NCSeries, scale) -> NCSeries:
     through its weights < k, because every G factor of the conjugated letter
     sits next to a B of weight one.  So with G exact at truncation k-1, the
     right-hand side evaluated at truncation k is G exact at truncation k.
+
+    Each pass lifts G to truncation k with a zero weight-k part, so G is
+    group-like only below weight k, and `invert` (the antipode, which works
+    weight by weight) gives G^-1 exactly below weight k.  Its weight-k part
+    only ever multiplies scale*B, so the truncation cuts it off.  phi must be
+    group-like; then so is the twisted series that each pass inverts.
     """
     ring = phi.ring
     g = NCSeries.one(ring, 0)

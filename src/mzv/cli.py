@@ -26,8 +26,19 @@ _PRIMELESS = ("dual", "hexagon", "pentagon", "moldova", "kz")
 # the highest `assoc verify --weight` per identity, where a cold run on a 2-CPU
 # box stays within about 10 s and 1 GB: pentagon w7 1.0-1.7 s and 78 MB (w8 12
 # s), hexagon w14 3.6-6.2 s and 410 MB (w15 9 s and 1.1 GB), dual w14 3.4-6 s
-# and 400 MB (w15 15 s and 1.1 GB); past it the command exits 2 before any work
-MAX_VERIFY_WEIGHT = {"pentagon": 7, "hexagon": 14, "dual": 14}
+# and 400 MB (w15 15 s and 1.1 GB), netherland w10 2.6-3.7 s and 57 MB for p
+# from 5 to 3.2e23 (w11 13 s at p = 1,000,003), czech w10 5.6-6.9 s and 173 MB
+# (w11 20 s), moldova w10 3.5-3.7 s and 83 MB (w11 14 s), kz w11 4.8 s and 128
+# MB (w12 23 s); past it the command exits 2 before any work
+MAX_VERIFY_WEIGHT = {"pentagon": 7, "hexagon": 14, "dual": 14, "netherland": 10, "czech": 10, "moldova": 10,
+                     "kz": 11}
+
+# the highest `series dump --weight` per flavor, on the same budget: complex_KZ
+# w14 3.3 s and 418 MB (w15 7.6 s and 1.1 GB), padic_KZ and symbolic_lambda w12
+# 5.6-6.5 s and 123 MB (w13 26 s), minus_KZ w11 4.9-5.7 s and 72 MB (w12 24
+# s), padic_Deligne w10 2.0-3.0 s and 109 MB (w11 6.7 s at p = 5, 10.8 s at
+# p = 3.2e23)
+MAX_DUMP_WEIGHT = {"complex_KZ": 14, "padic_KZ": 12, "padic_Deligne": 10, "minus_KZ": 11, "symbolic_lambda": 12}
 
 # the largest (p + 10) * 3.5**weight that the princeton identity runs (its
 # kernels z + ... + z^p have p terms): near it, cold on the same box, p = 163,003
@@ -146,6 +157,13 @@ def _weight(ctx, param, value):
     if not 1 <= value <= MAX_TRUNCATION:
         raise click.BadParameter(f"{param.name} {value} is outside 1..{MAX_TRUNCATION}")
     return value
+
+
+def _check_weight_cap(caps: dict[str, int], name: str, weight: int) -> None:
+    """Exit 2 before any work when `weight` is past the cap of the identity or flavor `name`."""
+    cap = caps.get(name)
+    if cap is not None and weight > cap:
+        raise click.UsageError(f"--weight {weight} is past the {name}'s limit of {cap}")
 
 
 def _padic_precision(ctx, param, value):
@@ -305,9 +323,7 @@ def _verify_identity(identity: str, weight: int, p: int | None, flavor: str, tol
         checks.append({"name": name, "status": "pass" if residual < tolerance else "fail",
                        "residual": residual, "tolerance": tolerance})
 
-    cap = MAX_VERIFY_WEIGHT.get(identity)
-    if cap is not None and weight > cap:
-        raise click.UsageError(f"--weight {weight} is past the {identity}'s limit of {cap}")
+    _check_weight_cap(MAX_VERIFY_WEIGHT, identity, weight)
     if identity in ("dual", "hexagon", "pentagon"):
         if flavor == "padic_KZ":
             if weight != 2:
@@ -542,7 +558,7 @@ def series():
 
 @series.command("dump")
 @click.option("--flavor", default="padic_KZ", show_default=True,
-              type=click.Choice(["complex_KZ", "padic_KZ", "padic_Deligne", "minus_KZ", "symbolic_lambda"]))
+              type=click.Choice(list(MAX_DUMP_WEIGHT)))
 @click.option("--weight", type=int, default=4, show_default=True, callback=_weight)
 @click.option("--p", type=int, default=None, callback=_prime)
 @_internal_errors
@@ -553,6 +569,7 @@ def series_dump(flavor, weight, p):
 
     if p is not None and flavor != PADIC_DELIGNE:
         raise click.UsageError(f"--flavor {flavor} takes no --p")
+    _check_weight_cap(MAX_DUMP_WEIGHT, flavor, weight)
     click.echo(series_to_json(build_associator(flavor, weight, p)), nl=False)
 
 

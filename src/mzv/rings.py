@@ -1,8 +1,8 @@
 """Pluggable coefficient rings for the series layer.
 
 A ring object describes how coefficients behave (zero/one, equality,
-units, embedding of the rationals) without wrapping the coefficient
-values themselves: rational coefficients are `fractions.Fraction`,
+embedding of the rationals) without wrapping the coefficient values
+themselves: rational coefficients are `fractions.Fraction`,
 symbolic ones are `SymbolPoly` (integer numerators over one denominator,
 read and written as Fractions at this interface) and complex ones are the
 built-in `complex`.
@@ -39,15 +39,6 @@ class Ring:
     def eq(self, x, y) -> bool:
         return self.is_zero(x - y)
 
-    def is_unit(self, x) -> bool:
-        raise NotImplementedError
-
-    def invert(self, x):
-        raise NotImplementedError
-
-    def compatible(self, other: "Ring") -> bool:
-        return self == other
-
     def coeff_str(self, x) -> str:
         return str(x)
 
@@ -66,12 +57,6 @@ class RationalRing(Ring):
 
     def is_zero(self, x):
         return x == 0
-
-    def is_unit(self, x):
-        return x != 0
-
-    def invert(self, x):
-        return Fraction(1) / x
 
     def __eq__(self, other):
         return isinstance(other, RationalRing)
@@ -93,12 +78,6 @@ class SymbolicRing(Ring):
 
     def is_zero(self, x):
         return x.is_zero()
-
-    def is_unit(self, x):
-        return x.is_constant() and not x.is_zero()
-
-    def invert(self, x):
-        return SymbolPoly.constant(Fraction(1) / x.constant_value())
 
     def __eq__(self, other):
         return isinstance(other, SymbolicRing)
@@ -124,12 +103,6 @@ class ComplexRing(Ring):
 
     def is_zero(self, x):
         return abs(x) <= self.tolerance
-
-    def is_unit(self, x):
-        return abs(x) > self.tolerance
-
-    def invert(self, x):
-        return 1 / x
 
     def __eq__(self, other):
         return isinstance(other, ComplexRing) and other.tolerance == self.tolerance

@@ -340,6 +340,9 @@ def zeta_monomials(weight: int) -> list[Monomial]:
 
 @dataclass
 class ReductionResult:
+    """The reduction at one weight: `expressions` writes each monomial that
+    is not in `basis` as a combination of basis monomials."""
+
     weight: int
     rank: int
     basis: list[Monomial]
@@ -348,12 +351,6 @@ class ReductionResult:
     @property
     def dimension_bound(self) -> int:
         return len(self.basis)
-
-    def express(self, mono: Monomial) -> dict[Monomial, Fraction]:
-        """mono as a combination of basis monomials."""
-        if mono in self.expressions:
-            return dict(self.expressions[mono])
-        return {mono: Fraction(1)}
 
 
 # the moduli of the elimination: primes below 2**31, so two residues multiply within int64

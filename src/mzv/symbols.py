@@ -179,14 +179,6 @@ class SymbolPoly:
     def is_zero(self) -> bool:
         return not self.nums
 
-    def is_constant(self) -> bool:
-        return all(m == () for m in self.nums)
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError(f"{self} is not constant")
-        return Fraction(self.nums.get((), 0), self.den)
-
     def weight(self) -> int | None:
         """The common weight of all monomials, or None if mixed/zero."""
         weights = {sum(g.weight * e for g, e in m) for m in self.nums}

@@ -1,6 +1,7 @@
 """Test-only oracles on truncated series: the coproduct and the group-like
-test, the Lyndon coordinates of a series, random series for property
-tests, and the twisted composition law on bare (c, g) pairs."""
+test, the general inverse by prefix recursion, the Lyndon coordinates of a
+series, random series for property tests, and the twisted composition law
+on bare (c, g) pairs."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -47,6 +48,27 @@ def is_group_like(f: NCSeries) -> bool:
     return all(ring.eq(cop.get((u, v), ring.zero), f[u] * f[v]) for u, v in pairs | cop.keys())
 
 
+def reference_invert(f: NCSeries) -> NCSeries:
+    """The two-sided inverse of any series with constant term one, by prefix
+    recursion out[w] = -sum_{k >= 1} f[w[:k]] out[w[k:]]; on a group-like
+    series it equals the antipode `NCSeries.invert`."""
+    ring, n = f.ring, f.truncation
+    if not ring.eq(f.constant_term(), ring.one):
+        raise ValueError("the reference inverse takes a series with constant term one")
+    out: dict[str, object] = {"": ring.one}
+    for w in words_up_to(n)[1:]:
+        acc = None
+        for k in range(1, len(w) + 1):
+            cu = f.coeffs.get(w[:k])
+            g = out.get(w[k:]) if cu is not None else None
+            if g is not None:
+                term = cu * g
+                acc = term if acc is None else acc + term
+        if acc is not None:
+            out[w] = -acc
+    return NCSeries(ring, n, out)
+
+
 def series_character(f: NCSeries) -> dict[str, object]:
     """Restriction of f's coefficients to Lyndon words (the free coordinates)."""
     return {w: f[w] for w in lyndon_words(f.truncation)}
@@ -70,4 +92,4 @@ def gt_compose(p2: tuple, p1: tuple) -> tuple:
     """(c2, g2) o (c1, g1) = (c1 c2, g2 * g1(A/c2, g2^-1 (B/c2) g2)), the
     composition law whose associativity exercises `twisted_substitution`."""
     (c2, g2), (c1, g1) = p2, p1
-    return c1 * c2, g2 * twisted_substitution(g1, g2, g2.ring.invert(c2))
+    return c1 * c2, g2 * twisted_substitution(g1, g2, 1 / c2)

@@ -145,15 +145,15 @@ def test_criterion_5_double_shuffle():
     ok = True
     rows3 = generate_double_shuffle(3)
     red3 = reduce_relations(rows3, 3)
-    ok &= red3.express(((1, 2),)) == {((3,),): Fraction(1)}
+    ok &= red3.expressions[((1, 2),)] == {((3,),): Fraction(1)}
     rows4 = generate_double_shuffle(4)
     red4 = reduce_relations(rows4, 4)
     mu = ((2,), (2,))
     ok &= red4.dimension_bound == 1 and red4.basis == [mu]
     for idx in ((4,), (1, 3), (2, 2), (1, 1, 2)):
-        expr = red4.express((idx,))
+        expr = red4.expressions[(idx,)]
         ok &= set(expr) == {mu}
-    ratio = red4.express(((4,),))[mu]
+    ratio = red4.expressions[((4,),)][mu]
     ok &= ratio == Fraction(2, 5)
     ok &= abs(mzv((4,)) - float(ratio) * mzv((2,)) ** 2) < 1e-5
     rows5 = generate_double_shuffle(5)

@@ -9,8 +9,8 @@ import pytest
 from click.testing import CliRunner
 
 from mzv import arch_eval
-from mzv.cli import (MAX_PRINCETON_COST, MAX_SPAIN_CHECKS, MAX_VERIFY_WEIGHT, PRIME_BOUND, _is_prime, assoc, mzv,
-                     padic, series, sv)
+from mzv.cli import (MAX_DUMP_WEIGHT, MAX_PRINCETON_COST, MAX_SPAIN_CHECKS, MAX_VERIFY_WEIGHT, PRIME_BOUND,
+                     _is_prime, assoc, mzv, padic, series, sv)
 
 try:
     from importlib.resources import files
@@ -144,6 +144,17 @@ def test_weight_one_past_an_identity_cap_fails_before_any_work(identity):
     result = _run(assoc, ["verify", "--identity", identity, "--weight", str(cap + 1)])
     assert result.exit_code == 2, result.output
     assert f"--weight {cap + 1} is past the {identity}'s limit of {cap}" in result.output
+    assert time.monotonic() - start < 5.0
+
+
+@pytest.mark.parametrize("flavor", sorted(MAX_DUMP_WEIGHT))
+def test_weight_one_past_a_dump_cap_fails_before_any_work(flavor):
+    cap = MAX_DUMP_WEIGHT[flavor]
+    start = time.monotonic()
+    result = _run(series, ["dump", "--flavor", flavor, "--weight", str(cap + 1)]
+                  + (["--p", "5"] if flavor == "padic_Deligne" else []))
+    assert result.exit_code == 2, result.output
+    assert f"--weight {cap + 1} is past the {flavor}'s limit of {cap}" in result.output
     assert time.monotonic() - start < 5.0
 
 

@@ -1,15 +1,17 @@
 """The substitution, inversion and product kernels against straightforward references.
 
 Each reference is the earlier, rebuild-per-term form of a kernel: invert
-by a scan over every coefficient of each weight, NCSeries.substitute and
-evaluate_series by adding the image of every word, built and held per
-prefix, SymbolPoly.substitute by adding one product per term, the NCSeries
+by the general prefix recursion (on group-like series, where it equals the
+antipode), NCSeries.substitute and evaluate_series by adding the image of
+every word, built and held per prefix, SymbolPoly.substitute by adding one product per term, the NCSeries
 product by testing the length of every pair, the BraidElement product and
 reduce_monomial_dict by one `_product` per pair of monomials, and the
 SymbolPoly arithmetic before its generators were interned.  The kernels
-must give the same values, and invert and the product over the complex ring
-the same floats in the same order; a substitution over the complex ring
-sums in Horner order, so it agrees within a stated rounding bound.
+must give the same values, and the product over the complex ring the same
+floats in the same order.  Over the complex ring the reference inverse
+rounds where the antipode only permutes and negates, and a substitution sums
+in Horner order, so both agree with their references within a stated
+rounding bound.
 """
 
 import copy
@@ -23,7 +25,7 @@ import pytest
 from mzv.associator import build_numeric_kz
 from mzv.braid import BraidElement, _move_right, _split, evaluate_series, reduce_monomial_dict
 from mzv.rings import QQ, SYMBOLIC, complex_ring
-from mzv.series import NCSeries
+from mzv.series import NCSeries, character_series
 from mzv.symbols import (
     ARG_ABS_Z_SQ,
     ARG_ONE_MINUS_Z,
@@ -42,29 +44,9 @@ from mzv.symbols import (
     formal_derivative,
     parse_symbol_poly,
 )
-from mzv.words import all_words
+from mzv.words import all_words, lyndon_words
 
-from series_reference import coproduct, is_group_like, random_series
-
-
-def _invert_reference(f: NCSeries) -> NCSeries:
-    inv0 = f.ring.invert(f.constant_term())
-    n = f.truncation
-    out = {"": inv0}
-    by_weight = [{w: c for w, c in f.coeffs.items() if len(w) == k} for k in range(n + 1)]
-    for weight in range(1, n + 1):
-        for w in all_words(weight):
-            acc = None
-            for k in range(1, weight + 1):
-                for u, cu in by_weight[k].items():
-                    if w.startswith(u):
-                        g = out.get(w[len(u):])
-                        if g is not None:
-                            term = cu * g
-                            acc = term if acc is None else acc + term
-            if acc is not None:
-                out[w] = -(inv0 * acc)
-    return NCSeries(f.ring, n, out)
+from series_reference import coproduct, is_group_like, random_series, reference_invert
 
 
 def _substitute_reference(f: NCSeries, img_a: NCSeries, img_b: NCSeries) -> NCSeries:
@@ -133,25 +115,29 @@ def _random_symbolic_series(rng, n, constant=None) -> NCSeries:
     return NCSeries(SYMBOLIC, n, coeffs)
 
 
+def _random_character(rng, ring, n, value) -> NCSeries:
+    return character_series({w: value(rng) for w in lyndon_words(n)}, n, ring)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_invert_matches_reference_over_qq_and_symbolic(seed):
     rng = random.Random(seed)
     n = 3 + seed % 3
-    f = random_series(QQ, n, rng, constant=Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4)))
-    assert f.invert() == _invert_reference(f)
-    g = _random_symbolic_series(rng, 4, constant=rng.choice([-2, 1, 3]))
-    assert g.invert() == _invert_reference(g)
+    f = _random_character(rng, QQ, n, lambda r: Fraction(r.randint(-4, 4), r.randint(1, 3)))
+    assert f.invert() == reference_invert(f)
+    g = _random_character(rng, SYMBOLIC, 4, _random_poly)
+    assert g.invert() == reference_invert(g)
 
 
 @pytest.mark.parametrize("n", [4, 6])
-def test_invert_over_the_complex_ring_is_bit_identical(n):
+def test_invert_over_the_complex_ring_matches_reference(n):
     ring = complex_ring(1e-9)
-    rng = random.Random(n)
-    coeffs = {w: complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for k in range(n + 1) for w in all_words(k)
-              if rng.random() < 0.8}
-    coeffs[""] = complex(1.5, -0.25)
-    for f in (NCSeries(ring, n, coeffs), build_numeric_kz(n)):
-        assert list(f.invert().coeffs.items()) == list(_invert_reference(f).coeffs.items())
+    f = _random_character(random.Random(n), ring, n, lambda r: complex(r.uniform(-2, 2), r.uniform(-2, 2)))
+    for g in (f, build_numeric_kz(n)):
+        inv, want = g.invert(), reference_invert(g)
+        scale = max(abs(c) for c in want.coeffs.values())
+        assert inv.coeffs.keys() == want.coeffs.keys()
+        assert max(abs(inv[w] - c) for w, c in want.coeffs.items()) <= 1e-12 * scale
 
 
 def _series_with_tail(ring, truncation, top, rng, coeff) -> NCSeries:

