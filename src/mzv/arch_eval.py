@@ -12,13 +12,12 @@ prefixes.
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import mul
-
-import numpy as np
 
 from .shufflealg import RelationRow
 
@@ -136,6 +135,8 @@ def bernoulli(n: int) -> Fraction:
 
 # the most terms a disk series may sum; near |z| = 1 the count blows up
 MAX_SERIES_TERMS = 1_000_000
+# the last polylog pass: its point and [Li_1, ..., Li_K] there
+_LAST_POLYLOGS: tuple[complex, list[complex]] = (0j, [])
 
 
 def _series_cutoff(abs_z: float, tolerance: float) -> int:
@@ -148,15 +149,70 @@ def _series_cutoff(abs_z: float, tolerance: float) -> int:
     return n
 
 
+def _powers(z: complex, n: int) -> list[complex]:
+    """z, z^2, ..., z^n by repeated multiplication: the terms every disk
+    series is summed from."""
+    return list(accumulate(repeat(z, n), mul))
+
+
+def _fsum(terms: list[complex]) -> complex:
+    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+
+
+def _term_cutoffs(r: float, k: int, n: int) -> list[int]:
+    """For j = 2..k the first N with r^N / (N^j (1 - r)) < 1e-12, a bound on
+    the tail of Li_j at |z| = r past its first N - 1 terms, but at least 9,
+    so that every sum keeps 8 terms, as _series_cutoff does: near z = 0 the
+    absolute bound alone would keep none, while the single-valued
+    combinations weight Li_j by powers of log|z|^2.  The log of the bound
+    falls strictly in N, and is below log(1e-12) at N = n, the
+    _series_cutoff, so each N is found by bisection on [1, n]."""
+    log_r, floor = math.log(r), math.log(1e-12 * (1 - r))
+    out = []
+    for j in range(2, k + 1):
+        lo = 1
+        while lo < n:
+            mid = (lo + n) // 2
+            if mid * log_r - j * math.log(mid) < floor:
+                n = mid
+            else:
+                lo = mid + 1
+        out.append(max(9, n))
+    return out
+
+
+def _li1(z: complex) -> complex:
+    """Li_1(z) = -log(1 - z) to a few ulps relative.  Left of Re z = 1/2,
+    log|1 - z|^2 is log1p(x(x - 2) + y^2), which forming 1 - z would round
+    away at small |z|; right of it 1 - x is exact."""
+    x, y = z.real, z.imag
+    if x > 0.5:
+        return -cmath.log(1 - z)
+    return complex(-0.5 * math.log1p(x * (x - 2) + y * y), math.atan2(y, 1 - x))
+
+
 def polylog(k: int, z: complex) -> complex:
-    """Li_k on the open unit disk by direct summation, cut where the
-    geometric tail bound falls below 1e-12."""
+    """Li_k on the open unit disk, with a tail below 1e-12.
+
+    One pass gives Li_1..Li_k at z: Li_1 is the closed form -log(1 - z)
+    (_li1), and each Li_j, j >= 2, sums z^n / n^j over the powers of z below
+    its own cutoff (_term_cutoffs), real and imaginary parts by math.fsum.
+    The last pass is kept, so a single-valued combination, which needs every
+    order up to k at one point, sums the series once.
+    """
+    global _LAST_POLYLOGS
     z = complex(z)
     if z == 0:
         return 0.0 + 0.0j
-    cutoff = _series_cutoff(abs(z), 1e-12)
-    n = np.arange(1, cutoff + 1, dtype=np.float64)
-    return complex(np.sum(z ** n / n ** float(k)))
+    last, known = _LAST_POLYLOGS
+    if last != z or len(known) < k:
+        cutoffs = _term_cutoffs(abs(z), k, _series_cutoff(abs(z), 1e-12))
+        powers = _powers(z, cutoffs[0] - 1 if cutoffs else 0)
+        known = [_li1(z)]
+        for j, cutoff in enumerate(cutoffs, 2):
+            known.append(_fsum([p * n ** -j for n, p in zip(range(1, cutoff), powers)]))
+        _LAST_POLYLOGS = (z, known)
+    return known[k - 1]
 
 
 # no caller in mzv: perfbench/tracer.py times it under `arch_eval.polylog` (tests/test_perfbench_contract.py)
@@ -166,9 +222,8 @@ def polylog2(a: int, b: int, z: complex) -> complex:
     if z == 0:
         return 0.0 + 0.0j
     cutoff = _series_cutoff(abs(z), 1e-12 / 4) + 32
-    n = np.arange(1, cutoff + 1, dtype=np.float64)
-    inner = np.concatenate(([0.0], np.cumsum(n ** (-float(a)))[:-1]))
-    return complex(np.sum(z ** n * n ** (-float(b)) * inner))
+    inner = accumulate((n ** -a for n in range(1, cutoff)), initial=0.0)  # sum_{m<n} m^-a
+    return _fsum([p * n ** -b * s for n, p, s in zip(range(1, cutoff + 1), _powers(z, cutoff), inner)])
 
 
 def log_abs_sq(z: complex) -> float:
@@ -179,7 +234,8 @@ def sv_polylog(k: int, z: complex) -> complex:
     """The single-valued combination of Li_k and its conjugate-argument twin.
 
     Evaluates Li_k(z) - sum_{a=0}^{k-1} (-1)^(k-a) (log|z|^2)^a / a! *
-    Li_{k-a}(zbar) pointwise on the punctured open disk.
+    Li_{k-a}(zbar) pointwise on the punctured open disk, with Li_j(zbar) the
+    conjugate of Li_j(z), so one polylog pass at z gives every term.
     """
     z = complex(z)
     if z == 0 or abs(z) >= 1:
@@ -187,7 +243,7 @@ def sv_polylog(k: int, z: complex) -> complex:
     ell = log_abs_sq(z)
     acc = polylog(k, z)
     for a in range(k):
-        acc -= (-1) ** (k - a) * ell**a / math.factorial(a) * polylog(k - a, z.conjugate())
+        acc -= (-1) ** (k - a) * ell**a / math.factorial(a) * polylog(k - a, z).conjugate()
     return acc
 
 

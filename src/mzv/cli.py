@@ -8,6 +8,7 @@ through ASSOCIATOR_* environment variables.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import json
 import math
@@ -214,10 +215,16 @@ def _parse_index(text: str) -> tuple[int, ...]:
 
 
 def _parse_complex(text: str) -> complex:
+    """A --z point such as 0.3+0.2i: a trailing i is the imaginary unit, so
+    `inf` and `nan` are read as numbers, and then refused."""
+    compact = text.replace(" ", "")
     try:
-        return complex(text.replace(" ", "").replace("i", "j"))
+        z = complex(compact[:-1] + "j" if compact.endswith("i") else compact)
     except ValueError:
         raise click.UsageError(f"cannot parse complex number {text!r}")
+    if not cmath.isfinite(z):
+        raise click.UsageError(f"--z must be finite, got {text!r}")
+    return z
 
 
 # ---------------------------------------------------------------- mzv group

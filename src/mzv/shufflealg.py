@@ -353,7 +353,8 @@ class ReductionResult:
         return len(self.basis)
 
 
-# the moduli of the elimination: primes below 2**31, so two residues multiply within int64
+# the moduli of the elimination: the largest primes below 2**31, so each one
+# adds ~31 bits to the modulus that rational reconstruction lifts from
 _PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549, 2147483543, 2147483497,
            2147483489, 2147483477, 2147483423, 2147483399, 2147483353, 2147483323, 2147483269, 2147483249)
 
@@ -361,31 +362,47 @@ _PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 214748354
 def _rref_mod(matrix: list[dict[int, int]], ncols: int, p: int) -> tuple[list[int], list[int], list[list[int]]]:
     """Gauss-Jordan elimination of the integer rows mod p: the pivot columns,
     the free columns, and each pivot row's free-column entries in the reduced
-    row echelon form mod p."""
-    import numpy as np
+    row echelon form mod p.
 
-    m = np.zeros((len(matrix), ncols), dtype=np.int64)
-    for i, row in enumerate(matrix):
-        m[i, list(row)] = [x % p for x in row.values()]
-    pivots: list[int] = []
-    for col in range(ncols):
-        r = len(pivots)
-        nz = np.flatnonzero(m[r:, col])
-        if not nz.size:
+    Sparse rows {column: residue} are taken in descending order of their
+    smallest column.  Pivot rows are kept fully reduced, each stored as its
+    tail {column: residue} past its leading 1, and zero in every other pivot
+    column; so a row is reduced by one subtraction per pivot column it holds,
+    whose multiple is the row's own entry there.  A surviving row's smallest
+    column becomes a pivot, and is cleared from the earlier tails that hold
+    it, found through the column -> pivots index `holders`."""
+    rows = [r for r in ({c: x % p for c, x in row.items() if x % p} for row in matrix) if r]
+    rows.sort(key=min, reverse=True)
+    tails: dict[int, dict[int, int]] = {}
+    holders: dict[int, set[int]] = {}
+    for row in rows:
+        for c in [c for c in row if c in tails]:
+            x = row.pop(c)
+            for d, y in tails[c].items():
+                row[d] = row.get(d, 0) - x * y
+        row = {c: x % p for c, x in row.items() if x % p}
+        if not row:
             continue
-        m[[r, r + nz[0]]] = m[[r + nz[0], r]]
-        m[r, col:] = m[r, col:] * pow(int(m[r, col]), -1, p) % p
-        below = r + 1 + np.flatnonzero(m[r + 1:, col])[:, None]
-        cols = col + np.flatnonzero(m[r, col:])  # the rows stay sparse: touch only these
-        m[below, cols] = (m[below, cols] - m[below, col] * m[r, cols]) % p
-        pivots.append(col)
-    free = sorted(set(range(ncols)) - set(pivots))
-    image = m[:len(pivots), free]
-    # back phase, on the free columns only: the rows after r are zero in
-    # column pivots[r], so m still holds the multiples of row r to clear
-    for r in range(len(pivots) - 1, 0, -1):
-        image[:r] = (image[:r] - m[:r, pivots[r], None] * image[r]) % p
-    return pivots, free, image.tolist()
+        lead = min(row)
+        inv = pow(row.pop(lead), -1, p)
+        tail = {c: x * inv % p for c, x in row.items()}
+        for q in holders.pop(lead, ()):
+            other = tails[q]
+            x = other.pop(lead)
+            for d, y in tail.items():
+                v = (other.get(d, 0) - x * y) % p
+                if v:
+                    other[d] = v
+                    holders.setdefault(d, set()).add(q)
+                else:
+                    del other[d]
+                    holders[d].discard(q)
+        tails[lead] = tail
+        for d in tail:
+            holders.setdefault(d, set()).add(lead)
+    pivots = sorted(tails)
+    free = sorted(set(range(ncols)) - tails.keys())
+    return pivots, free, [[tails[c].get(f, 0) for f in free] for c in pivots]
 
 
 def _rational(a: int, m: int) -> Fraction | None:

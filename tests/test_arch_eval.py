@@ -111,10 +111,10 @@ def test_domain_errors():
 
 
 def test_series_cutoff_is_capped_near_the_unit_circle(monkeypatch):
-    def no_arange(*args, **kwargs):
+    def no_powers(*args, **kwargs):
         raise AssertionError("the series was summed instead of refused")
 
-    monkeypatch.setattr(arch_eval.np, "arange", no_arange)
+    monkeypatch.setattr(arch_eval, "_powers", no_powers)
     z = 0.999999999j
     for evaluate in (lambda: polylog(2, z), lambda: polylog2(1, 2, z)):
         with pytest.raises(ValueError, match=r"\|z\| = 0\.999999999 needs \d\.\d+e\+10 terms"):
@@ -217,6 +217,28 @@ def test_polylog_against_mpmath():
             assert abs(polylog(k, z) - want) < 1e-11 * max(1.0, abs(want)), (k, z)
 
 
+def test_one_polylog_pass_gives_every_order(monkeypatch):
+    """Li_1..Li_k at z come from one pass over the powers of z, each within
+    1e-11 of mpmath, at random points of |z| <= 0.9 and at the slow point
+    z = 0.99996 with k = 16; and Li_j(zbar) is the conjugate of Li_j(z)."""
+    mpmath = pytest.importorskip("mpmath")
+    passes = []
+    powers = arch_eval._powers
+    monkeypatch.setattr(arch_eval, "_powers", lambda z, n: passes.append(z) or powers(z, n))
+    monkeypatch.setattr(arch_eval, "_LAST_POLYLOGS", (0j, []))
+    rng = random.Random(17)
+    points = [(cmath.rect(0.9 * math.sqrt(rng.random()), rng.uniform(-math.pi, math.pi)), 8) for _ in range(12)]
+    for z, k in points + [(0.99996, 16)]:
+        passes.clear()
+        values = [polylog(j, z) for j in range(k, 0, -1)][::-1]
+        assert passes == [z]
+        for j, value in enumerate(values, 1):
+            want = complex(mpmath.polylog(j, z))
+            assert abs(value - want) < 1e-11 * max(1.0, abs(want)), (j, z)
+            conj = polylog(j, z.conjugate())
+            assert abs(conj - value.conjugate()) < 1e-15 * max(1.0, abs(value)), (j, z)
+
+
 def test_zagier_p_against_mpmath():
     mpmath = pytest.importorskip("mpmath")
     for z in _disk_points(12, 8):
@@ -240,6 +262,31 @@ def test_sv_polylog_against_mpmath():
             assert abs(sv_polylog(k, z) - complex(want)) < 1e-10, (k, z)
         # weight one is -log|1 - z|^2
         assert abs(sv_polylog(1, z) + float(mpmath.log(abs(1 - mpmath.mpc(z)) ** 2))) < 1e-11
+
+
+def test_single_valued_polylogs_near_zero_against_mpmath():
+    """At |z| = 1e-6, 1e-10 and 1e-13 the weights (log|z|^2)^a / a! reach
+    1e14 at k = 16, so every Li_j must be right relative to |z|, Li_1 too:
+    sv_polylog and zagier_p stay within the tolerance `sv polylog` reports."""
+    mpmath = pytest.importorskip("mpmath")
+    from mzv.cli import SV_TOLERANCE
+
+    k = 16
+    with mpmath.workdps(30):
+        for r in (1e-6, 1e-10, 1e-13):
+            for z in (complex(r, 0.0), cmath.rect(r, 2.0), cmath.rect(r, -0.7)):
+                zm = mpmath.mpc(z)
+                ell = mpmath.log(abs(zm) ** 2)
+                li = {j: mpmath.polylog(j, zm) for j in range(1, k + 1)}
+                want = li[k] - sum((-1) ** (k - a) * ell**a / mpmath.factorial(a) * mpmath.conj(li[k - a])
+                                   for a in range(k))
+                got = sv_polylog(k, z)
+                assert abs(got - complex(want)) <= SV_TOLERANCE * max(1.0, abs(got)), (r, z)
+                for kp in (k, k - 1):
+                    acc = sum(mpmath.bernoulli(a) / mpmath.factorial(a) * ell**a * li[kp - a] for a in range(kp))
+                    want_p = float(acc.real if kp % 2 == 1 else acc.imag)
+                    got_p = zagier_p(kp, z)
+                    assert abs(got_p - want_p) <= SV_TOLERANCE * max(1.0, abs(got_p)), (kp, z)
 
 
 def test_depth1_mzv_against_mpmath():

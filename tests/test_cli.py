@@ -321,15 +321,26 @@ def test_sv_polylog_output():
 
 
 def test_sv_polylog_near_the_unit_circle_is_refused(monkeypatch):
-    def no_arange(*args, **kwargs):
+    def no_powers(*args, **kwargs):
         raise AssertionError("the series was summed instead of refused")
 
-    monkeypatch.setattr(arch_eval.np, "arange", no_arange)
+    monkeypatch.setattr(arch_eval, "_powers", no_powers)
     start = time.monotonic()
     result = _run(sv, ["polylog", "--k", "2", "--z", "0.999999999"])
     assert result.exit_code == 2, result.output
     assert "terms" in result.output
     assert time.monotonic() - start < 5.0
+
+
+@pytest.mark.parametrize("z", ["nan", "inf", "-inf", "nan+1i"])
+def test_sv_polylog_refuses_a_non_finite_point(monkeypatch, z):
+    def no_powers(*args, **kwargs):
+        raise AssertionError("the series was summed instead of refused")
+
+    monkeypatch.setattr(arch_eval, "_powers", no_powers)
+    result = _run(sv, ["polylog", "--k", "3", "--z", z])
+    assert result.exit_code == 2, result.output
+    assert f"--z must be finite, got {z!r}" in result.output
 
 
 def test_sv_polylog_takes_no_tolerance(monkeypatch):
@@ -600,7 +611,10 @@ def test_mzv_relations_check_numeric_fails_a_row_off_by_one_part_in_a_billion(mo
 # integer Hölder sums (values moved by at most 3.6e-15, bounds fell from
 # 5e-11 to 6.5e-9 to 6.9e-18 to 1.1e-16); the k=16 dagger value when every
 # p-adic value came to state exactly --prec digits (O(5^223) became O(5^200),
-# with every digit below 5^200 unchanged)
+# with every digit below 5^200 unchanged); the three sv polylog values when
+# each order Li_j stopped at its own 1e-12 tail bound in one pure-Python pass
+# (each moved by at most 1.7e-12 and stays within 1e-12 max(1, |v|) of a
+# 30-digit mpmath value; the old sums ran every order as long as Li_1's)
 _DEPTH14, _DEPTH16 = ",".join(["1"] * 13 + ["2"]), ",".join(["1"] * 15 + ["2"])
 NUMERIC_SHA256 = {
     ("mzv", "eval", "--index", "2"): "c12298c1895042f44be45dd41b684d29113bbd45fb561c0a51fc51305e977fb9",
@@ -623,11 +637,11 @@ NUMERIC_SHA256 = {
     ("padic", "verify-spain", "--points", "40", "--prec", "60", "--seed", "7"):
         "756911ff4868ca2622c20153fe44813c7640dcc1675afb3ae97253320099a01f",
     ("sv", "polylog", "--k", "2", "--z", "0.3+0.2i", "--zagier"):
-        "cdaded524a0b383af0c2b3d80aadb0a7183adedf3aaa11b0efb9eeccfbf2723b",
+        "e851e912c16ba0b562fc443512ad2ca501fccfe0c0c2a87e5cd596f31866b7b9",
     ("sv", "polylog", "--k", "3", "--z", "-0.5i", "--zagier"):
-        "34d4ba06416e10c58c69a132d92c425ad115b0a8a0b5c792152e0a8e42731fa8",
+        "927f268f5d63133b0b1aa17151c478d1a5f3ddf1b9fbc75a179df2191708972a",
     ("sv", "polylog", "--k", "5", "--z", "0.7", "--zagier"):
-        "76203436c8b6ad8b9f24b19526a34302b80d25eaa9a29ec70d8df789328dc9fb",
+        "c396e861d77b9efa6fa2682611258ab3f4883c82e5e4eb3a1e6e0c9f51284a1f",
 }
 
 

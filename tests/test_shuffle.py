@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mzv.rings import QQ, SYMBOLIC
 from mzv.series import NCSeries, character_series
@@ -531,6 +532,60 @@ def test_reduction_survives_unlucky_and_small_primes(monkeypatch, weight8_refere
     assert calls == list(first) + [_PRIMES[0]]
     want = weight8_reference
     assert (got.rank, got.basis, got.expressions) == (want.rank, want.basis, want.expressions)
+
+
+def _gauss_jordan(matrix, ncols, p=None):
+    """Textbook dense Gauss-Jordan over GF(p), or over Q in Fractions when p
+    is None: the pivot columns, the free columns, and each pivot row's
+    free-column entries in the reduced row echelon form."""
+    field = (lambda x: x % p) if p else Fraction
+    rows = [[field(row.get(c, 0)) for c in range(ncols)] for row in matrix]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        inv = pow(rows[r][col], -1, p) if p else 1 / rows[r][col]
+        rows[r] = [field(x * inv) for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                rows[i] = [field(x - row[col] * y) for x, y in zip(row, rows[r])]
+        pivots.append(col)
+    free = [c for c in range(ncols) if c not in pivots]
+    return pivots, free, [[rows[r][f] for f in free] for r in range(len(pivots))]
+
+
+@st.composite
+def _sparse_matrices(draw):
+    """A prime and sparse integer rows with entries that vanish mod p, plus
+    duplicated, dependent and empty rows, in any order."""
+    p = draw(st.sampled_from([3, 5, 7, 10007, _PRIMES[0]]))
+    ncols = draw(st.integers(1, 8))
+    entry = st.one_of(st.integers(-20, 20), st.integers(-3, 3).map(lambda k: k * p))
+    base = draw(st.lists(st.dictionaries(st.integers(0, ncols - 1), entry, max_size=ncols), min_size=1, max_size=6))
+    matrix = list(base)
+    for kind in draw(st.lists(st.sampled_from(["duplicate", "combination", "empty"]), max_size=4)):
+        a, b = draw(st.sampled_from(base)), draw(st.sampled_from(base))
+        s, t = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        matrix.append({"duplicate": dict(a), "empty": {},
+                       "combination": {c: s * a.get(c, 0) + t * b.get(c, 0) for c in a.keys() | b.keys()}}[kind])
+    return p, ncols, draw(st.permutations(matrix))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sparse_matrices())
+def test_rref_mod_equals_dense_gauss_jordan(case):
+    p, ncols, matrix = case
+    got = _rref_mod(matrix, ncols, p)
+    assert got == _gauss_jordan(matrix, ncols, p)
+    # over Q: the rank mod p is at most the rational one, and where the
+    # pivots agree the echelon form mod p is the rational one reduced mod p
+    pivots, free, image = _gauss_jordan(matrix, ncols)
+    assert len(got[0]) <= len(pivots)
+    if got[0] == pivots:
+        assert got[2] == [[v.numerator * pow(v.denominator, -1, p) % p for v in vs] for vs in image]
 
 
 def _table_regularized(index, table):
