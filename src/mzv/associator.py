@@ -166,21 +166,20 @@ def comparison_residual(phi_kz: NCSeries, g: NCSeries, scale) -> NCSeries:
 
 
 @lru_cache(maxsize=None)
-def g0_symbolic(arg: str, truncation: int, li_flavor: str) -> NCSeries:
+def g0_symbolic(arg: str, truncation: int) -> NCSeries:
     """The fundamental-solution series at the given argument tag.
 
     Character values on Lyndon words: A maps to log(arg), B to -Li_1(arg),
-    and every other Lyndon word to its (-1)^depth-signed Li symbol.  The
-    flavor has no default, so every caller shares one cache entry per table.
+    and every other Lyndon word to its (-1)^depth-signed Li symbol.
     """
     assignments: dict[str, SymbolPoly] = {
         "A": SymbolPoly.gen(LogSym(arg)),
-        "B": -SymbolPoly.gen(LiSym(li_flavor, (1,), arg)),
+        "B": -SymbolPoly.gen(LiSym((1,), arg)),
     }
     for w in lyndon_words(truncation):
         if len(w) >= 2:
             entries, sign = index_of_word(w)
-            assignments[w] = SymbolPoly.gen(LiSym(li_flavor, entries, arg), Fraction(sign))
+            assignments[w] = SymbolPoly.gen(LiSym(entries, arg), Fraction(sign))
     return character_series(assignments, truncation, SYMBOLIC)
 
 
@@ -192,8 +191,8 @@ def overconvergent_g0(p: int, truncation: int) -> NCSeries:
     polylogarithm expressions.
     """
     phi_de = build_associator(PADIC_DELIGNE, truncation, p)
-    base = g0_symbolic(ARG_Z, truncation, "plain")
-    shifted = g0_symbolic(ARG_Z_POW_P, truncation, "plain")
+    base = g0_symbolic(ARG_Z, truncation)
+    shifted = g0_symbolic(ARG_Z_POW_P, truncation)
     return base * twisted_substitution(shifted, phi_de, Fraction(1, p)).invert()
 
 
@@ -201,8 +200,8 @@ def overconvergent_g0(p: int, truncation: int) -> NCSeries:
 def single_valued_g0(truncation: int) -> NCSeries:
     """G0(z) * [G0 at zbar twisted by A -> -A, B -> phi_minus^-1 (-B) phi_minus]^-1."""
     phi_minus = build_associator(MINUS_KZ, truncation)
-    base = g0_symbolic(ARG_Z, truncation, "plain")
-    conj = g0_symbolic(ARG_Z_CONJ, truncation, "plain")
+    base = g0_symbolic(ARG_Z, truncation)
+    conj = g0_symbolic(ARG_Z_CONJ, truncation)
     return base * twisted_substitution(conj, phi_minus, -1).invert()
 
 
@@ -228,7 +227,7 @@ def _canonical_image(g, truncation: int, p: int | None) -> SymbolPoly | None:
     if isinstance(g, LiSym) and not is_lyndon(word_of_index(g.index)[0]):
         if g.weight > truncation:
             raise ValueError(f"{g} has weight above the truncation {truncation}")
-        table = g0_symbolic(g.arg, truncation, g.flavor)
+        table = g0_symbolic(g.arg, truncation)
         return canonicalize_li_symbols(zeta_lambda_expr(table, g.index), truncation, p)
     return None
 
@@ -364,7 +363,7 @@ def deligne_depth2_formula(a: int, b: int, p: int) -> SymbolPoly:
 
 
 def _li(index, arg: str) -> SymbolPoly:
-    return SymbolPoly.gen(LiSym("plain", tuple(index), arg))
+    return SymbolPoly.gen(LiSym(tuple(index), arg))
 
 
 def dagger_depth1_formula(k: int, p: int) -> SymbolPoly:
@@ -379,7 +378,7 @@ def dagger_depth2_formula(a: int, b: int, p: int) -> SymbolPoly:
     out = _li((a, b), ARG_Z) - q(a + b) * _li((a, b), ARG_Z_POW_P)
     out = out - (q(b) - q(a + b)) * zeta((a,)) * _li((b,), ARG_Z_POW_P)
     for r in range(a):
-        inner = _li((b + r,), ARG_Z) - q(b + r) * _li((b + r,), ARG_Z_POW_P)
+        inner = dagger_depth1_formula(b + r, p)
         out = out - Fraction((-1) ** r) * q(a - r) * math.comb(b - 1 + r, r) * _li((a - r,), ARG_Z_POW_P) * inner
     for s in range(b):
         out = out - Fraction((-1) ** a) * (q(b - s) - q(a + b)) * math.comb(a - 1 + s, a - 1) * zeta((a + s,)) * _li((b - s,), ARG_Z_POW_P)
@@ -404,10 +403,7 @@ def sv_depth2_formula(a: int, b: int) -> SymbolPoly:
         for s in range(r + 1):
             outer = (Fraction((-1) ** (a + r + s) * math.comb(b - 1 + s, s), math.factorial(r - s))
                      * ell ** (r - s) * _li((a - r,), ARG_Z_CONJ))
-            inner = _li((b + s,), ARG_Z)
-            for w in range(b + s):
-                inner = inner - Fraction((-1) ** (b + s + w), math.factorial(w)) * ell**w * _li((b + s - w,), ARG_Z_CONJ)
-            out = out - outer * inner
+            out = out - outer * sv_depth1_formula(b + s)
     for u in range(b):
         bracket = Fraction((-1) ** (a + b + u)) * _li((a, b - u), ARG_Z_CONJ)
         bracket = bracket + Fraction((-1) ** (b + u) - (-1) ** (a + b + u)) * zeta((a,)) * _li((b - u,), ARG_Z_CONJ)

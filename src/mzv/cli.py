@@ -254,10 +254,13 @@ def mzv_eval(index, tolerance, pretty):
 @mzv.command("relations")
 @click.option("--weight", type=int, required=True, callback=_relations_weight)
 @click.option("--flavor", default="complex", show_default=True,
-              type=click.Choice(["complex", "p-adic", "p-adic-Deligne"]))
+              type=click.Choice(["complex", "p-adic", "p-adic-Deligne"]),
+              help="rename the symbols of the complex reduction; a p-adic basis may list "
+                   "zeta_p[2]^2 although zeta_p(2) = 0")
 @click.option("--format", "fmt", default="csv", show_default=True, type=click.Choice(["csv", "json"]))
 @click.option("--check-numeric/--no-check-numeric", default=False,
-              help="also evaluate every row numerically (complex flavor)")
+              help="also evaluate every row numerically (complex flavor); residuals appear only "
+                   "with --format json, and CSV shows a failure only through exit code 1")
 @_internal_errors
 def mzv_relations(weight, flavor, fmt, check_numeric):
     """Double-shuffle relation rows and their exact rank reduction."""
@@ -404,7 +407,7 @@ def _verify_identity(identity: str, weight: int, p: int | None, flavor: str, tol
     if identity == "kz":
         from .symbols import ARG_Z
 
-        res = asc.verify_kz_equation(asc.g0_symbolic(ARG_Z, weight, "plain"))
+        res = asc.verify_kz_equation(asc.g0_symbolic(ARG_Z, weight))
         exact(f"differential equation residual at weight {weight}", res.is_zero())
         return checks
 

@@ -1,224 +1,9 @@
-"""Exact rational functions in one variable z over the rationals.
-
-Coefficients are `fractions.Fraction`; polynomials are dense coefficient
-tuples (constant term first).  Every `RatFunc` is kept normalized: the
-fraction is reduced by the polynomial gcd and the denominator is monic,
-so equality is plain structural equality and the zero test is exact.
-That is all the differential-equation residual checks require.
+"""No command builds a rational function in z: the differential equations
+are checked as D * residual = 0 with D a polynomial in z (see
+`symbols.formal_derivative`).  The empty class keeps the `ratfunc.ops`
+layer of the out-of-tree benchmark tracer resolvable; it wraps no method.
 """
-
-from __future__ import annotations
-
-from fractions import Fraction
-
-Poly = tuple[Fraction, ...]
-
-_ZERO: Poly = ()
-_ONE: Poly = (Fraction(1),)
-
-
-def _trim(cs: list[Fraction]) -> Poly:
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
-def poly_from_coeffs(coeffs) -> Poly:
-    return _trim([Fraction(c) for c in coeffs])
-
-
-def _padd(p: Poly, q: Poly) -> Poly:
-    n = max(len(p), len(q))
-    return _trim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)])
-
-
-def _pneg(p: Poly) -> Poly:
-    return tuple(-c for c in p)
-
-
-def _pmul(p: Poly, q: Poly) -> Poly:
-    if not p or not q:
-        return _ZERO
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return _trim(out)
-
-
-def _pdivmod(p: Poly, q: Poly) -> tuple[Poly, Poly]:
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
-    quo = [Fraction(0)] * max(0, len(p) - len(q) + 1)
-    dq = len(q) - 1
-    lead = q[-1]
-    while len(rem) - 1 >= dq and _trim(rem):
-        rem = list(_trim(rem))
-        if len(rem) - 1 < dq:
-            break
-        c = rem[-1] / lead
-        k = len(rem) - 1 - dq
-        quo[k] = c
-        for j, b in enumerate(q):
-            rem[k + j] -= c * b
-        rem = list(_trim(rem))
-    return _trim(quo), _trim(rem)
-
-
-def _pgcd(p: Poly, q: Poly) -> Poly:
-    while q:
-        p, q = q, _pdivmod(p, q)[1]
-    if not p:
-        return _ZERO
-    lead = p[-1]
-    return tuple(c / lead for c in p)
-
-
-def _pmonic_scale(p: Poly) -> tuple[Fraction, Poly]:
-    """Return (lead, p/lead) with p/lead monic."""
-    lead = p[-1]
-    return lead, tuple(c / lead for c in p)
 
 
 class RatFunc:
-    """A reduced fraction num/den of polynomials in z, den monic."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num=0, den=1):
-        if isinstance(num, RatFunc) or isinstance(den, RatFunc):
-            raise TypeError("construct RatFunc from polynomials or rationals")
-        n = num if isinstance(num, tuple) else poly_from_coeffs([Fraction(num)])
-        d = den if isinstance(den, tuple) else poly_from_coeffs([Fraction(den)])
-        if not d:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if not n:
-            self.num, self.den = _ZERO, _ONE
-            return
-        g = _pgcd(n, d)
-        if len(g) > 1:
-            n = _pdivmod(n, g)[0]
-            d = _pdivmod(d, g)[0]
-        lead, d = _pmonic_scale(d)
-        n = tuple(c / lead for c in n)
-        self.num, self.den = n, d
-
-    @staticmethod
-    def z_power(k: int) -> "RatFunc":
-        """z**k for k of either sign."""
-        mono = tuple([Fraction(0)] * abs(k) + [Fraction(1)])
-        if k >= 0:
-            return RatFunc(mono, _ONE)
-        return RatFunc(_ONE, mono)
-
-    @staticmethod
-    def from_fraction(q) -> "RatFunc":
-        return RatFunc(poly_from_coeffs([Fraction(q)]), _ONE)
-
-    def is_zero(self) -> bool:
-        return not self.num
-
-    def is_constant(self) -> bool:
-        return len(self.num) <= 1 and self.den == _ONE
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError(f"{self} is not constant")
-        return self.num[0] if self.num else Fraction(0)
-
-    def _coerce(self, other):
-        if isinstance(other, RatFunc):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return RatFunc.from_fraction(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return RatFunc(_padd(_pmul(self.num, o.den), _pmul(o.num, self.den)), _pmul(self.den, o.den))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        r = RatFunc.__new__(RatFunc)
-        r.num, r.den = _pneg(self.num), self.den
-        return r
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return RatFunc(_pmul(self.num, o.num), _pmul(self.den, o.den))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        if not o.num:
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(_pmul(self.num, o.den), _pmul(self.den, o.num))
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return o / self
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc.from_fraction(other)
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __repr__(self):
-        return f"RatFunc({poly_str(self.num)!r}, {poly_str(self.den)!r})"
-
-    def __str__(self):
-        if self.den == _ONE:
-            return poly_str(self.num)
-        return f"({poly_str(self.num)})/({poly_str(self.den)})"
-
-
-def poly_str(p: Poly) -> str:
-    if not p:
-        return "0"
-    parts = []
-    for k, c in enumerate(p):
-        if c == 0:
-            continue
-        if k == 0:
-            parts.append(str(c))
-        else:
-            zk = "z" if k == 1 else f"z^{k}"
-            if c == 1:
-                parts.append(zk)
-            elif c == -1:
-                parts.append(f"-{zk}")
-            else:
-                parts.append(f"{c}*{zk}")
-    out = parts[0]
-    for t in parts[1:]:
-        out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-    return out
-
-
-ZERO = RatFunc(0)
-ONE = RatFunc(1)
-Z = RatFunc.z_power(1)
+    pass

@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .symbols import ZetaSym
 from .words import all_words
@@ -238,10 +238,17 @@ class RelationRow:
         if any(monomial_weight(m) != self.weight for m in self.coeffs):
             raise ValueError("relation row is not weight-homogeneous")
 
-    def normalized(self) -> tuple[tuple[Monomial, Fraction], ...]:
-        lead = max(self.coeffs, key=_pivot_key)
-        scale = self.coeffs[lead]
-        return tuple(sorted(((m, c / scale) for m, c in self.coeffs.items()), key=lambda mc: _pivot_key(mc[0])))
+    @cached_property
+    def integer_form(self) -> dict[Monomial, int]:
+        """The row scaled to coprime integers, positive at its `_pivot_key`-
+        largest monomial: two rows share it exactly when they are equal up to
+        a nonzero rational scale."""
+        den = math.lcm(*(c.denominator for c in self.coeffs.values()))
+        nums = {m: c.numerator * (den // c.denominator) for m, c in self.coeffs.items()}
+        g = math.gcd(*nums.values())
+        if nums[max(nums, key=_pivot_key)] < 0:
+            g = -g
+        return {m: c // g for m, c in nums.items()}
 
 
 def _stuffle_expansion(i: tuple[int, ...], j: tuple[int, ...]) -> dict[Monomial, Fraction]:
@@ -275,7 +282,7 @@ def generate_double_shuffle(weight: int) -> list[RelationRow]:
     resolutions are equated.  Every monomial of three or more factors is
     equated with the shuffle product of its factors, so products reduce like
     pairs do (the dimension bound is Zagier's d_n at weights 2-10).  Rows
-    are normalized and deduplicated.
+    are deduplicated up to scale by their integer forms.
     """
     if weight < 2:
         raise ValueError("double shuffle relations start at weight 2")
@@ -311,7 +318,7 @@ def generate_double_shuffle(weight: int) -> list[RelationRow]:
     seen = set()
     unique = []
     for row in rows:
-        key = row.normalized()
+        key = frozenset(row.integer_form.items())
         if key not in seen:
             seen.add(key)
             unique.append(row)
@@ -440,7 +447,7 @@ def reduce_relations(rows: list[RelationRow], weight: int) -> ReductionResult:
     """Exact reduced row echelon form of the relation rows, by elimination
     modulo word-size primes lifted to Q.
 
-    Rows are scaled to integers over the monomial axis sorted by pivot
+    Rows enter in their integer forms over the monomial axis sorted by pivot
     preference.  `_rref_mod` gives the pivot columns and the free-column
     entries of the echelon form mod p.  Images of primes with the same pivots
     are combined by the Chinese remainder theorem and lifted entry by entry
@@ -458,10 +465,7 @@ def reduce_relations(rows: list[RelationRow], weight: int) -> ReductionResult:
         raise ValueError("rows must be homogeneous of the stated weight")
     monos = sorted(zeta_monomials(weight), key=_pivot_key, reverse=True)
     col_of = {m: k for k, m in enumerate(monos)}
-    matrix: list[dict[int, int]] = []
-    for row in rows:
-        denom = math.lcm(*(c.denominator for c in row.coeffs.values()))
-        matrix.append({col_of[m]: int(c * denom) for m, c in row.coeffs.items()})
+    matrix = [{col_of[m]: c for m, c in row.integer_form.items()} for row in rows]
     best = None
     for p in _PRIMES:
         pivots, free, image = _rref_mod(matrix, len(monos), p)

@@ -4,9 +4,8 @@ Generators come in five kinds:
 
 * zeta symbols  -- multiple zeta values of a given flavor (complex, p-adic,
   p-adic Deligne), indexed by an admissible index tuple;
-* Li symbols    -- one-variable multiple polylogarithm functions (plain,
-  overconvergent "dagger", single-valued "minus") at an argument tag
-  (z, z^p, zbar);
+* Li symbols    -- one-variable multiple polylogarithm functions at an
+  argument tag (z, z^p, zbar);
 * log symbols   -- logarithms of the argument tags plus 1-z, 1-zbar, |z|^2;
 * lambda symbols -- free character coordinates attached to Lyndon words,
   used to parameterize group-like series before any zeta relations are
@@ -44,9 +43,7 @@ ARG_ONE_MINUS_Z = "1-z"
 ARG_ABS_Z_SQ = "|z|^2"
 
 ZETA_FLAVORS = {"complex": "zeta", "p-adic": "zeta_p", "p-adic-Deligne": "zetaDe_p"}
-LI_FLAVORS = {"plain": "Li", "dagger": "Lidag", "minus": "Liminus"}
 _ZETA_BY_NAME = {v: k for k, v in ZETA_FLAVORS.items()}
-_LI_BY_NAME = {v: k for k, v in LI_FLAVORS.items()}
 
 
 class _Interned(type):
@@ -85,12 +82,11 @@ class ZetaSym(_Generator):
 
 @dataclass(frozen=True, eq=False)
 class LiSym(_Generator):
-    flavor: str
     index: tuple[int, ...]
     arg: str
 
     def __str__(self):
-        return f"{LI_FLAVORS[self.flavor]}[{','.join(map(str, self.index))}]({self.arg})"
+        return f"Li[{','.join(map(str, self.index))}]({self.arg})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -428,7 +424,7 @@ def _d_generator(g, p: int | None) -> SymbolPoly:
         # D dx/(1-x): p z^(p-1) z(1-z^p)/(1-z^p) = p z^p at x = z^p
         kernel, rest = (z_poly([0] * p + [p]) if at_zp else d_over_1mz), idx[:-1]
     # Li of the empty index is 1
-    return kernel * SymbolPoly.gen(LiSym(g.flavor, rest, g.arg)) if rest else kernel
+    return kernel * SymbolPoly.gen(LiSym(rest, g.arg)) if rest else kernel
 
 
 def formal_derivative(q: SymbolPoly, p: int | None = None) -> SymbolPoly:
@@ -456,7 +452,7 @@ def formal_derivative(q: SymbolPoly, p: int | None = None) -> SymbolPoly:
 # -- canonical parsing --------------------------------------------------
 
 _GEN_RE = re.compile(
-    r"(?P<name>zetaDe_p|zeta_p|zeta|Lidag|Liminus|Li|lam_[A-Za-z0-9]+)"
+    r"(?P<name>zetaDe_p|zeta_p|zeta|Li|lam_[A-Za-z0-9]+)"
     r"\[(?P<idx>[A-Z0-9,]*)\]"
     r"(?:\((?P<arg>[^)]*)\))?"
     r"(?:\^(?P<exp>\d+))?"
@@ -483,7 +479,7 @@ def _parse_generator(tok: str):
     idx = tuple(int(x) for x in m.group("idx").split(",") if x)
     if name in _ZETA_BY_NAME:
         return ZetaSym(_ZETA_BY_NAME[name], idx), exp
-    return LiSym(_LI_BY_NAME[name], idx, m.group("arg") or ARG_Z), exp
+    return LiSym(idx, m.group("arg") or ARG_Z), exp
 
 
 def parse_symbol_poly(text: str) -> SymbolPoly:

@@ -167,7 +167,7 @@ def test_criterion_5_double_shuffle():
 
 
 def test_criterion_6_differential_equations():
-    ok = verify_kz_equation(g0_symbolic(ARG_Z, 4, "plain")).is_zero()
+    ok = verify_kz_equation(g0_symbolic(ARG_Z, 4)).is_zero()
     for p in (3, 5):
         phi_de = solve_deligne(build_symbolic_associator("p", 4), p)
         ok &= verify_kz_equation(overconvergent_g0(p, 4), p=p,
@@ -187,7 +187,7 @@ def test_criterion_7_property_suites():
         ok &= is_group_like(solve_deligne(phi_p, p))
         ok &= is_group_like(overconvergent_g0(p, 4))
     ok &= is_group_like(solve_minus(phi_c))
-    ok &= is_group_like(g0_symbolic(ARG_Z, 4, "plain")) and is_group_like(single_valued_g0(4))
+    ok &= is_group_like(g0_symbolic(ARG_Z, 4)) and is_group_like(single_valued_g0(4))
 
     # character round trip on 100 random Lyndon assignments
     rng = random.Random(2)

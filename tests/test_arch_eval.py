@@ -170,7 +170,7 @@ def test_scaled_derivative_matches_a_finite_difference():
     from mzv.symbols import ARG_ONE_MINUS_Z, ARG_Z, LiSym, LogSym, SymbolPoly, formal_derivative
 
     z, h = 0.3 + 0.2j, 1e-5
-    cases = [(LiSym("plain", (k,), ARG_Z), lambda x, k=k: polylog(k, x)) for k in (1, 2, 3)]
+    cases = [(LiSym((k,), ARG_Z), lambda x, k=k: polylog(k, x)) for k in (1, 2, 3)]
     cases.append((LogSym(ARG_ONE_MINUS_Z), lambda x: cmath.log(1 - x)))
     for g, f in cases:
         scaled = evaluate_symbol_poly(formal_derivative(SymbolPoly.gen(g)), z=z)

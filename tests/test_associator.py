@@ -249,9 +249,9 @@ def test_substitution_wrappers():
 
 
 def test_g0_low_coefficients():
-    g0 = g0_symbolic(ARG_Z, 4, "plain")
+    g0 = g0_symbolic(ARG_Z, 4)
     log = SymbolPoly.gen(LogSym(ARG_Z))
-    li1 = SymbolPoly.gen(LiSym("plain", (1,), ARG_Z))
+    li1 = SymbolPoly.gen(LiSym((1,), ARG_Z))
     assert (g0["A"] - log).is_zero()
     assert (g0["B"] + li1).is_zero()
     assert (g0["AA"] - Fraction(1, 2) * log * log).is_zero()
@@ -291,7 +291,7 @@ def test_single_valued_formulas():
 
 
 def test_kz_residuals():
-    assert verify_kz_equation(g0_symbolic(ARG_Z, 4, "plain")).is_zero()
+    assert verify_kz_equation(g0_symbolic(ARG_Z, 4)).is_zero()
     one = NCSeries.one(SYMBOLIC, 3)
     res = verify_kz_equation(one)
     # constants are not solutions: the residual is minus the connection
@@ -307,7 +307,7 @@ def test_kz_residuals():
 
 @pytest.mark.parametrize("word", ["A", "B", "AB", "BBA", "ABAB", "AABBB", "BABAB"])
 def test_kz_residual_detects_a_corrupted_coefficient(word):
-    g = g0_symbolic(ARG_Z, 5, "plain")
+    g = g0_symbolic(ARG_Z, 5)
     assert not g[word].is_zero()
     bad = NCSeries(SYMBOLIC, 5, {**g.coeffs, word: 2 * g[word]})
     assert not verify_kz_equation(bad).is_zero()
@@ -400,8 +400,7 @@ def test_numeric_kz_coefficients():
 def test_dagger_coefficient_depth1_shape():
     p = 3
     expr = canonicalize_li_symbols(zeta_lambda_expr(overconvergent_g0(p, 2), (2,)), 2, p)
-    want = SymbolPoly.gen(LiSym("plain", (2,), ARG_Z)) - Fraction(1, p**2) * SymbolPoly.gen(
-        LiSym("plain", (2,), "z^p"))
+    want = SymbolPoly.gen(LiSym((2,), ARG_Z)) - Fraction(1, p**2) * SymbolPoly.gen(LiSym((2,), "z^p"))
     assert (expr - want).is_zero()
 
 
@@ -434,9 +433,9 @@ def test_dagger_expansion_agrees_with_padic_evaluation():
 _CANONICAL_GENS = [
     ZetaSym("p-adic", (2,)), ZetaSym("p-adic", (1, 2)), ZetaSym("p-adic", (1,)),
     ZetaSym("complex", (3,)), ZetaSym("complex", (2, 1)), ZetaSym("p-adic-Deligne", (3,)),
-    LiSym("plain", (2,), ARG_Z), LiSym("plain", (1, 2), ARG_Z),  # Lyndon
-    LiSym("plain", (1, 1), ARG_Z), LiSym("plain", (2, 1), ARG_Z),  # non-Lyndon
-    LiSym("plain", (2, 2), ARG_Z_POW_P), LiSym("plain", (1, 1), ARG_Z_CONJ),
+    LiSym((2,), ARG_Z), LiSym((1, 2), ARG_Z),  # Lyndon
+    LiSym((1, 1), ARG_Z), LiSym((2, 1), ARG_Z),  # non-Lyndon
+    LiSym((2, 2), ARG_Z_POW_P), LiSym((1, 1), ARG_Z_CONJ),
     LogSym(ARG_Z), LogSym(ARG_Z_POW_P), LogSym(ARG_ABS_Z_SQ), LambdaSym("p", "AB"),
 ]
 
@@ -476,13 +475,13 @@ def test_canonical_form_generator_images():
     assert canon(ZetaSym("p-adic-Deligne", (3,))) == SymbolPoly.gen(ZetaSym("p-adic-Deligne", (3,)))
     assert canon(ZetaSym("p-adic-Deligne", (3,)), 5) == zeta_lambda_expr(build_associator(PADIC_DELIGNE, 4, 5), (3,))
     # Li_{1,1}(x) = Li_1(x)^2 / 2 and Li_{2,1}(x) = Li_1(x) Li_2(x) - 2 Li_{1,2}(x)
-    li = lambda index, arg: SymbolPoly.gen(LiSym("plain", index, arg))
-    assert canon(LiSym("plain", (1, 1), ARG_Z)) == Fraction(1, 2) * li((1,), ARG_Z) ** 2
+    li = lambda index, arg: SymbolPoly.gen(LiSym(index, arg))
+    assert canon(LiSym((1, 1), ARG_Z)) == Fraction(1, 2) * li((1,), ARG_Z) ** 2
     for arg in (ARG_Z, ARG_Z_POW_P, ARG_Z_CONJ):
         want = li((1,), arg) * li((2,), arg) - 2 * li((1, 2), arg)
-        assert canon(LiSym("plain", (2, 1), arg), 3) == want
+        assert canon(LiSym((2, 1), arg), 3) == want
     with pytest.raises(ValueError):
-        canon(LiSym("plain", (2, 2, 1), ARG_Z))
+        canon(LiSym((2, 2, 1), ARG_Z))
 
 
 def _with_one_term_doubled(formula, term):
@@ -531,7 +530,7 @@ def test_modified_kz_residual_detects_a_corrupted_coefficient(word):
 
 
 def test_clearing_the_caches_clears_the_canonical_form():
-    canonicalize_li_symbols(SymbolPoly.gen(LiSym("plain", (1, 1), ARG_Z)), 3)
+    canonicalize_li_symbols(SymbolPoly.gen(LiSym((1, 1), ARG_Z)), 3)
     assert asc._canonical_image.cache_info().currsize and asc._canonical_monomials.cache_info().currsize
     _clear_associator_caches()
     assert asc._canonical_image.cache_info().currsize == 0
@@ -541,5 +540,5 @@ def test_clearing_the_caches_clears_the_canonical_form():
 def test_one_fundamental_solution_table_per_argument():
     _clear_associator_caches()
     g0_symbolic.cache_clear()
-    assert verify_kz_equation(g0_symbolic(ARG_Z, 7, "plain")).is_zero()
+    assert verify_kz_equation(g0_symbolic(ARG_Z, 7)).is_zero()
     assert g0_symbolic.cache_info().currsize == 1

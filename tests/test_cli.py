@@ -462,6 +462,16 @@ def test_series_parse_rejects_the_integer_ring_tag():
     assert "unknown ring tag 'Z'" in parsed.output
 
 
+@pytest.mark.parametrize("coeff", ["Lidag[2](z)", "Liminus[1,2](zbar)"])
+def test_series_parse_rejects_an_unknown_symbol(coeff):
+    """Li symbols carry no flavor; no dump writes these names."""
+    text = json.dumps({"format": "ncseries/1", "ring": "symbolic", "truncation": 2,
+                       "terms": [{"word": "", "coeff": "1"}, {"word": "AB", "coeff": coeff}]})
+    parsed = _run(series, ["parse", "-"], input=text)
+    assert parsed.exit_code == 2, parsed.output
+    assert "cannot parse generator" in parsed.output
+
+
 # sha256 of `series dump` stdout for every flavor at weights 4-6 (p = 3 for
 # the Deligne flavor); the canonical serialization must not move by a byte
 # (complex_KZ w5 and w6: re-recorded when each non-Lyndon coefficient came

@@ -12,7 +12,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "mzv"
 # names that no command reaches, each kept for the reason given;
 # "<module>.*" keeps a whole module
 ALLOWED = {
-    "ratfunc.*": "perfbench/tracer.py times RatFunc arithmetic as `ratfunc.ops`",
+    "ratfunc.*": "empty class kept for perfbench/tracer.py, which resolves `ratfunc.RatFunc`",
     "braid.reduce_monomial_dict": "perfbench/tracer.py times it as `braid.reduce`",
     "arch_eval.polylog2": "perfbench/tracer.py times it under `arch_eval.polylog`",
 }

@@ -93,7 +93,7 @@ def _symbol_substitute_reference(poly: SymbolPoly, mapping) -> SymbolPoly:
     return out
 
 
-_GENS = [LambdaSym("c", "AB"), LambdaSym("c", "AAB"), ZetaSym("complex", (2,)), LiSym("plain", (1, 2), ARG_Z),
+_GENS = [LambdaSym("c", "AB"), LambdaSym("c", "AAB"), ZetaSym("complex", (2,)), LiSym((1, 2), ARG_Z),
          LogSym(ARG_Z)]
 
 
@@ -515,10 +515,10 @@ def _old_str(a: dict) -> str:
 
 
 _DIFFERENTIABLE = [ZetaSym("complex", (2,)), LambdaSym("c", "AB"), Z, LogSym(ARG_Z), LogSym(ARG_ONE_MINUS_Z),
-                   LiSym("plain", (1, 2), ARG_Z), LiSym("dagger", (2, 1), ARG_Z)]
-_AT_ZP = [LiSym("plain", (2,), ARG_Z_POW_P), LiSym("dagger", (1,), ARG_Z_POW_P), LogSym(ARG_Z_POW_P)]
+                   LiSym((1, 2), ARG_Z), LiSym((2, 1), ARG_Z)]
+_AT_ZP = [LiSym((2,), ARG_Z_POW_P), LiSym((1,), ARG_Z_POW_P), LogSym(ARG_Z_POW_P)]
 _EVERY_KIND = _DIFFERENTIABLE + _AT_ZP + [
-    ZetaSym("p-adic", (1, 2)), ZetaSym("p-adic-Deligne", (3,)), LiSym("minus", (3,), ARG_Z_CONJ),
+    ZetaSym("p-adic", (1, 2)), ZetaSym("p-adic-Deligne", (3,)), LiSym((3,), ARG_Z_CONJ),
     LogSym(ARG_ABS_Z_SQ), LambdaSym("p", "AAB")]
 
 
@@ -583,7 +583,7 @@ def test_symbol_arithmetic_divides_out_the_content(p, k):
     whole = Fraction(1, 6) * x + Fraction(5, 6) * x
     assert _in_lowest_terms(whole) and (whole.den, whole.nums) == (1, {((LogSym(ARG_Z), 1),): 1})
     assert (x / c).substitute({LogSym(ARG_Z): c * y}) == y
-    assert formal_derivative(SymbolPoly.gen(LiSym("plain", (1, 2), ARG_Z), Fraction(1, c))).den == c
+    assert formal_derivative(SymbolPoly.gen(LiSym((1, 2), ARG_Z), Fraction(1, c))).den == c
 
 
 def test_unreduced_numerators_compare_unequal():
@@ -606,7 +606,7 @@ def test_formal_derivative_matches_the_earlier_kernel_in_order(seed, p):
 
 @pytest.mark.parametrize("cls,args", [
     (ZetaSym, {"flavor": "p-adic", "index": (1, 2)}),
-    (LiSym, {"flavor": "dagger", "index": (2,), "arg": ARG_Z_POW_P}),
+    (LiSym, {"index": (2,), "arg": ARG_Z_POW_P}),
     (LogSym, {"arg": ARG_ABS_Z_SQ}),
     (LambdaSym, {"tag": "c", "word": "AAB"}),
     (ZSym, {}),
@@ -629,5 +629,5 @@ def test_generators_are_interned(cls, args):
 def test_interned_generators_stay_distinct():
     assert ZSym() is Z
     assert ZetaSym("complex", (2,)) is not ZetaSym("p-adic", (2,))
-    assert LiSym("plain", (2,), ARG_Z) is not LiSym("plain", (2,), ARG_Z_CONJ)
+    assert LiSym((2,), ARG_Z) is not LiSym((2,), ARG_Z_CONJ)
     assert LambdaSym("c", "AB") != LambdaSym("p", "AB")

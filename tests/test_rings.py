@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from mzv.padics import PadicNumber
-from mzv.ratfunc import RatFunc, poly_from_coeffs
 from mzv.rings import QQ, SYMBOLIC, complex_ring
 from mzv.symbols import SymbolPoly, ZetaSym
 
@@ -91,26 +90,6 @@ def test_complex_ring_tolerance():
     # tolerance 0 is exact: 0j is zero and every nonzero float is not
     exact = complex_ring(0.0)
     assert exact.is_zero(0j) and not exact.is_zero(1e-300)
-
-
-def test_ratfunc_arithmetic_and_normalization():
-    z = RatFunc.z_power(1)
-    one = RatFunc.from_fraction(1)
-    # 1/z + 1/(1-z) == 1/(z(1-z)) * (1 - z + z) etc.; just check exact identities
-    a = one / z
-    b = one / (one - z)
-    s = a + b
-    assert s * (z * (one - z)) == one
-    assert (a - a).is_zero()
-    # gcd reduction: (z^2 - 1)/(z - 1) == z + 1
-    num = poly_from_coeffs([-1, 0, 1])
-    den = poly_from_coeffs([-1, 1])
-    assert RatFunc(num, den) == RatFunc(poly_from_coeffs([1, 1]), poly_from_coeffs([1]))
-
-
-def test_ratfunc_zero_denominator():
-    with pytest.raises(ZeroDivisionError):
-        RatFunc(poly_from_coeffs([1]), poly_from_coeffs([]))
 
 
 # -- ring axioms of PadicNumber under congruence at the lower precision ------

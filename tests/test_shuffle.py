@@ -202,8 +202,8 @@ def test_recovery_g0_flavor_log_squared():
     for wt in range(2, 4):
         for w in convergent_words(wt):
             entries, sign = index_of_word(w)
-            known[w] = SymbolPoly.gen(LiSym("plain", entries, ARG_Z), Fraction(sign))
-    got = recover_character(known, log, -SymbolPoly.gen(LiSym("plain", (1,), ARG_Z)), 3, SYMBOLIC,
+            known[w] = SymbolPoly.gen(LiSym(entries, ARG_Z), Fraction(sign))
+    got = recover_character(known, log, -SymbolPoly.gen(LiSym((1,), ARG_Z)), 3, SYMBOLIC,
                             check_consistency=False)
     assert (got[Word("AA")] - Fraction(1, 2) * log * log).is_zero()
 
@@ -643,3 +643,16 @@ def test_pair_shuffle_rows_are_product_rows(weight):
     for a, b in pairs:
         got = RelationRow(weight, _product_row(_mono(a, b)))
         assert list(got.coeffs.items()) == list(_pair_shuffle_row(a, b).coeffs.items()), (a, b)
+
+
+def test_integer_form_is_shared_exactly_by_rescaled_rows():
+    z2, z3, z4, z22 = (2,), (3,), (4,), (2, 2)
+    row = RelationRow(4, {_mono(z4): Fraction(2, 3), _mono(z22): Fraction(-1, 6), _mono(z2, z2): 1})
+    # the largest monomial by pivot preference is zeta(2,2): its entry is positive
+    assert max(row.coeffs, key=_pivot_key) == _mono(z22)
+    assert row.integer_form == {_mono(z4): -4, _mono(z22): 1, _mono(z2, z2): -6}
+    scaled = RelationRow(4, {m: Fraction(-7, 5) * c for m, c in row.coeffs.items()})
+    assert scaled.integer_form == row.integer_form
+    other = RelationRow(4, {_mono(z4): Fraction(2, 3), _mono(z22): Fraction(1, 6), _mono(z2, z2): 1})
+    assert other.integer_form != row.integer_form
+    assert RelationRow(5, {_mono(z2, z3): 3, _mono((5,)): -6}).integer_form == {_mono(z2, z3): -1, _mono((5,)): 2}
