@@ -275,10 +275,10 @@ def mzv_relations(weight, flavor, fmt, check_numeric):
         numeric = {i: evaluate_relation_row(row) for i, row in enumerate(rows)}
     failures = sum(1 for residual, tolerance in numeric.values() if abs(residual) > tolerance)
     if fmt == "csv":
-        click.echo("row,weight,provenance,monomial,coefficient")
-        for i, row in enumerate(rows):
-            for mono, c in sorted(row.coeffs.items()):
-                click.echo(f"{i},{weight},\"{row.provenance}\",{monomial_str(mono, flavor)},{c}")
+        # one echo: click flushes the stream after each
+        click.echo("\n".join(["row,weight,provenance,monomial,coefficient"] + [
+            f"{i},{weight},\"{row.provenance}\",{monomial_str(mono, flavor)},{c}"
+            for i, row in enumerate(rows) for mono, c in sorted(row.coeffs.items())]))
     else:
         payload = {
             "schema": "mzv-report/1",

@@ -27,6 +27,7 @@ def word_of_index(index: tuple[int, ...]) -> tuple[str, int]:
     return "".join("A" * (k - 1) + "B" for k in reversed(index)), (-1) ** len(index)
 
 
+@lru_cache(maxsize=None)
 def index_of_word(word: str) -> tuple[tuple[int, ...], int]:
     """Inverse codec; defined exactly on words ending in B."""
     if not word.endswith("B"):
@@ -44,9 +45,10 @@ def convergent_words(weight: int) -> list[str]:
     return [w for w in all_words(weight) if is_convergent_word(w)]
 
 
-def admissible_indices(weight: int) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=None)
+def admissible_indices(weight: int) -> tuple[tuple[int, ...], ...]:
     """All admissible indices of the given weight, canonical order."""
-    return [index_of_word(w)[0] for w in convergent_words(weight)]
+    return tuple(index_of_word(w)[0] for w in convergent_words(weight))
 
 
 # -- shuffle ----------------------------------------------------------------
@@ -71,21 +73,15 @@ def shuffle_words(u: str, v: str) -> dict[str, int]:
     return dict(_shuffle_strings(u, v))
 
 
-def shuffle_combinations(terms_u: dict[str, object], terms_v: dict[str, object]) -> dict[str, object]:
-    """Bilinear extension of the shuffle product."""
-    out: dict[str, object] = {}
-    for u, cu in terms_u.items():
-        for v, cv in terms_v.items():
-            for w, m in shuffle_words(u, v).items():
-                add = cu * cv * m
-                out[w] = out[w] + add if w in out else add
-    return out
-
-
 def shuffle_many(factors: list[str]) -> dict[str, int]:
+    """Shuffle product of several words, with integer multiplicities."""
     acc = {"": 1}
     for f in factors:
-        acc = shuffle_combinations(acc, {f: 1})
+        out: dict[str, int] = {}
+        for u, cu in acc.items():
+            for w, m in _shuffle_strings(u, f):
+                out[w] = out.get(w, 0) + cu * m
+        acc = out
     return acc
 
 
@@ -124,25 +120,26 @@ def stuffle_indices(i: tuple[int, ...], j: tuple[int, ...]) -> dict[tuple[int, .
 
 
 @lru_cache(maxsize=None)
-def _shuffle_reg_word(word: str) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
+def _shuffle_reg_word(word: str) -> tuple[tuple[tuple[int, ...], int], ...]:
     """The shuffle-regularized coefficient of a word ending in B, with both
     letter coefficients zero, as (admissible index, coefficient) pairs.
 
     Such a word is B^r v with v convergent or empty.  The character
     vanishes on B^r, so 0 = sum over u in B^r sh v of m_u reg(u), where
-    B^r v itself appears once and every other u has fewer leading B's.
-    Terms are added in shuffle order and a coefficient that cancels is
-    dropped, so the order is fixed; the tests check it term by term against
-    a full character table built from free zeta symbols.
+    B^r v itself appears once and every other u has fewer leading B's, so
+    every coefficient is an integer.  Terms are added in shuffle order and a
+    coefficient that cancels is dropped, so the order is fixed; the tests
+    check it term by term against a full character table built from free
+    zeta symbols.
     """
     if is_convergent_word(word):
         entries, sign = index_of_word(word)
-        return ((entries, Fraction(sign)),)
+        return ((entries, sign),)
     v = word.lstrip("B")
     if not v:
         return ()
-    acc: dict[tuple[int, ...], Fraction] = {}
-    for u, m in shuffle_words("B" * (len(word) - len(v)), v).items():
+    acc: dict[tuple[int, ...], int] = {}
+    for u, m in _shuffle_strings("B" * (len(word) - len(v)), v):
         if u == word:
             continue
         for idx, c in _shuffle_reg_word(u):
@@ -154,39 +151,45 @@ def _shuffle_reg_word(word: str) -> tuple[tuple[tuple[int, ...], Fraction], ...]
     return tuple(acc.items())
 
 
-def shuffle_regularized(index: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
+def shuffle_regularized(index: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     """The shuffle-regularized value of a (possibly divergent) index as a
     linear combination of admissible indices, with zeta(1) sent to 0."""
     idx = tuple(index)
     if not idx:
         raise ValueError("the empty index has no zeta value")
     if idx[-1] >= 2:
-        return {idx: Fraction(1)}
+        return {idx: 1}
     word, sign = word_of_index(idx)
     return {k: sign * c for k, c in _shuffle_reg_word(word)}
 
 
 @lru_cache(maxsize=None)
-def stuffle_regularized(index: tuple[int, ...]) -> dict[tuple[int, ...], "Fraction"]:
+def _stuffle_reg(idx: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int | Fraction], ...]:
+    if idx and idx[-1] >= 2:
+        return ((idx, 1),)
+    if idx == (1,) or not idx:
+        return ()
+    terms = stuffle_indices((1,), idx[:-1])
+    m = terms.pop(idx)
+    out: dict[tuple[int, ...], int | Fraction] = {}
+    for term, mult in terms.items():
+        scale = Fraction(mult, m) if m > 1 else mult
+        for base, c in _stuffle_reg(term):
+            out[base] = out.get(base, 0) - scale * c
+    return tuple((k, v) for k, v in out.items() if v)
+
+
+def stuffle_regularized(index: tuple[int, ...]) -> dict[tuple[int, ...], int | Fraction]:
     """The quasi-shuffle-regularized value of an index, with zeta(1) = 0.
 
     A trailing 1 is peeled off through the product (1) * prefix, which is 0
     under the regularization.  Its only term with as many trailing 1's as
     the index is the index itself, with multiplicity m (the number of its
-    trailing 1's); every other term has fewer and recurses.
+    trailing 1's); every other term has fewer and recurses.  So the value
+    is integral when the index has one trailing 1, and Fractions appear
+    only past that.
     """
-    idx = tuple(index)
-    if idx and idx[-1] >= 2:
-        return {idx: Fraction(1)}
-    if idx == (1,) or not idx:
-        return {}
-    terms = stuffle_indices((1,), idx[:-1])
-    m = terms.pop(idx)
-    out: dict[tuple[int, ...], Fraction] = {}
-    for term, mult in terms.items():
-        for base, c in stuffle_regularized(term).items():
-            out[base] = out.get(base, Fraction(0)) - Fraction(mult, m) * c
-    return {k: v for k, v in out.items() if v}
+    return dict(_stuffle_reg(tuple(index)))
 
 
 # -- relation rows ------------------------------------------------------------
@@ -202,10 +205,12 @@ def _mono(*indices: tuple[int, ...]) -> Monomial:
     return tuple(sorted(indices))
 
 
+@lru_cache(maxsize=None)
 def monomial_weight(mono: Monomial) -> int:
     return sum(sum(idx) for idx in mono)
 
 
+@lru_cache(maxsize=None)
 def monomial_str(mono: Monomial, flavor: str = "complex") -> str:
     parts = []
     for idx, grp in itertools.groupby(mono):
@@ -215,6 +220,7 @@ def monomial_str(mono: Monomial, flavor: str = "complex") -> str:
     return "*".join(parts) if parts else "1"
 
 
+@lru_cache(maxsize=None)
 def _pivot_key(mono: Monomial):
     """Pivot preference: single symbols over products, deeper over shallower,
     then lexicographically larger index tuples.  The reduction eliminates
@@ -227,15 +233,17 @@ def _pivot_key(mono: Monomial):
 
 @dataclass
 class RelationRow:
+    """A relation sum c_M M = 0 of one weight; int coefficients, or Fractions."""
+
     weight: int
-    coeffs: dict[Monomial, Fraction]
+    coeffs: dict[Monomial, int | Fraction]
     provenance: str = ""
 
     def __post_init__(self):
-        self.coeffs = {m: Fraction(c) for m, c in self.coeffs.items() if c != 0}
+        self.coeffs = {m: c for m, c in self.coeffs.items() if c}
         if not self.coeffs:
             raise ValueError("relation rows must be nonzero")
-        if any(monomial_weight(m) != self.weight for m in self.coeffs):
+        if set(map(monomial_weight, self.coeffs)) != {self.weight}:
             raise ValueError("relation row is not weight-homogeneous")
 
     @cached_property
@@ -251,23 +259,24 @@ class RelationRow:
         return {m: c // g for m, c in nums.items()}
 
 
-def _stuffle_expansion(i: tuple[int, ...], j: tuple[int, ...]) -> dict[Monomial, Fraction]:
-    out: dict[Monomial, Fraction] = {}
-    for t, m in stuffle_indices(i, j).items():
-        mono = _mono(t)
-        out[mono] = out.get(mono, Fraction(0)) + Fraction(m)
-    return {k: v for k, v in out.items() if v}
-
-
 def _product_row(mono: Monomial) -> dict[Monomial, int]:
-    """mono minus the shuffle product of its factors, read back as indices."""
-    words, signs = zip(*(word_of_index(idx) for idx in mono))
-    sign = math.prod(signs)
+    """mono minus the shuffle product of its factors, read back as indices.
+
+    Every shuffled word holds the B's of all the factors, so its codec sign
+    (-1)^depth is the product of the factors' signs and the two cancel: each
+    word enters with minus its multiplicity."""
     coeffs = {mono: 1}
-    for t, m in shuffle_many(list(words)).items():
-        entries, st = index_of_word(t)
-        key = _mono(entries)
-        coeffs[key] = coeffs.get(key, 0) - m * st * sign
+    for t, m in shuffle_many([word_of_index(idx)[0] for idx in mono]).items():
+        key = (index_of_word(t)[0],)
+        coeffs[key] = coeffs.get(key, 0) - m
+    return coeffs
+
+
+def _stuffle_row(i: tuple[int, ...], j: tuple[int, ...]) -> dict[Monomial, int]:
+    """zeta(i) zeta(j) minus its quasi-shuffle expansion."""
+    coeffs = {_mono(i, j): 1}
+    for t, m in _stuffle(i, j):
+        coeffs[(t,)] = coeffs.get((t,), 0) - m
     return coeffs
 
 
@@ -282,36 +291,30 @@ def generate_double_shuffle(weight: int) -> list[RelationRow]:
     resolutions are equated.  Every monomial of three or more factors is
     equated with the shuffle product of its factors, so products reduce like
     pairs do (the dimension bound is Zagier's d_n at weights 2-10).  Rows
-    are deduplicated up to scale by their integer forms.
+    are deduplicated up to scale by their integer forms.  Every coefficient
+    is an int: a regularized index here has one trailing 1.
     """
     if weight < 2:
         raise ValueError("double shuffle relations start at weight 2")
     rows: list[RelationRow] = []
-    lower = [idx for wt in range(2, weight - 1) for idx in admissible_indices(wt)]
-    for a, b in itertools.combinations_with_replacement(lower, 2):
-        if sum(a) + sum(b) != weight:
-            continue
-        mono = _mono(a, b)
-        rows.append(RelationRow(weight, _product_row(mono), f"integral shuffle of zeta{a} * zeta{b}"))
-        coeffs = {mono: Fraction(1)}
-        for m, c in _stuffle_expansion(a, b).items():
-            coeffs[m] = coeffs.get(m, Fraction(0)) - c
-        try:
-            rows.append(RelationRow(weight, coeffs, f"series shuffle of zeta{a} * zeta{b}"))
-        except ValueError:
-            pass
+    # the unordered pairs (a, b) of total weight `weight`, a not after b by weight, then canonically
+    pairs = ((a, b) for wt in range(2, weight // 2 + 1) for k, a in enumerate(admissible_indices(wt))
+             for b in admissible_indices(weight - wt)[k if 2 * wt == weight else 0:])
+    for a, b in pairs:
+        rows.append(RelationRow(weight, _product_row(_mono(a, b)), f"integral shuffle of zeta{a} * zeta{b}"))
+        rows.append(RelationRow(weight, _stuffle_row(a, b), f"series shuffle of zeta{a} * zeta{b}"))
     for j in admissible_indices(weight - 1):
-        d = tuple(j) + (1,)
-        coeffs: dict[Monomial, Fraction] = {}
+        d = j + (1,)
+        coeffs: dict[Monomial, int] = {}
         for idx, c in shuffle_regularized(d).items():
-            coeffs[_mono(idx)] = coeffs.get(_mono(idx), Fraction(0)) + c
+            coeffs[(idx,)] = coeffs.get((idx,), 0) + c
         for idx, c in stuffle_regularized(d).items():
-            coeffs[_mono(idx)] = coeffs.get(_mono(idx), Fraction(0)) - c
+            coeffs[(idx,)] = coeffs.get((idx,), 0) - c
         try:
             rows.append(RelationRow(weight, coeffs, f"regularizations of zeta{d} compared"))
         except ValueError:
             pass  # the two regularizations coincide: trivial row
-    for mono in zeta_monomials(weight):
+    for mono in _zeta_monomials(weight):
         if len(mono) >= 3:
             rows.append(RelationRow(weight, _product_row(mono), f"shuffle product of {monomial_str(mono)}"))
     # deduplicate up to scale
@@ -325,24 +328,17 @@ def generate_double_shuffle(weight: int) -> list[RelationRow]:
     return unique
 
 
+@lru_cache(maxsize=None)
+def _zeta_monomials(weight: int) -> tuple[Monomial, ...]:
+    if weight == 0:
+        return ((),)
+    return tuple(sorted({_mono(*mono, idx) for wt in range(2, weight + 1) for idx in admissible_indices(wt)
+                         for mono in _zeta_monomials(weight - wt)}))
+
+
 def zeta_monomials(weight: int) -> list[Monomial]:
-    """All multisets of admissible indices with total weight `weight`."""
-    out: list[Monomial] = []
-
-    def rec(remaining: int, smallest: tuple[int, ...] | None, acc: list):
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for wt in range(2, remaining + 1):
-            for idx in admissible_indices(wt):
-                if smallest is not None and idx < smallest:
-                    continue
-                acc.append(idx)
-                rec(remaining - wt, idx, acc)
-                acc.pop()
-
-    rec(weight, None, [])
-    return sorted(out)
+    """All multisets of admissible indices with total weight `weight`, sorted."""
+    return list(_zeta_monomials(weight))
 
 
 @dataclass
@@ -463,7 +459,8 @@ def reduce_relations(rows: list[RelationRow], weight: int) -> ReductionResult:
     """
     if any(r.weight != weight for r in rows):
         raise ValueError("rows must be homogeneous of the stated weight")
-    monos = sorted(zeta_monomials(weight), key=_pivot_key, reverse=True)
+    monos = zeta_monomials(weight)
+    monos.sort(key=_pivot_key, reverse=True)
     col_of = {m: k for k, m in enumerate(monos)}
     matrix = [{col_of[m]: c for m, c in row.integer_form.items()} for row in rows]
     best = None

@@ -566,6 +566,10 @@ RELATIONS_SHA256 = {
     ("json", 8, "complex"): "57072c0d0d33fddba93194bc674acc3dff1bce022a767bdccd2b3d4926283312",
     ("json", 8, "p-adic-Deligne"): "eec1cab4db92bb44a15f3a051771a4ac73f547c96697e6c51cb518f2265390ff",
     ("csv", 8, "complex"): "13727925411afe0540e72fd46d47275f4621022a206130552c3c93759995904a",
+    ("json", 9, "complex"): "372953d2e28adf83e48b90f8611d57b0e62ce629817187992f6ed8bfbac66572",
+    ("json", 9, "p-adic-Deligne"): "fa13dc42f49b66541413fd221b0c74a2c0f459d26db5604f090ba6778dfc526c",
+    ("csv", 9, "p-adic"): "1ac9129da3532baf3f69fb80100060dc4f0f29c6db8ee85b8a207c144cd2f596",
+    ("json", 10, "complex"): "a9ac599598f5439bb2359cc06a4864dd18b9e01ed6117ccdb73cd4042e47519a",
 }
 
 
@@ -587,6 +591,27 @@ def test_mzv_relations_without_a_certified_reduction_is_an_internal_error(monkey
     payload = json.loads(result.output)
     assert payload["status"] == "fail" and payload["error"].startswith("internal: RuntimeError")
     assert "expressions" not in payload
+
+
+def test_mzv_relations_csv_check_numeric_reports_through_the_exit_code(monkeypatch):
+    plain = _run(mzv, ["relations", "--weight", "6"])
+    checked = _run(mzv, ["relations", "--weight", "6", "--check-numeric"])
+    assert plain.exit_code == checked.exit_code == 0, checked.output
+    assert checked.output == plain.output
+
+    evaluate = arch_eval.evaluate_relation_row
+    calls = []
+
+    def first_row_past_its_tolerance(row):
+        residual, tolerance = evaluate(row)
+        calls.append(row)
+        return (abs(residual) + 2 * tolerance if len(calls) == 1 else residual), tolerance
+
+    monkeypatch.setattr(arch_eval, "evaluate_relation_row", first_row_past_its_tolerance)
+    failed = _run(mzv, ["relations", "--weight", "6", "--check-numeric"])
+    assert failed.exit_code == 1
+    assert failed.output == plain.output
+    assert len(calls) == len({line.split(",")[0] for line in plain.output.splitlines()[1:]})
 
 
 def test_mzv_relations_check_numeric_fails_a_row_off_by_one_part_in_a_billion(monkeypatch):

@@ -35,6 +35,7 @@ from mzv.shufflealg import (
 from mzv.symbols import SymbolPoly, ZetaSym
 from mzv.words import Word, all_words, lyndon_words, words_up_to
 
+import shuffle_reference
 from character_recovery import InconsistentCharacterError, recover_character
 from series_reference import is_group_like
 
@@ -656,3 +657,29 @@ def test_integer_form_is_shared_exactly_by_rescaled_rows():
     other = RelationRow(4, {_mono(z4): Fraction(2, 3), _mono(z22): Fraction(1, 6), _mono(z2, z2): 1})
     assert other.integer_form != row.integer_form
     assert RelationRow(5, {_mono(z2, z3): 3, _mono((5,)): -6}).integer_form == {_mono(z2, z3): -1, _mono((5,)): 2}
+
+
+@pytest.mark.parametrize("weight", range(2, 11))
+def test_integer_rows_equal_the_fraction_reference(weight):
+    """The generator gives the rows of the Fraction reference, in the same
+    order and with the same provenance, each with the same monomials in the
+    same order and equal coefficients that print alike; all of them ints."""
+    got = generate_double_shuffle(weight)
+    want = shuffle_reference.generate_double_shuffle(weight)
+    assert [row.provenance for row in got] == [row.provenance for row in want]
+    for g, w in zip(got, want):
+        assert g.weight == w.weight == weight
+        assert list(g.coeffs) == list(w.coeffs), g.provenance
+        assert list(g.coeffs.values()) == list(w.coeffs.values()), g.provenance
+        assert [str(c) for c in g.coeffs.values()] == [str(c) for c in w.coeffs.values()], g.provenance
+        assert all(type(c) is int for c in g.coeffs.values()), g.provenance
+
+
+def test_memoized_helpers_hand_out_fresh_values():
+    """Changing what a cached helper returned leaves its next answer as it was."""
+    for helper, arg in ((stuffle_regularized, (2, 1)), (stuffle_regularized, (2, 1, 1)),
+                        (shuffle_regularized, (2, 1, 1)), (zeta_monomials, 6)):
+        want = helper(arg)
+        helper(arg).clear()
+        assert helper(arg) == want and want, (helper.__name__, arg)
+    assert isinstance(admissible_indices(5), tuple)
