@@ -146,9 +146,6 @@ class BraidElement:
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, c) -> "BraidElement":
-        return BraidElement(self.degree_cap, {m: v * c for m, v in self.coeffs.items()})
-
     def __mul__(self, other):
         if not isinstance(other, BraidElement):
             return NotImplemented
@@ -157,9 +154,6 @@ class BraidElement:
 
     def max_abs(self) -> float:
         return max((abs(c) for c in self.coeffs.values()), default=0.0)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __repr__(self):
         if not self.coeffs:

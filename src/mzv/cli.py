@@ -21,7 +21,7 @@ import click
 CONTEXT_SETTINGS = {"auto_envvar_prefix": "ASSOCIATOR", "help_option_names": ["-h", "--help"]}
 
 _IDENTITIES = ("dual", "hexagon", "pentagon", "netherland", "czech", "moldova", "kz", "princeton")
-# the identities whose checks involve no prime
+# the identities whose checks involve no prime; every other one needs --p
 _PRIMELESS = ("dual", "hexagon", "pentagon", "moldova", "kz")
 
 # the highest `assoc verify --weight` per identity, where a cold run on a 2-CPU
@@ -334,6 +334,8 @@ def _verify_identity(identity: str, weight: int, p: int | None, flavor: str, tol
                        "residual": residual, "tolerance": tolerance})
 
     _check_weight_cap(MAX_VERIFY_WEIGHT, identity, weight)
+    if p is None and identity not in _PRIMELESS:
+        raise click.UsageError("--p is required for this identity")
     if identity in ("dual", "hexagon", "pentagon"):
         if flavor == "padic_KZ":
             if weight != 2:
@@ -361,8 +363,6 @@ def _verify_identity(identity: str, weight: int, p: int | None, flavor: str, tol
         return checks
 
     if identity == "netherland":
-        if p is None:
-            raise click.UsageError("--p is required for this identity")
         phi = asc.build_symbolic_associator("p", weight)
         de = asc.build_associator(asc.PADIC_DELIGNE, weight, p)
         exact(f"comparison identity at weight {weight}, p={p}",
@@ -377,8 +377,6 @@ def _verify_identity(identity: str, weight: int, p: int | None, flavor: str, tol
         return checks
 
     if identity == "czech":
-        if p is None:
-            raise click.UsageError("--p is required for this identity")
         g = asc.overconvergent_g0(p, weight)
         exact("letter-A coefficient vanishes after log rewrite",
               asc.canonicalize_li_symbols(g["A"], weight, p).is_zero())
@@ -412,8 +410,6 @@ def _verify_identity(identity: str, weight: int, p: int | None, flavor: str, tol
         return checks
 
     if identity == "princeton":
-        if p is None:
-            raise click.UsageError("--p is required for this identity")
         if (p + 10) * 3.5**weight > MAX_PRINCETON_COST:
             raise click.UsageError(f"--p {p} at --weight {weight} is past the princeton's limit "
                                    f"(p + 10) * 3.5^weight <= {MAX_PRINCETON_COST}")

@@ -2,14 +2,15 @@
 
 A value is stored as p**val * unit where the whole number is known modulo
 p**aprec (absolute precision).  Zero "to precision" is val == aprec with
-unit == 0, i.e. O(p**aprec).  Arithmetic propagates the worst-case
-precision of the operands; comparison is congruence modulo
-p**min(aprec_x, aprec_y).
+unit == 0, i.e. O(p**aprec).  A value offers what `padic verify-spain`
+needs of it: the sum, difference and negation of two values of one prime,
+known to the lower of their precisions, the exact shift by a power of p,
+the zero test and printing; comparison is congruence modulo
+p**min(aprec_x, aprec_y).  No command multiplies or divides p-adic numbers
+(`padic_eval` sums its series on integers).
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 DEFAULT_PRECISION = 30
 
@@ -56,25 +57,6 @@ class PadicNumber:
     def zero(p: int, aprec: int = DEFAULT_PRECISION) -> "PadicNumber":
         return PadicNumber(p, aprec, 0, aprec)
 
-    @staticmethod
-    def from_rational(q, p: int, aprec: int = DEFAULT_PRECISION) -> "PadicNumber":
-        q = Fraction(q)
-        if q == 0:
-            return PadicNumber.zero(p, aprec)
-        vn = _int_valuation(q.numerator, p) if q.numerator else 0
-        vd = _int_valuation(q.denominator, p)
-        val = vn - vd
-        rel = aprec - val
-        if rel <= 0:
-            return PadicNumber.zero(p, aprec)
-        mod = p**rel
-        num = abs(q.numerator) // p**vn
-        den = q.denominator // p**vd
-        unit = num * pow(den, -1, mod) % mod
-        if q < 0:
-            unit = (-unit) % mod
-        return PadicNumber(p, val, unit, aprec)
-
     # -- queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -88,39 +70,19 @@ class PadicNumber:
 
     # -- arithmetic ----------------------------------------------------
 
-    def _check(self, other: "PadicNumber"):
+    def __add__(self, other):
+        if not isinstance(other, PadicNumber):
+            return NotImplemented
         if self.p != other.p:
             raise ValueError(f"mixed primes {self.p} and {other.p}")
-
-    def _coerce(self, other):
-        """An exact rational is read to at least self's absolute precision
-        and to at least its relative precision (at least one digit), so it
-        never limits + - * /."""
-        if isinstance(other, PadicNumber):
-            return other
-        if isinstance(other, (int, Fraction)):
-            q, aprec = Fraction(other), self.aprec
-            if q:
-                vq = _int_valuation(q.numerator, self.p) - _int_valuation(q.denominator, self.p)
-                aprec = max(aprec, vq + max(self.aprec - self.val, 1))
-            return PadicNumber.from_rational(q, self.p, aprec)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        self._check(o)
-        aprec = min(self.aprec, o.aprec)
-        val = min(self.val, o.val)
+        aprec = min(self.aprec, other.aprec)
+        val = min(self.val, other.val)
         rel = aprec - val
         if rel <= 0:
             return PadicNumber.zero(self.p, aprec)
         mod = self.p**rel
-        s = (self.unit * self.p ** (self.val - val) + o.unit * self.p ** (o.val - val)) % mod
+        s = (self.unit * self.p ** (self.val - val) + other.unit * self.p ** (other.val - val)) % mod
         return PadicNumber(self.p, val, s, aprec)
-
-    __radd__ = __add__
 
     def __neg__(self):
         if self.is_zero():
@@ -129,74 +91,16 @@ class PadicNumber:
         return PadicNumber(self.p, self.val, (-self.unit) % self.p**rel, self.aprec)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        self._check(o)
-        # relative precision of a product is the min of the relative precisions
-        aprec = min(self.aprec + o.val, o.aprec + self.val)
-        if self.is_zero() or o.is_zero():
-            return PadicNumber.zero(self.p, aprec)
-        val = self.val + o.val
-        rel = aprec - val
-        if rel <= 0:
-            return PadicNumber.zero(self.p, aprec)
-        return PadicNumber(self.p, val, (self.unit * o.unit) % self.p**rel, aprec)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        self._check(o)
-        if o.is_zero():
-            raise ZeroDivisionError("division by a p-adic zero (to working precision)")
-        aprec = min(self.aprec - o.val, o.aprec - 2 * o.val + self.val)
-        if self.is_zero():
-            return PadicNumber.zero(self.p, aprec)
-        val = self.val - o.val
-        rel = aprec - val
-        if rel <= 0:
-            return PadicNumber.zero(self.p, aprec)
-        mod = self.p**rel
-        return PadicNumber(self.p, val, self.unit * pow(o.unit, -1, mod) % mod, aprec)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return o / self
+        return self + (-other)
 
     def shift(self, n: int) -> "PadicNumber":
         """self * p**n, exactly: the absolute precision moves with the value."""
         return PadicNumber(self.p, self.val + n, self.unit, self.aprec + n)
 
-    def __pow__(self, k: int):
-        if k < 0:
-            return 1 / self ** (-k)
-        out = PadicNumber.from_rational(1, self.p, self.aprec)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, PadicNumber):
             return NotImplemented
-        self._check(o)
-        return (self - o).is_zero()
+        return (self - other).is_zero()
 
     def __hash__(self):  # congruence-class equality is not hash-friendly
         raise TypeError("PadicNumber is unhashable")

@@ -20,10 +20,10 @@ class RingMismatchError(TypeError):
 
 
 class Ring:
-    name: str = "ring"
+    """The shared part of a ring; each ring adds `from_fraction`, `is_zero`
+    and `coeff_parse`."""
 
-    def from_fraction(self, q):
-        raise NotImplementedError
+    name: str = "ring"
 
     @property
     def zero(self):
@@ -33,17 +33,11 @@ class Ring:
     def one(self):
         return self.from_fraction(Fraction(1))
 
-    def is_zero(self, x) -> bool:
-        raise NotImplementedError
-
     def eq(self, x, y) -> bool:
         return self.is_zero(x - y)
 
     def coeff_str(self, x) -> str:
         return str(x)
-
-    def coeff_parse(self, text: str):
-        raise NotImplementedError
 
     def __repr__(self):
         return self.name

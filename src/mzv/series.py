@@ -1,12 +1,13 @@
 """Truncated non-commutative formal power series in A and B.
 
 All values are immutable after construction and every operation is a pure
-function, so series can be shared freely.  Arithmetic truncates at the
-minimum truncation weight of the operands and is weight-exact below it.
-Coefficients are a flat {word: coefficient} dict.  The inverse is the
-antipode of the shuffle Hopf algebra, so it is the inverse only of a
-group-like series; a substitution is Horner's rule over the prefixes
-(`horner`).
+function, so series can be shared freely.  A series offers the sum,
+difference and product of two series over one ring, truncated at the lower
+of their truncation weights and weight-exact below it; a rational or ring
+element enters through `scale`, not through an operator.  Coefficients are
+a flat {word: coefficient} dict.  The inverse is the antipode of the
+shuffle Hopf algebra, so it is the inverse only of a group-like series; a
+substitution is Horner's rule over the prefixes (`horner`).
 """
 
 from __future__ import annotations
@@ -46,10 +47,6 @@ class NCSeries:
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def zero(ring: Ring, truncation: int = DEFAULT_TRUNCATION) -> "NCSeries":
-        return NCSeries(ring, truncation, {})
-
-    @staticmethod
     def one(ring: Ring, truncation: int = DEFAULT_TRUNCATION) -> "NCSeries":
         return NCSeries(ring, truncation, {"": ring.one})
 
@@ -63,9 +60,6 @@ class NCSeries:
         if len(word) > self.truncation:
             raise KeyError(f"word {word} is beyond the truncation weight {self.truncation}")
         return self.coeffs.get(word, self.ring.zero)
-
-    def words(self):
-        return sorted(self.coeffs, key=word_key)
 
     def constant_term(self):
         return self[""]
@@ -85,8 +79,6 @@ class NCSeries:
     # -- linear structure ---------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = NCSeries(self.ring, self.truncation, {"": self.ring.from_fraction(other)})
         n = self._join(other)
         out = {w: c for w, c in self.coeffs.items() if len(w) <= n}
         for w, c in other.coeffs.items():
@@ -94,18 +86,11 @@ class NCSeries:
                 out[w] = out[w] + c if w in out else c
         return self._from(n, out)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return self._from(self.truncation, {w: -c for w, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = NCSeries(self.ring, self.truncation, {"": self.ring.from_fraction(other)})
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def scale(self, c) -> "NCSeries":
         """Multiply every coefficient by a ring element or rational."""
@@ -120,15 +105,8 @@ class NCSeries:
     # -- multiplication -----------------------------------------------------
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         n = self._join(other)
         return self._from(n, _mul_into({}, self.coeffs, other.coeffs, n))
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
 
     def invert(self) -> "NCSeries":
         """The antipode S(f)[w] = (-1)^|w| f[reverse(w)], which is the two-sided
@@ -190,8 +168,8 @@ class NCSeries:
     def __str__(self):
         if not self.coeffs:
             return "0"
-        parts = [f"({self.ring.coeff_str(self.coeffs[w])})" + (f"*{w}" if w else "") for w in self.words()]
-        return " + ".join(parts)
+        return " + ".join(f"({self.ring.coeff_str(self.coeffs[w])})" + (f"*{w}" if w else "")
+                          for w in sorted(self.coeffs, key=word_key))
 
     def __repr__(self):
         return f"NCSeries(N={self.truncation}, {self})"

@@ -21,10 +21,13 @@ A SymbolPoly is a finite map {monomial: int} of numerators over one
 positive denominator, with monomials sorted tuples of (generator, exponent)
 in `key` order; all z-dependence lives in the generators.  The form is
 canonical (no zero numerator, no factor common to the denominator and every
-numerator), so equality compares it directly.  Arithmetic works on ints and
+numerator), so equality compares it directly.  A polynomial offers sums,
+differences and products with polynomials, ints and Fractions, powers,
+substitution of polynomials for generators and its set of generators; a
+rational divisor enters as a Fraction factor.  Arithmetic works on ints and
 divides out the common factor once per result, not a gcd per term; the
-constructor takes int or `fractions.Fraction` coefficients and `terms`
-gives them back as Fractions.  Each pair of monomials is merged once.
+constructor takes int or `fractions.Fraction` coefficients.  Each pair of
+monomials is merged once.
 """
 
 from __future__ import annotations
@@ -60,10 +63,6 @@ class _Interned(type):
 
 
 class _Generator(metaclass=_Interned):
-    @property
-    def weight(self) -> int:  # of zeta and Li symbols; the other kinds override it
-        return sum(self.index)
-
     def __post_init__(self):
         object.__setattr__(self, "key", (_KIND_RANK[type(self)], str(self)))
 
@@ -85,6 +84,10 @@ class LiSym(_Generator):
     index: tuple[int, ...]
     arg: str
 
+    @property
+    def weight(self) -> int:
+        return sum(self.index)
+
     def __str__(self):
         return f"Li[{','.join(map(str, self.index))}]({self.arg})"
 
@@ -92,7 +95,6 @@ class LiSym(_Generator):
 @dataclass(frozen=True, eq=False)
 class LogSym(_Generator):
     arg: str
-    weight = 1
 
     def __str__(self):
         return f"log|z|^2" if self.arg == ARG_ABS_Z_SQ else f"log({self.arg})"
@@ -103,10 +105,6 @@ class LambdaSym(_Generator):
     tag: str
     word: str  # letters of the Lyndon word
 
-    @property
-    def weight(self) -> int:
-        return len(self.word)
-
     def __str__(self):
         return f"lam_{self.tag}[{self.word}]"
 
@@ -114,8 +112,6 @@ class LambdaSym(_Generator):
 @dataclass(frozen=True, eq=False)
 class ZSym(_Generator):
     """The variable z."""
-
-    weight = 0
 
     def __str__(self):
         return "z"
@@ -151,12 +147,6 @@ class SymbolPoly:
     def __setattr__(self, name, value):
         raise AttributeError("SymbolPoly is immutable")
 
-    @property
-    def terms(self) -> dict[Monomial, Fraction]:
-        """The coefficients as {monomial: Fraction}, built on each call."""
-        den = self.den
-        return {m: Fraction(c, den) for m, c in self.nums.items()}
-
     # -- constructors --------------------------------------------------
 
     @staticmethod
@@ -174,11 +164,6 @@ class SymbolPoly:
 
     def is_zero(self) -> bool:
         return not self.nums
-
-    def weight(self) -> int | None:
-        """The common weight of all monomials, or None if mixed/zero."""
-        weights = {sum(g.weight * e for g, e in m) for m in self.nums}
-        return weights.pop() if len(weights) == 1 else None
 
     # -- arithmetic ------------------------------------------------------
 
@@ -249,11 +234,6 @@ class SymbolPoly:
         return _reduced(out, self.den * o.den)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (1 / Fraction(other))
-        return NotImplemented
 
     def __pow__(self, k: int):
         if k < 0:
@@ -451,14 +431,16 @@ def formal_derivative(q: SymbolPoly, p: int | None = None) -> SymbolPoly:
 
 # -- canonical parsing --------------------------------------------------
 
+# an exponent is printed only from 2 up, an index has positive entries, and a
+# lambda word is a word in A and B; other tokens are not the canonical form
+_EXP = r"(?:\^(?P<exp>[1-9]\d*))?"
 _GEN_RE = re.compile(
-    r"(?P<name>zetaDe_p|zeta_p|zeta|Li|lam_[A-Za-z0-9]+)"
-    r"\[(?P<idx>[A-Z0-9,]*)\]"
-    r"(?:\((?P<arg>[^)]*)\))?"
-    r"(?:\^(?P<exp>\d+))?"
+    r"(?:(?P<name>zetaDe_p|zeta_p|zeta|Li)\[(?P<idx>[1-9]\d*(?:,[1-9]\d*)*)\]"
+    r"|lam_(?P<tag>[A-Za-z0-9]+)\[(?P<word>[AB]+)\])"
+    r"(?:\((?P<arg>[^)]*)\))?" + _EXP
 )
-_LOG_RE = re.compile(r"log(?:\((?P<arg>[^)]*)\)|\|z\|\^2)(?:\^(?P<exp>\d+))?")
-_Z_RE = re.compile(r"z(?:\^(?P<exp>\d+))?")
+_LOG_RE = re.compile(r"log(?:\((?P<arg>[^)]*)\)|\|z\|\^2)" + _EXP)
+_Z_RE = re.compile(r"z" + _EXP)
 
 
 def _parse_generator(tok: str):
@@ -472,11 +454,10 @@ def _parse_generator(tok: str):
     m = _GEN_RE.fullmatch(tok)
     if not m:
         raise ValueError(f"cannot parse generator {tok!r}")
-    name = m.group("name")
     exp = int(m.group("exp") or 1)
-    if name.startswith("lam_"):
-        return LambdaSym(name[4:], m.group("idx")), exp
-    idx = tuple(int(x) for x in m.group("idx").split(",") if x)
+    if m.group("word"):
+        return LambdaSym(m.group("tag"), m.group("word")), exp
+    name, idx = m.group("name"), tuple(int(x) for x in m.group("idx").split(","))
     if name in _ZETA_BY_NAME:
         return ZetaSym(_ZETA_BY_NAME[name], idx), exp
     return LiSym(idx, m.group("arg") or ARG_Z), exp

@@ -1,14 +1,51 @@
-"""Test-only p-adic references: the depth-2 polylogarithm summed term by
-term in PadicNumber arithmetic, an exact rational partial sum of Li_k
-reduced once at the end, the p-adic logarithm (the Li_1 = -log(1 - z)
-oracle), and a reader of printed p-adic values.  Each series stops at a
-term bound proven from valuations."""
+"""Test-only p-adic references: the product, quotient and rational
+embedding of PadicNumber values (no command multiplies them), the depth-2
+polylogarithm summed term by term in that arithmetic, an exact rational
+partial sum of Li_k reduced once at the end, the p-adic logarithm (the
+Li_1 = -log(1 - z) oracle), and a reader of printed p-adic values.  Each
+series stops at a term bound proven from valuations."""
 
 import math
 from fractions import Fraction
 
 from mzv.padic_eval import OutsideDiskError
 from mzv.padics import DEFAULT_PRECISION, PadicNumber, _int_valuation
+
+
+def from_rational(q, p: int, aprec: int = DEFAULT_PRECISION) -> PadicNumber:
+    """The rational q known modulo p^aprec."""
+    q = Fraction(q)
+    if q == 0:
+        return PadicNumber.zero(p, aprec)
+    val = _int_valuation(q.numerator, p) - _int_valuation(q.denominator, p)
+    if aprec <= val:
+        return PadicNumber.zero(p, aprec)
+    # q is in lowest terms, so p divides only one of its numerator and denominator
+    num, den = q.numerator // p ** max(val, 0), q.denominator // p ** max(-val, 0)
+    return PadicNumber(p, val, num * pow(den, -1, p ** (aprec - val)), aprec)
+
+
+def mul(x: PadicNumber, y: PadicNumber) -> PadicNumber:
+    """x * y, known to the lower of the two relative precisions."""
+    if x.p != y.p:
+        raise ValueError(f"mixed primes {x.p} and {y.p}")
+    aprec = min(x.aprec + y.val, y.aprec + x.val)
+    if x.is_zero() or y.is_zero() or aprec <= x.val + y.val:
+        return PadicNumber.zero(x.p, aprec)
+    return PadicNumber(x.p, x.val + y.val, x.unit * y.unit, aprec)
+
+
+def div(x: PadicNumber, y: PadicNumber) -> PadicNumber:
+    """x / y, which loses the precision that a division by p^v(y) costs."""
+    if x.p != y.p:
+        raise ValueError(f"mixed primes {x.p} and {y.p}")
+    if y.is_zero():
+        raise ZeroDivisionError("division by a p-adic zero (to working precision)")
+    aprec = min(x.aprec - y.val, y.aprec - 2 * y.val + x.val)
+    val = x.val - y.val
+    if x.is_zero() or aprec <= val:
+        return PadicNumber.zero(x.p, aprec)
+    return PadicNumber(x.p, val, x.unit * pow(y.unit, -1, x.p ** (aprec - val)), aprec)
 
 
 def _require_disk(v: int) -> None:
@@ -39,12 +76,12 @@ def padic_mpl2(a: int, b: int, z: PadicNumber) -> PadicNumber:
     work = aprec + _guard(p, aprec, a + b)
     acc = PadicNumber.zero(p, aprec)
     inner = PadicNumber.zero(p, work)
-    zn = PadicNumber.from_rational(1, p, work)
+    zn = from_rational(1, p, work)
     for n in range(1, _first_dropped(z.valuation(), a + b, p, aprec)):
-        zn = zn * z
+        zn = mul(zn, z)
         if n > 1:
-            inner = inner + PadicNumber.from_rational(Fraction(1, (n - 1) ** a), p, work)
-        acc = acc + zn * inner / PadicNumber.from_rational(Fraction(n) ** b, p, zn.aprec)
+            inner = inner + from_rational(Fraction(1, (n - 1) ** a), p, work)
+        acc = acc + div(mul(zn, inner), from_rational(Fraction(n) ** b, p, zn.aprec))
     return acc
 
 
@@ -66,7 +103,7 @@ def polylog_reference(k: int, z_rational, p: int, aprec: int = DEFAULT_PRECISION
     lk = math.lcm(*ns) ** k
     P, Q = z.numerator, z.denominator
     num = sum(P**n * Q ** (last - n) * (lk // n**k) for n in ns)
-    return PadicNumber.from_rational(Fraction(num, Q**last * lk), p, aprec)
+    return from_rational(Fraction(num, Q**last * lk), p, aprec)
 
 
 def _log_floor(p: int, n: int) -> int:
@@ -135,9 +172,7 @@ def padic_log(z: PadicNumber, branch=0) -> PadicNumber:
         term = q * pow(n // p**e, -1, mod) % mod
         acc = (acc + term if n % 2 == 1 else acc - term) % mod
         n += 1
-    log_u = PadicNumber(p, 0, acc % p**rel, rel)
-    b = branch if isinstance(branch, PadicNumber) else PadicNumber.from_rational(branch, p, z.aprec)
-    return b * z.valuation() + log_u
+    return from_rational(Fraction(branch) * z.valuation(), p, z.aprec) + PadicNumber(p, 0, acc % p**rel, rel)
 
 
 def _division_guard(p: int, aprec: int) -> int:
@@ -169,5 +204,5 @@ def parse_padic(text: str, p: int, aprec: int) -> PadicNumber:
             total += Fraction(int(d)) * Fraction(int(base)) ** int(exp or 1)
         else:
             total += Fraction(int(part))
-    return PadicNumber.from_rational(total, p, aprec)
+    return from_rational(total, p, aprec)
 

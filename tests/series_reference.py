@@ -1,7 +1,7 @@
 """Test-only oracles on truncated series: the coproduct and the group-like
 test, the general inverse by prefix recursion, the Lyndon coordinates of a
-series, random series for property tests, and the twisted composition law
-on bare (c, g) pairs."""
+series, random series for property tests, the twisted composition law
+on bare (c, g) pairs, and the coefficients of a SymbolPoly as Fractions."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -9,7 +9,13 @@ from functools import lru_cache
 from mzv.associator import twisted_substitution
 from mzv.rings import Ring
 from mzv.series import NCSeries
+from mzv.symbols import Monomial, SymbolPoly
 from mzv.words import lyndon_words, words_up_to
+
+
+def terms(poly: SymbolPoly) -> dict[Monomial, Fraction]:
+    """The coefficients of `poly` as {monomial: Fraction}."""
+    return {m: Fraction(c, poly.den) for m, c in poly.nums.items()}
 
 
 @lru_cache(maxsize=None)

@@ -21,6 +21,8 @@ from mzv.symbols import (
     ZSym,
 )
 
+from series_reference import terms
+
 # the argument tag of log(1-zbar): the package mints no symbol at 1 - zbar,
 # so only the evaluator below names it
 ARG_ONE_MINUS_Z_CONJ = "1-zbar"
@@ -116,7 +118,7 @@ def evaluate_symbol_poly(poly: SymbolPoly, z: complex | None = None) -> complex:
         raise TypeError(f"unknown generator {g!r}")
 
     total = 0.0 + 0.0j
-    for mono, c in poly.terms.items():
+    for mono, c in terms(poly).items():
         term = complex(c)
         for g, e in mono:
             term *= gen_value(g) ** e

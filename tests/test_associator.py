@@ -54,7 +54,7 @@ from mzv.symbols import (
 )
 from mzv.words import lyndon_words
 
-from series_reference import gt_compose, is_group_like, reference_invert
+from series_reference import gt_compose, is_group_like, reference_invert, terms
 
 
 def _random_pair(rng, n=4):
@@ -298,7 +298,7 @@ def test_kz_residuals():
     # applied to 1, -A/z - B/(z-1), times D = z(1-z)
     assert (res["A"] - z_poly([-1, 1])).is_zero()
     assert (res["B"] - z_poly([0, 1])).is_zero()
-    assert all(res[w].is_zero() for w in res.words() if len(w) > 1)
+    assert all(res[w].is_zero() for w in res.coeffs if len(w) > 1)
     p = 3
     phi_de = solve_deligne(build_symbolic_associator("p", 4), p)
     res2 = verify_kz_equation(overconvergent_g0(p, 4), p=p, frobenius_conjugator=phi_de)
@@ -328,7 +328,7 @@ def test_grt_trivial_input():
     one = NCSeries.one(QQ, 4)
     assert is_group_like(one)
     assert duality_residual(one).is_zero() and hexagon_residual(one, 0).is_zero()
-    assert pentagon_residual(one).is_zero()
+    assert not pentagon_residual(one).coeffs
 
 
 def test_grt_numeric_relations():
@@ -411,18 +411,20 @@ def test_dagger_expansion_agrees_with_padic_evaluation():
     from mzv.padics import PadicNumber
     from mzv.symbols import ARG_Z_POW_P
 
+    from padic_reference import from_rational, mul
+
     p, z = 5, Fraction(10, 3)
     for k in (1, 2, 3):
         n = max(k, 2)
         expr = canonicalize_li_symbols(zeta_lambda_expr(overconvergent_g0(p, n), (k,)), n, p)
         total = PadicNumber.zero(p, 30)
-        for mono, c in expr.terms.items():
-            term = PadicNumber.from_rational(Fraction(c), p, 40)
+        for mono, c in terms(expr).items():
+            term = from_rational(c, p, 40)
             for g, e in mono:
                 assert isinstance(g, LiSym) and g.index == (k,)
                 base = padic_polylog(k, z if g.arg == ARG_Z else z**p, p, 30)
                 for _ in range(e):
-                    term = term * base
+                    term = mul(term, base)
             total = total + term
         assert (total - padic_polylog(k, z, p, 30, skip_p_multiples=True)).is_zero()
 
@@ -487,8 +489,8 @@ def test_canonical_form_generator_images():
 def _with_one_term_doubled(formula, term):
     def changed(*args):
         poly = formula(*args)
-        mono = sorted(poly.terms, key=str)[term % len(poly.terms)]
-        return poly + SymbolPoly({mono: poly.terms[mono]})
+        mono = sorted(terms(poly), key=str)[term % len(poly.nums)]
+        return poly + SymbolPoly({mono: terms(poly)[mono]})
     return changed
 
 
@@ -513,9 +515,9 @@ def test_a_doubled_formula_term_fails_its_check(monkeypatch, formula, args, iden
 
     assert status() == "exact-zero"
     original = getattr(asc, formula)
-    terms = len(original(*args).terms)
-    assert terms
-    for term in range(terms):
+    count = len(original(*args).nums)
+    assert count
+    for term in range(count):
         monkeypatch.setattr(asc, formula, _with_one_term_doubled(original, term))
         assert status() == "fail", (formula, term)
 

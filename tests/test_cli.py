@@ -386,6 +386,13 @@ def test_assoc_verify_refuses_a_prime_it_would_not_read(identity):
     assert "takes no --p" in result.output
 
 
+@pytest.mark.parametrize("identity", ["netherland", "czech", "princeton"])
+def test_assoc_verify_requires_a_prime_where_a_check_reads_one(identity):
+    result = _run(assoc, ["verify", "--identity", identity, "--weight", "3"])
+    assert result.exit_code == 2, result.output
+    assert "--p is required for this identity" in result.output
+
+
 @pytest.mark.parametrize("identity", ["dual", "pentagon", "netherland", "czech", "moldova", "kz", "princeton"])
 def test_assoc_verify_refuses_the_padic_flavor_off_the_hexagon(identity):
     args = ["verify", "--identity", identity, "--weight", "3", "--flavor", "padic_KZ"]
@@ -470,6 +477,23 @@ def test_series_parse_rejects_an_unknown_symbol(coeff):
     parsed = _run(series, ["parse", "-"], input=text)
     assert parsed.exit_code == 2, parsed.output
     assert "cannot parse generator" in parsed.output
+
+
+@pytest.mark.parametrize("coeff, token", [
+    ("lam_p[AB]^0 - 1", "lam_p[AB]^0"), ("z^0", "z^0"), ("log(z)^0", "log(z)^0"),
+    ("Li[](z)", "Li[](z)"), ("1 + zeta[]", "zeta[]"), ("zeta[2,0]", "zeta[2,0]"),
+    ("lam_p[AXB]", "lam_p[AXB]"),
+], ids=["lambda-power-0", "z-power-0", "log-power-0", "empty-li-index", "empty-zeta-index", "zero-index-entry",
+        "lambda-letter"])
+def test_series_parse_rejects_a_non_canonical_token(coeff, token):
+    """The exponent 0, an empty or non-positive index and a lambda word with a
+    letter outside {A, B} are not printed by any dump; `lam_p[AB]^0 - 1` was
+    read as a polynomial distinct from 0."""
+    text = json.dumps({"format": "ncseries/1", "ring": "symbolic", "truncation": 2,
+                       "terms": [{"word": "", "coeff": "1"}, {"word": "AB", "coeff": coeff}]})
+    parsed = _run(series, ["parse", "-"], input=text)
+    assert parsed.exit_code == 2, parsed.output
+    assert f"cannot parse generator {token!r}" in parsed.output
 
 
 # sha256 of `series dump` stdout for every flavor at weights 4-6 (p = 3 for

@@ -1,123 +1,200 @@
-"""Every module-level function and class of the `mzv` package, and every
-method other than a dunder, is reachable from a click command or a
-module-level statement, through the names each definition mentions, so
-`src/mzv` holds only what a command runs.  Test-only oracles live under
-`tests/`."""
+"""`src/mzv` holds only what a command runs.
+
+`MATRIX` runs every command, through click's `CliRunner`, in a fresh
+interpreter under `sys.setprofile`: every identity at weights 3-5 (csv and
+--pretty too), every `series dump` flavor piped to `series parse`, and each
+`mzv`, `padic` and `sv` command.  The trace starts before the package is
+imported, and a fresh interpreter keeps a cache that an earlier test filled
+from hiding a function.  Every function and method of `src/mzv`, dunders and
+nested functions included, must be entered, apart from the `ALLOWED` ones.
+A class that defines no function (an exception class) is invisible to the
+trace; it must be named in a function that the matrix enters.  Test-only
+oracles and arithmetic live under `tests/`: the p-adic product, quotient and
+rational embedding in `padic_reference.py`, the Fraction coefficients of a
+SymbolPoly in `series_reference.py`.
+
+Run as a script, this module prints the trace of `MATRIX` as JSON.
+"""
 
 import ast
+import functools
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "mzv"
 
-# names that no command reaches, each kept for the reason given;
-# "<module>.*" keeps a whole module
+_PROTOCOL = "value-object protocol: tests compare or print values with it, and `==` would fall back to identity"
+_IMMUTABLE = "value-object protocol: refuses assignment, so a shared value cannot change"
+# what no command enters, each kept for the reason given
 ALLOWED = {
-    "ratfunc.*": "empty class kept for perfbench/tracer.py, which resolves `ratfunc.RatFunc`",
+    "ratfunc.RatFunc": "empty class kept for perfbench/tracer.py, which resolves `ratfunc.RatFunc`",
     "braid.reduce_monomial_dict": "perfbench/tracer.py times it as `braid.reduce`",
     "arch_eval.polylog2": "perfbench/tracer.py times it under `arch_eval.polylog`",
+    "padics.PadicNumber.valuation": "`padic verify-spain` reads it only for a difference that is not zero to precision",
+    "rings.RationalRing.from_fraction": "`zero` and `one` of the Q ring; `series parse` builds a Q series "
+                                        "but does no arithmetic on it",
+    "braid.BraidElement.__setattr__": _IMMUTABLE,
+    "braid.BraidElement.__repr__": _PROTOCOL,
+    "padics.PadicNumber.__setattr__": _IMMUTABLE,
+    "padics.PadicNumber.__eq__": _PROTOCOL,
+    "padics.PadicNumber.__hash__": _PROTOCOL,
+    "padics.PadicNumber.__repr__": _PROTOCOL,
+    "rings.Ring.__repr__": _PROTOCOL,
+    "rings.RationalRing.__eq__": _PROTOCOL,
+    "rings.RationalRing.__hash__": _PROTOCOL,
+    "rings.SymbolicRing.__hash__": _PROTOCOL,
+    "rings.ComplexRing.__hash__": _PROTOCOL,
+    "series.NCSeries.__setattr__": _IMMUTABLE,
+    "series.NCSeries.__eq__": _PROTOCOL,
+    "series.NCSeries.__hash__": _PROTOCOL,
+    "series.NCSeries.__str__": _PROTOCOL,
+    "series.NCSeries.__repr__": _PROTOCOL,
+    "symbols._Generator.__reduce__": "value-object protocol: a copied or unpickled generator stays interned",
+    "symbols.SymbolPoly.__setattr__": _IMMUTABLE,
+    "symbols.SymbolPoly.__eq__": _PROTOCOL,
+    "symbols.SymbolPoly.__repr__": _PROTOCOL,
 }
 
-
-def _is_click_command(node) -> bool:
-    """Decorated with `@<group>.command(...)` or `@click.group(...)`: the
-    command line reaches it, not a name."""
-    for decorator in node.decorator_list:
-        target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        if isinstance(target, ast.Attribute) and target.attr in ("command", "group"):
-            return True
-    return False
+_PRIMES = {"netherland": ["--p", "5"], "czech": ["--p", "5"], "princeton": ["--p", "3"]}
+_DUMPS = {"complex_KZ": [], "padic_KZ": [], "padic_Deligne": ["--p", "3"], "minus_KZ": [], "symbolic_lambda": []}
+_PIPE = "|"  # stdin of a command that reads the previous command's stdout
 
 
-def _names(tree) -> set[str]:
-    return {node.id if isinstance(node, ast.Name) else node.attr
-            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+def _document(ring: str, one: str, coeff: str) -> str:
+    return json.dumps({"format": "ncseries/1", "ring": ring, "truncation": 2,
+                       "terms": [{"word": "", "coeff": one}, {"word": "AB", "coeff": coeff}]})
 
 
-def _parts(node, key: str, methods: list) -> list:
-    """The nodes whose mentioned names a definition reaches.  A class holds
-    its bases, decorators and body apart from its non-dunder methods, which
-    go to `methods` as definitions of their own: a method is reached by a
-    mention of its name, a dunder by the operation it implements."""
-    if not isinstance(node, ast.ClassDef):
-        return [node]
-    parts = [*node.bases, *node.keywords, *node.decorator_list]
-    for item in node.body:
-        if isinstance(item, ast.FunctionDef) and not (item.name.startswith("__") and item.name.endswith("__")):
-            methods.append((f"{key}.{item.name}", item))
-        else:
-            parts.append(item)
-    return parts
+# (command group, arguments, stdin) of each command, in order
+MATRIX = [
+    *(("assoc", ["verify", "--identity", identity, "--weight", *options, *_PRIMES.get(identity, [])], None)
+      for identity in ("dual", "hexagon", "pentagon", "netherland", "czech", "moldova", "kz", "princeton")
+      for options in (["3"], ["4"], ["5"], ["3", "--format", "csv"], ["3", "--pretty"])),
+    ("assoc", ["verify", "--identity", "hexagon", "--weight", "2", "--flavor", "padic_KZ"], None),
+    *(command for flavor, p in _DUMPS.items()
+      for command in (("series", ["dump", "--flavor", flavor, "--weight", "4", *p], None),
+                      ("series", ["parse"], _PIPE))),
+    ("series", ["parse"], _document("Q", "1", "-1/2")),
+    ("series", ["parse"], _document("C:0.0", "1.0+0.0j", "0.5-0.25j")),
+    ("mzv", ["eval", "--index", "1,2"], None),
+    *(("mzv", ["relations", "--weight", "5", "--format", fmt, *check], None)
+      for fmt in ("json", "csv") for check in ([], ["--check-numeric"])),
+    ("padic", ["polylog", "--p", "5", "--k", "3", "--z", "5/7", "--dagger"], None),
+    ("padic", ["polylog", "--p", "5", "--k", "3", "--z", "0"], None),
+    ("padic", ["verify-spain", "--primes", "3,5", "--kmax", "2", "--points", "2"], None),
+    ("sv", ["polylog", "--k", "3", "--z", "0.3+0.2i", "--zagier"], None),
+]
 
 
-def _unreachable(sources: dict[str, str], kept=lambda name: False) -> list[str]:
-    """`<module>.<name>` of each module-level function or class, and
-    `<module>.<class>.<name>` of each non-dunder method, of `sources` (module
-    name -> source text) that no chain of mentioned names reaches from a
-    click command, a module-level statement other than an import, or a
-    definition that `kept` names.  A mention reaches every definition of that
-    name, in any module."""
-    definitions: dict[str, list] = {}
-    by_name: dict[str, list[str]] = {}
-    reached: set[str] = set()
-    stack: list = []
+def _trace(root: str, run) -> set[tuple[str, int, str]]:
+    """(module, first line, name) of every function in a file under `root`
+    that `run()` enters."""
+    entered = set()
 
-    def define(key: str, name: str, node) -> None:
-        methods: list = []
-        definitions[key] = _parts(node, key, methods)
-        by_name.setdefault(name, []).append(key)
-        if _is_click_command(node) or kept(key):
-            reached.add(key)
-            stack.extend(definitions[key])
-        for method_key, method in methods:
-            define(method_key, method.name, method)
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename.startswith(root):
+            entered.add((Path(code.co_filename).stem, code.co_firstlineno, code.co_name))
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return entered
+
+
+def _run_matrix() -> list[str]:
+    """Every command's stdout, each checked to exit 0."""
+    from click.testing import CliRunner
+
+    from mzv import cli
+
+    outputs = [""]
+    for group, args, stdin in MATRIX:
+        result = CliRunner().invoke(getattr(cli, group), args, input=outputs[-1] if stdin == _PIPE else stdin)
+        assert result.exit_code == 0, (group, args, result.output)
+        outputs.append(result.output)
+    return outputs[1:]
+
+
+def _functions(sources: dict[str, str]) -> dict[tuple[str, int, str], tuple[str, ast.AST]]:
+    """(module, first line, name) -> (dotted name, node) of every function of
+    `sources` (module name -> source text), methods and nested functions
+    included.  As in its code object, a decorated function starts at its
+    first decorator."""
+    out = {}
+
+    def walk(module, node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                if isinstance(child, ast.FunctionDef):
+                    first = min([d.lineno for d in child.decorator_list] + [child.lineno])
+                    out[module, first, child.name] = (f"{prefix}.{child.name}", child)
+                walk(module, child, f"{prefix}.{child.name}")
+            else:
+                walk(module, child, prefix)
 
     for module, text in sources.items():
-        for node in ast.parse(text).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                define(f"{module}.{node.name}", node.name, node)
-            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
-                stack.append(node)
-    while stack:
-        for name in _names(stack.pop()):
-            for key in by_name.get(name, ()):
-                if key not in reached:
-                    reached.add(key)
-                    stack.extend(definitions[key])
-    return [key for key in definitions if key not in reached]
+        walk(module, ast.parse(text), module)
+    return out
 
 
-def _allowed(name: str) -> bool:
-    return name in ALLOWED or f"{name.split('.')[0]}.*" in ALLOWED
+def _unreached(sources: dict[str, str], entered: set) -> list[str]:
+    """The dotted names of the functions of `sources` outside `entered`, and
+    of the module-level classes that define no function and that no entered
+    function names."""
+    functions = _functions(sources)
+    named = {node.id if isinstance(node, ast.Name) else node.attr
+             for key, (_, function) in functions.items() if key in entered
+             for node in ast.walk(function) if isinstance(node, (ast.Name, ast.Attribute))}
+    classes = [f"{module}.{node.name}" for module, text in sources.items() for node in ast.parse(text).body
+               if isinstance(node, ast.ClassDef) and node.name not in named
+               and not any(isinstance(item, ast.FunctionDef) for item in node.body)]
+    return [name for key, (name, _) in functions.items() if key not in entered] + classes
 
 
-def _sources() -> dict[str, str]:
-    return {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+@functools.lru_cache(maxsize=None)
+def _matrix_unreached() -> tuple[str, ...]:
+    """`_unreached` of `src/mzv` under the trace of `MATRIX`, run as a script."""
+    pythonpath = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, __file__], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": pythonpath})
+    assert proc.returncode == 0, proc.stderr
+    entered = {tuple(key) for key in json.loads(proc.stdout)}
+    return tuple(_unreached({path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}, entered))
 
 
 def test_every_function_and_class_has_a_caller():
-    assert _unreachable(_sources(), kept=_allowed) == []
+    assert [name for name in _matrix_unreached() if name not in ALLOWED] == []
 
 
 def test_every_allowed_name_still_lacks_a_caller():
-    sources = _sources()
-    unreachable = set(_unreachable(sources))
-    imported = {node.module for module, text in sources.items() for node in ast.walk(ast.parse(text))
-                if isinstance(node, ast.ImportFrom) and node.module}
-    for name in ALLOWED:
-        module, _, attr = name.partition(".")
-        assert module in sources and (module not in imported if attr == "*" else name in unreachable), name
+    assert [name for name in ALLOWED if name not in _matrix_unreached()] == []
 
 
 def test_the_scan_finds_an_unused_function():
-    sources = {
-        "a": ("def used():\n    return helper()\n\n\ndef helper():\n    return 1\n\n\n"
-              "def unused(n):\n    return unused(n - 1)\n\n\n"
-              "def ping(n):\n    return pong(n)\n\n\ndef pong(n):\n    return ping(n - 1)\n\n\n"
-              "class Kept:\n    def __init__(self):\n        self.n = 0\n\n    def called(self):\n        return 1\n\n"
-              "    def uncalled(self):\n        return self.called()\n\n\n"
-              "def tabled():\n    return 2\n\n\nTABLE = {'t': tabled}\n"),
-        "b": ("from .a import Kept, ping, used\n\n\n@group.command('run')\n"
-              "def run():\n    return used(), Kept().called()\n"),
-    }
-    assert _unreachable(sources) == ["a.unused", "a.ping", "a.pong", "a.Kept.uncalled"]
-    assert _unreachable(sources, kept=lambda name: name == "a.ping") == ["a.unused", "a.Kept.uncalled"]
+    """An uncalled dunder, an uncalled nested function and an unnamed
+    exception class are reported; a decorated function is matched to its
+    code object."""
+    source = ("import functools\n\n\nclass Unused(ValueError):\n    pass\n\n\n"
+              "class Raised(ValueError):\n    pass\n\n\n"
+              "class V:\n    def __init__(self, n):\n        self.n = n\n\n"
+              "    def __add__(self, other):\n        if other is None:\n            raise Raised\n"
+              "        return V(self.n + other.n)\n\n"
+              "    def __sub__(self, other):\n        return V(self.n - other.n)\n\n\n"
+              "@functools.lru_cache(maxsize=None)\ndef run():\n"
+              "    def inner():\n        return V(1) + V(2)\n\n"
+              "    def unused():\n        return 0\n\n"
+              "    return inner()\n")
+    namespace = {}
+    entered = _trace("toy/", lambda: exec(compile(source, "toy/toy.py", "exec"), namespace) or namespace["run"]())
+    assert _unreached({"toy": source}, entered) == ["toy.V.__sub__", "toy.run.unused", "toy.Unused"]
+
+
+if __name__ == "__main__":
+    entered = _trace(str(SRC), _run_matrix)
+    print(json.dumps(sorted(entered)))

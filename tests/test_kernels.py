@@ -46,7 +46,7 @@ from mzv.symbols import (
 )
 from mzv.words import all_words, lyndon_words
 
-from series_reference import coproduct, is_group_like, random_series, reference_invert
+from series_reference import coproduct, is_group_like, random_series, reference_invert, terms
 
 
 def _substitute_reference(f: NCSeries, img_a: NCSeries, img_b: NCSeries) -> NCSeries:
@@ -59,11 +59,15 @@ def _substitute_reference(f: NCSeries, img_a: NCSeries, img_b: NCSeries) -> NCSe
             memo[word] = image(word[:-1]) * images[word[-1]]
         return memo[word]
 
-    acc = NCSeries.zero(f.ring, n)
+    acc = NCSeries(f.ring, n)
     for w, c in f.coeffs.items():
         if len(w) <= n:
             acc = acc + image(w).scale(c)
     return acc
+
+
+def _scaled(e: BraidElement, c) -> BraidElement:
+    return BraidElement(e.degree_cap, {m: v * c for m, v in e.coeffs.items()})
 
 
 def _evaluate_series_reference(f: NCSeries, x: BraidElement, y: BraidElement, cap: int) -> BraidElement:
@@ -78,13 +82,13 @@ def _evaluate_series_reference(f: NCSeries, x: BraidElement, y: BraidElement, ca
     acc = BraidElement(cap, {})
     for w, c in f.coeffs.items():
         if len(w) <= cap:
-            acc = acc + image(w).scale(c)
+            acc = acc + _scaled(image(w), c)
     return acc
 
 
 def _symbol_substitute_reference(poly: SymbolPoly, mapping) -> SymbolPoly:
     out = SymbolPoly.ZERO
-    for mono, c in poly.terms.items():
+    for mono, c in terms(poly).items():
         term = SymbolPoly.constant(c)
         for g, e in mono:
             base = mapping.get(g)
@@ -210,7 +214,7 @@ def _edge_series(kind, ring, n, rng):
         return ring.from_fraction(Fraction(rng.randint(-6, 6), rng.randint(1, 4))) if ring is QQ else _random_poly(rng)
 
     if kind == "zero":
-        return NCSeries.zero(ring, n)
+        return NCSeries(ring, n)
     if kind == "constant":
         return NCSeries(ring, n, {"": coeff()})
     # "sparse": only words of length >= 3, so the shorter prefixes carry no coefficient
@@ -235,8 +239,8 @@ def test_evaluate_series_matches_reference(seed):
     for g, a, b, c in cases:
         got, want = evaluate_series(g, a, b, c), _evaluate_series_reference(g, a, b, c)
         assert got.degree_cap == want.degree_cap == c
-        assert (got - want).is_zero()
-        assert g.coeffs or got.is_zero()
+        assert not (got - want).coeffs
+        assert g.coeffs or not got.coeffs
 
 
 def _product(m1, m2):
@@ -277,7 +281,7 @@ def test_braid_product_matches_the_pairwise_reference(seed):
     symbolic coefficients multiply like rationals."""
     rng = random.Random(500 + seed)
     left = [_random_standard(rng, 4), _random_standard(rng, 4, base=False), _random_standard(rng, 3),
-            _random_standard(rng, 4).scale(_random_poly(rng))]
+            _scaled(_random_standard(rng, 4), _random_poly(rng))]
     right = [_random_standard(rng, 4), _random_standard(rng, 4, fibre=False), _random_standard(rng, 5)]
     for a in left:
         for b in right:
@@ -385,7 +389,7 @@ def _shuffled(f: NCSeries, rng) -> NCSeries:
 def _exact_coeffs(f: NCSeries) -> list:
     """The coefficients in dict order: SymbolPoly terms in their order, floats bit for bit."""
     if isinstance(next(iter(f.coeffs.values()), None), SymbolPoly):
-        return [(w, list(c.terms.items())) for w, c in f.coeffs.items()]
+        return [(w, list(terms(c).items())) for w, c in f.coeffs.items()]
     if isinstance(next(iter(f.coeffs.values()), None), complex):
         return [(w, c.real.hex(), c.imag.hex()) for w, c in f.coeffs.items()]
     return list(f.coeffs.items())
@@ -481,7 +485,7 @@ def _old_substitute(a: dict, mapping) -> dict:
             for g, e in mono:
                 if (g, e) not in powers:
                     base = mapping.get(g)
-                    powers[g, e] = _old_pow(base.terms, e) if base is not None else {((g, e),): Fraction(1)}
+                    powers[g, e] = _old_pow(terms(base), e) if base is not None else {((g, e),): Fraction(1)}
                 image = _old_mul(image, powers[g, e])
             images[mono] = image
         for m, v in images[mono].items():
@@ -496,7 +500,7 @@ def _old_derivative(a: dict, p) -> dict:
             if isinstance(g, (ZetaSym, LambdaSym)):
                 continue
             rest = mono[:i] + (((g, e - 1),) if e > 1 else ()) + mono[i + 1:]
-            for m2, c2 in _d_generator(g, p).terms.items():
+            for m2, c2 in terms(_d_generator(g, p)).items():
                 m = _old_merge(rest, m2)
                 out[m] = out.get(m, 0) + c * e * c2
     return _old_clean(out)
@@ -539,7 +543,7 @@ def _in_lowest_terms(poly: SymbolPoly) -> bool:
 
 def _same(poly: SymbolPoly, ref: dict) -> bool:
     assert _in_lowest_terms(poly), (poly.den, poly.nums)
-    return list(poly.terms.items()) == list(ref.items())
+    return list(terms(poly).items()) == list(ref.items())
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -569,20 +573,21 @@ def test_symbol_arithmetic_matches_the_earlier_kernel_in_order(seed):
 @pytest.mark.parametrize("k", [1, 2, 5])
 def test_symbol_arithmetic_divides_out_the_content(p, k):
     x, y = SymbolPoly.gen(LogSym(ARG_Z)), SymbolPoly.gen(ZetaSym("complex", (2,)))
-    half_x, two_y = x / 2, 2 * y
+    half_x, two_y = Fraction(1, 2) * x, 2 * y
     assert (half_x.den, two_y.den) == (2, 1)
     prod = half_x * two_y
     assert _in_lowest_terms(prod) and prod.den == 1 and prod == x * y
     c = p**k
     a = _random_poly(random.Random(p * 100 + k), terms=4) + Fraction(1, 3)
-    for q in (a / c * c, (a * Fraction(1, c)) * c, c * (a / c), (a / -c) * -c):
+    for q in ((a * Fraction(1, c)) * c, c * (Fraction(1, c) * a), (a * Fraction(1, -c)) * -c):
         assert _in_lowest_terms(q) and q == a and q.den == a.den
     # sums whose numerators cancel, and sums whose content is an integer
-    for q in (a - a, a + (-a), a / c - a / c, (x + y) / c - x / c - y / c, half_x + half_x - x):
+    for q in (a - a, a + (-a), a * Fraction(1, c) - a * Fraction(1, c),
+              (x + y) * Fraction(1, c) - x * Fraction(1, c) - y * Fraction(1, c), half_x + half_x - x):
         assert q == SymbolPoly.ZERO and (q.den, q.nums) == (1, {})
     whole = Fraction(1, 6) * x + Fraction(5, 6) * x
     assert _in_lowest_terms(whole) and (whole.den, whole.nums) == (1, {((LogSym(ARG_Z), 1),): 1})
-    assert (x / c).substitute({LogSym(ARG_Z): c * y}) == y
+    assert (x * Fraction(1, c)).substitute({LogSym(ARG_Z): c * y}) == y
     assert formal_derivative(SymbolPoly.gen(LiSym((1, 2), ARG_Z), Fraction(1, c))).den == c
 
 
@@ -591,7 +596,7 @@ def test_unreduced_numerators_compare_unequal():
     g = LambdaSym("c", "AB")
     unreduced = _wrap({((g, 1),): 2}, 2)
     assert not _in_lowest_terms(unreduced)
-    assert unreduced.terms == SymbolPoly.gen(g).terms
+    assert terms(unreduced) == terms(SymbolPoly.gen(g))
     assert unreduced != SymbolPoly.gen(g)
     assert _wrap({(): 0}, 1) != SymbolPoly.ZERO
 
@@ -621,7 +626,7 @@ def test_generators_are_interned(cls, args):
     assert g.key == _old_gen_key(g)
     assert copy.deepcopy(g) is g
     assert pickle.loads(pickle.dumps(g)) is g
-    ((parsed, _),) = next(iter(parse_symbol_poly(str(g)).terms))
+    ((parsed, _),) = next(iter(parse_symbol_poly(str(g)).nums))
     assert parsed is g
     assert {g: 1}[cls(**args)] == 1
 

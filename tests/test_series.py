@@ -40,7 +40,8 @@ def test_identity_and_truncation_rules():
 
 def test_exp_product_cancellation_to_weight_2():
     a, _, one = _letters(QQ, 2)
-    lhs = (one + a + a * a * Fraction(1, 2)) * (one - a + a * a * Fraction(1, 2))
+    half_a2 = (a * a).scale(Fraction(1, 2))
+    lhs = (one + a + half_a2) * (one - a + half_a2)
     assert lhs == one
 
 

@@ -37,7 +37,7 @@ from mzv.words import Word, all_words, lyndon_words, words_up_to
 
 import shuffle_reference
 from character_recovery import InconsistentCharacterError, recover_character
-from series_reference import is_group_like
+from series_reference import is_group_like, terms
 
 
 def brute_shuffle(u: str, v: str) -> dict[str, int]:
@@ -594,7 +594,7 @@ def _table_regularized(index, table):
     recover_character builds from free zeta symbols."""
     word, sign = word_of_index(index)
     out = {}
-    for mono, c in table[word].terms.items():
+    for mono, c in terms(table[word]).items():
         ((sym, _),) = mono
         out[sym.index] = out.get(sym.index, Fraction(0)) + sign * c
     return {k: v for k, v in out.items() if v}
