@@ -49,11 +49,11 @@ FLAVORS = (COMPLEX_KZ, PADIC_KZ, PADIC_DELIGNE, MINUS_KZ, SYMBOLIC_LAMBDA)
 
 
 def twisted_substitution(f: NCSeries, g: NCSeries, s) -> NCSeries:
-    """f(sA, g^-1 (sB) g): the substitution behind the Frobenius and
-    conjugation quotients and the comparison identity."""
+    """f(sA, g^-1 (sB) g) for a rational s: the substitution behind the
+    Frobenius and conjugation quotients and the comparison identity."""
     ring = f.ring
     n = min(f.truncation, g.truncation)
-    s = ring.from_fraction(s) if isinstance(s, (int, Fraction)) else s
+    s = ring.one * s
     img_a = NCSeries.letter(ring, "A", n, coeff=s)
     img_b = g.invert() * NCSeries.letter(ring, "B", n, coeff=s) * g
     return f.substitute(img_a, img_b)
@@ -217,6 +217,8 @@ def _canonical_image(g, truncation: int, p: int | None) -> SymbolPoly | None:
             return SymbolPoly.ZERO
         if g.flavor == "p-adic-Deligne" and p is None:
             return None
+        if sum(g.index) > truncation:
+            raise ValueError(f"{g} has weight above the truncation {truncation}")
         return _zeta_substitution_table(g.flavor, truncation, p).get(g)
     if isinstance(g, LogSym):
         if g.arg == ARG_Z_POW_P and p is not None:
@@ -238,7 +240,8 @@ def canonicalize_li_symbols(poly: SymbolPoly, truncation: int, p: int | None = N
     flavor and log(z^p) stay symbols when p is not given.  A non-Lyndon Li
     index maps to its word coefficient in the fundamental solution at its
     argument, because the polylogarithms satisfy the shuffle relations.
-    Every image is itself canonical, so the map is idempotent."""
+    Every image is itself canonical, so the map is idempotent; a zeta symbol,
+    or a non-Lyndon Li symbol, above the truncation raises ValueError."""
     mapping = {g: image for g in poly.generators() if (image := _canonical_image(g, truncation, p)) is not None}
     return poly.substitute(mapping, _canonical_monomials(truncation, p)) if mapping else poly
 

@@ -1,11 +1,12 @@
-"""Pluggable coefficient rings for the series layer.
+"""Coefficient rings for the series layer.
 
-A ring object describes how coefficients behave (zero/one, equality,
-embedding of the rationals) without wrapping the coefficient values
-themselves: rational coefficients are `fractions.Fraction`,
-symbolic ones are `SymbolPoly` (integer numerators over one denominator,
-read and written as Fractions at this interface) and complex ones are the
-built-in `complex`.
+A ring describes how coefficients behave (one and zero, the zero test, the
+text form) without wrapping the coefficient values themselves: rational
+coefficients are `fractions.Fraction`, symbolic ones are `SymbolPoly` and
+complex ones are the built-in `complex`.  A ring is a shared constant, one
+per tag, so equal rings are the same object: `QQ`, `SYMBOLIC`, and one
+`complex_ring(tol)` per tolerance.  A rational q enters a ring as
+`ring.one * q`.
 """
 
 from __future__ import annotations
@@ -20,102 +21,39 @@ class RingMismatchError(TypeError):
 
 
 class Ring:
-    """The shared part of a ring; each ring adds `from_fraction`, `is_zero`
-    and `coeff_parse`."""
+    """One coefficient ring: its tag ("Q", "symbolic" or "C:<tol!r>"), its
+    one and zero, and its zero test, printer and parser."""
 
-    name: str = "ring"
+    __slots__ = ("tag", "one", "zero", "is_zero", "coeff_str", "coeff_parse")
 
-    @property
-    def zero(self):
-        return self.from_fraction(Fraction(0))
-
-    @property
-    def one(self):
-        return self.from_fraction(Fraction(1))
+    def __init__(self, tag, one, zero, is_zero, coeff_parse, coeff_str=str):
+        self.tag, self.one, self.zero = tag, one, zero
+        self.is_zero, self.coeff_str, self.coeff_parse = is_zero, coeff_str, coeff_parse
 
     def eq(self, x, y) -> bool:
         return self.is_zero(x - y)
 
-    def coeff_str(self, x) -> str:
-        return str(x)
-
     def __repr__(self):
-        return self.name
+        return self.tag
 
 
-class RationalRing(Ring):
-    name = "Q"
-
-    def from_fraction(self, q):
-        return Fraction(q)
-
-    def is_zero(self, x):
-        return x == 0
-
-    def __eq__(self, other):
-        return isinstance(other, RationalRing)
-
-    def __hash__(self):
-        return hash(self.name)
-
-    def coeff_parse(self, text):
-        return Fraction(text)
+QQ = Ring("Q", Fraction(1), Fraction(0), lambda x: x == 0, Fraction)
+SYMBOLIC = Ring("symbolic", SymbolPoly.ONE, SymbolPoly.ZERO, SymbolPoly.is_zero, parse_symbol_poly)
+_COMPLEX: dict[str, Ring] = {}
 
 
-class SymbolicRing(Ring):
-    """Polynomials in tagged symbols over exact rational scalars."""
-
-    name = "symbolic"
-
-    def from_fraction(self, q):
-        return SymbolPoly.constant(Fraction(q))
-
-    def is_zero(self, x):
-        return x.is_zero()
-
-    def __eq__(self, other):
-        return isinstance(other, SymbolicRing)
-
-    def __hash__(self):
-        return hash(self.name)
-
-    def coeff_parse(self, text):
-        return parse_symbol_poly(text)
+def _complex_str(x) -> str:
+    x = complex(x)
+    sign = "+" if x.imag >= 0 or x.imag != x.imag else "-"
+    return f"{x.real!r}{sign}{abs(x.imag)!r}j"
 
 
-class ComplexRing(Ring):
-    """Double-precision complex numbers with tolerance-tagged equality:
-    |x| <= tolerance is zero, so tolerance 0 keeps every nonzero float."""
-
-    def __init__(self, tolerance: float = 1e-9):
-        self.tolerance = tolerance
-        self.name = f"C (tol {tolerance:g})"
-
-    def from_fraction(self, q):
-        q = Fraction(q)
-        return complex(q.numerator / q.denominator)
-
-    def is_zero(self, x):
-        return abs(x) <= self.tolerance
-
-    def __eq__(self, other):
-        return isinstance(other, ComplexRing) and other.tolerance == self.tolerance
-
-    def __hash__(self):
-        return hash(("C", self.tolerance))
-
-    def coeff_str(self, x):
-        x = complex(x)
-        sign = "+" if x.imag >= 0 or x.imag != x.imag else "-"
-        return f"{x.real!r}{sign}{abs(x.imag)!r}j"
-
-    def coeff_parse(self, text):
-        return complex(text)
-
-
-QQ = RationalRing()
-SYMBOLIC = SymbolicRing()
-
-
-def complex_ring(tolerance: float = 1e-9) -> ComplexRing:
-    return ComplexRing(tolerance)
+def complex_ring(tolerance: float = 1e-9) -> Ring:
+    """Double-precision complex numbers in which |x| <= tolerance is zero, so
+    tolerance 0 keeps every nonzero float.  The ring is cached by its tag,
+    which keeps -0.0 apart from 0.0."""
+    tolerance = float(tolerance)
+    tag = f"C:{tolerance!r}"
+    if tag not in _COMPLEX:
+        _COMPLEX[tag] = Ring(tag, 1 + 0j, 0j, lambda x: abs(x) <= tolerance, complex, _complex_str)
+    return _COMPLEX[tag]

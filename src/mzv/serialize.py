@@ -10,34 +10,27 @@ from __future__ import annotations
 import json
 import math
 
-from .rings import QQ, SYMBOLIC, ComplexRing, RationalRing, Ring, SymbolicRing
+from .rings import QQ, SYMBOLIC, Ring, complex_ring
 from .series import NCSeries
 from .words import Word, word_key
 
 FORMAT = "ncseries/1"
+_EXACT = {ring.tag: ring for ring in (QQ, SYMBOLIC)}
 
 
 def ring_tag(ring: Ring) -> str:
-    if isinstance(ring, RationalRing):
-        return "Q"
-    if isinstance(ring, SymbolicRing):
-        return "symbolic"
-    if isinstance(ring, ComplexRing):
-        return f"C:{ring.tolerance!r}"
-    raise ValueError(f"no tag for ring {ring!r}")
+    return ring.tag
 
 
 def ring_from_tag(tag: str) -> Ring:
-    if tag == "Q":
-        return QQ
-    if tag == "symbolic":
-        return SYMBOLIC
     if tag.startswith("C:"):
         tolerance = float(tag.split(":", 1)[1])
         if not (math.isfinite(tolerance) and tolerance >= 0):
             raise ValueError(f"ring tag {tag!r} needs a finite tolerance >= 0")
-        return ComplexRing(tolerance)
-    raise ValueError(f"unknown ring tag {tag!r}")
+        return complex_ring(tolerance)
+    if tag not in _EXACT:
+        raise ValueError(f"unknown ring tag {tag!r}")
+    return _EXACT[tag]
 
 
 def series_to_dict(f: NCSeries) -> dict:

@@ -69,7 +69,7 @@ class NCSeries:
     def _join(self, other: "NCSeries") -> int:
         if not isinstance(other, NCSeries):
             raise TypeError("expected an NCSeries")
-        if self.ring != other.ring:
+        if self.ring is not other.ring:
             raise RingMismatchError(f"incompatible rings {self.ring} and {other.ring}")
         return min(self.truncation, other.truncation)
 
@@ -94,8 +94,6 @@ class NCSeries:
 
     def scale(self, c) -> "NCSeries":
         """Multiply every coefficient by a ring element or rational."""
-        if isinstance(c, (int, Fraction)):
-            c = self.ring.from_fraction(c)
         return self._from(self.truncation, {w: val * c for w, val in self.coeffs.items()})
 
     def truncate(self, n: int) -> "NCSeries":
@@ -152,7 +150,7 @@ class NCSeries:
     def __eq__(self, other):
         if not isinstance(other, NCSeries):
             return NotImplemented
-        if self.ring != other.ring or self.truncation != other.truncation:
+        if self.ring is not other.ring or self.truncation != other.truncation:
             return False
         for w in set(self.coeffs) | set(other.coeffs):
             if not self.ring.eq(self[w], other[w]):
@@ -236,6 +234,6 @@ def character_series(assignments: dict[str, object], truncation: int, ring: Ring
             acc = values[l] * values[rest]
             for u, c in expansion.items():
                 acc = acc - values[u] * c
-            values[w] = acc if m == 1 else acc * ring.from_fraction(Fraction(1, m))
+            values[w] = acc if m == 1 else acc * Fraction(1, m)
     return NCSeries(ring, truncation, values)
 

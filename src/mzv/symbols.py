@@ -38,6 +38,8 @@ from functools import lru_cache
 from math import gcd, lcm
 import re
 
+from .words import is_lyndon
+
 # argument tags for function symbols
 ARG_Z = "z"
 ARG_Z_POW_P = "z^p"
@@ -431,8 +433,8 @@ def formal_derivative(q: SymbolPoly, p: int | None = None) -> SymbolPoly:
 
 # -- canonical parsing --------------------------------------------------
 
-# an exponent is printed only from 2 up, an index has positive entries, and a
-# lambda word is a word in A and B; other tokens are not the canonical form
+# a canonical token prints back as itself (so never "^1"), with a Lyndon
+# lambda word and an argument tag that the package mints; the patterns admit more
 _EXP = r"(?:\^(?P<exp>[1-9]\d*))?"
 _GEN_RE = re.compile(
     r"(?:(?P<name>zetaDe_p|zeta_p|zeta|Li)\[(?P<idx>[1-9]\d*(?:,[1-9]\d*)*)\]"
@@ -441,26 +443,32 @@ _GEN_RE = re.compile(
 )
 _LOG_RE = re.compile(r"log(?:\((?P<arg>[^)]*)\)|\|z\|\^2)" + _EXP)
 _Z_RE = re.compile(r"z" + _EXP)
+_LI_ARGS = {ARG_Z, ARG_Z_POW_P, ARG_Z_CONJ}
+_LOG_ARGS = _LI_ARGS | {ARG_ONE_MINUS_Z, ARG_ABS_Z_SQ}
 
 
+@lru_cache(maxsize=None)
 def _parse_generator(tok: str):
-    m = _Z_RE.fullmatch(tok)
-    if m:
-        return Z, int(m.group("exp") or 1)
-    m = _LOG_RE.fullmatch(tok)
-    if m:
-        arg = m.group("arg") if m.group("arg") else ARG_ABS_Z_SQ
-        return LogSym(arg), int(m.group("exp") or 1)
-    m = _GEN_RE.fullmatch(tok)
-    if not m:
+    """(generator, exponent) of a canonical token; a ValueError names any other."""
+    if m := _Z_RE.fullmatch(tok):
+        g, minted = Z, True
+    elif m := _LOG_RE.fullmatch(tok):
+        g = LogSym(m.group("arg") or ARG_ABS_Z_SQ)
+        minted = g.arg in _LOG_ARGS
+    elif m := _GEN_RE.fullmatch(tok):
+        if m.group("word"):
+            g = LambdaSym(m.group("tag"), m.group("word"))
+            minted = is_lyndon(g.word)
+        else:
+            name, idx = m.group("name"), tuple(map(int, m.group("idx").split(",")))
+            g = ZetaSym(_ZETA_BY_NAME[name], idx) if name in _ZETA_BY_NAME else LiSym(idx, m.group("arg"))
+            minted = name in _ZETA_BY_NAME or g.arg in _LI_ARGS
+    else:
         raise ValueError(f"cannot parse generator {tok!r}")
-    exp = int(m.group("exp") or 1)
-    if m.group("word"):
-        return LambdaSym(m.group("tag"), m.group("word")), exp
-    name, idx = m.group("name"), tuple(int(x) for x in m.group("idx").split(","))
-    if name in _ZETA_BY_NAME:
-        return ZetaSym(_ZETA_BY_NAME[name], idx), exp
-    return LiSym(idx, m.group("arg") or ARG_Z), exp
+    e = int(m.group("exp") or 1)
+    if not minted or (f"{g}^{e}" if e > 1 else str(g)) != tok:
+        raise ValueError(f"generator {tok!r} is not in canonical form")
+    return g, e
 
 
 def parse_symbol_poly(text: str) -> SymbolPoly:

@@ -48,7 +48,7 @@ def recover_character(known: dict[str, object], c_a, c_b, max_weight: int, ring,
             coeffs[w] = known[w]
     # pure powers: the shuffle power of a letter is s! times the power word
     for s in range(2, max_weight + 1):
-        fact = ring.from_fraction(Fraction(1, math.factorial(s)))
+        fact = ring.one * Fraction(1, math.factorial(s))
         coeffs["A" * s] = c_a**s * fact
         coeffs["B" * s] = c_b**s * fact
 

@@ -85,12 +85,12 @@ def random_series(ring: Ring, truncation: int, rng, constant=None) -> NCSeries:
     with probability 0.7."""
     coeffs: dict[str, object] = {}
     if constant is not None:
-        coeffs[""] = ring.from_fraction(constant)
+        coeffs[""] = ring.one * constant
     elif rng.random() < 0.8:
-        coeffs[""] = ring.from_fraction(Fraction(rng.randint(-3, 3)))
+        coeffs[""] = ring.one * Fraction(rng.randint(-3, 3))
     for w in words_up_to(truncation):
         if w and rng.random() < 0.7:
-            coeffs[w] = ring.from_fraction(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+            coeffs[w] = ring.one * Fraction(rng.randint(-6, 6), rng.randint(1, 4))
     return NCSeries(ring, truncation, coeffs)
 
 

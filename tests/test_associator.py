@@ -107,7 +107,7 @@ def test_solver_trivial_input():
 
 def _twisted_substitution_reference(f, g, scale):
     ring, n = f.ring, f.truncation
-    s = ring.from_fraction(scale)
+    s = ring.one * scale
     img_b = reference_invert(g) * NCSeries.letter(ring, "B", n, coeff=s) * g
     return f.substitute(NCSeries.letter(ring, "A", n, coeff=s), img_b)
 
@@ -209,6 +209,16 @@ def test_zeta_substitution_builds_only_the_flavors_used(monkeypatch):
     zeta_de = SymbolPoly.gen(ZetaSym("p-adic-Deligne", (2,)))
     assert (canonicalize_li_symbols(zeta_de, 4) - zeta_de).is_zero()
     assert calls == []
+    _clear_associator_caches()
+
+
+def test_canonical_form_refuses_a_zeta_symbol_above_the_truncation():
+    """A zeta symbol the truncation cannot express fails loudly instead of
+    staying a symbol beside canonicalized ones."""
+    assert (canonicalize_li_symbols(SymbolPoly.gen(ZetaSym("p-adic", (3,))), 4, 5)
+            + SymbolPoly.gen(LambdaSym("p", "AAB"))).is_zero()
+    with pytest.raises(ValueError, match=r"zeta_p\[7\] has weight above the truncation 4"):
+        canonicalize_li_symbols(SymbolPoly.gen(ZetaSym("p-adic", (7,))), 4, 5)
     _clear_associator_caches()
 
 

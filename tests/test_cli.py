@@ -461,6 +461,19 @@ def test_series_parse_rejects_the_padic_ring_tag(tag):
     assert f"unknown ring tag {tag!r}" in parsed.output
 
 
+@pytest.mark.parametrize("token", [
+    "zeta[2](zbar)", "lam_p[AB](z)", "Li[2]", "zeta_p[2]^1", "z^1", "lam_p[BA]", "Li[2](foo)", "log(foo)",
+])
+def test_series_parse_refuses_a_non_canonical_generator(token):
+    """A token is read only if it prints back as itself, with a Lyndon lambda
+    word and an argument tag that the package mints."""
+    text = json.dumps({"format": "ncseries/1", "ring": "symbolic", "truncation": 2,
+                       "terms": [{"word": "", "coeff": "1"}, {"word": "AB", "coeff": f"1/2*{token}"}]})
+    parsed = _run(series, ["parse", "-"], input=text)
+    assert parsed.exit_code == 2, parsed.output
+    assert repr(token) in parsed.output
+
+
 def test_series_parse_rejects_the_integer_ring_tag():
     text = json.dumps({"format": "ncseries/1", "ring": "Z", "truncation": 2,
                        "terms": [{"word": "", "coeff": "1"}]})

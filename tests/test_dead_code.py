@@ -34,8 +34,6 @@ ALLOWED = {
     "braid.reduce_monomial_dict": "perfbench/tracer.py times it as `braid.reduce`",
     "arch_eval.polylog2": "perfbench/tracer.py times it under `arch_eval.polylog`",
     "padics.PadicNumber.valuation": "`padic verify-spain` reads it only for a difference that is not zero to precision",
-    "rings.RationalRing.from_fraction": "`zero` and `one` of the Q ring; `series parse` builds a Q series "
-                                        "but does no arithmetic on it",
     "braid.BraidElement.__setattr__": _IMMUTABLE,
     "braid.BraidElement.__repr__": _PROTOCOL,
     "padics.PadicNumber.__setattr__": _IMMUTABLE,
@@ -43,10 +41,6 @@ ALLOWED = {
     "padics.PadicNumber.__hash__": _PROTOCOL,
     "padics.PadicNumber.__repr__": _PROTOCOL,
     "rings.Ring.__repr__": _PROTOCOL,
-    "rings.RationalRing.__eq__": _PROTOCOL,
-    "rings.RationalRing.__hash__": _PROTOCOL,
-    "rings.SymbolicRing.__hash__": _PROTOCOL,
-    "rings.ComplexRing.__hash__": _PROTOCOL,
     "series.NCSeries.__setattr__": _IMMUTABLE,
     "series.NCSeries.__eq__": _PROTOCOL,
     "series.NCSeries.__hash__": _PROTOCOL,

@@ -211,7 +211,7 @@ def _random_braid(rng, cap, unit=Fraction(1)):
 
 def _edge_series(kind, ring, n, rng):
     def coeff():
-        return ring.from_fraction(Fraction(rng.randint(-6, 6), rng.randint(1, 4))) if ring is QQ else _random_poly(rng)
+        return ring.one * Fraction(rng.randint(-6, 6), rng.randint(1, 4)) if ring is QQ else _random_poly(rng)
 
     if kind == "zero":
         return NCSeries(ring, n)

@@ -1,10 +1,13 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from mzv.padics import PadicNumber
-from mzv.rings import QQ, SYMBOLIC, complex_ring
+from mzv.rings import QQ, SYMBOLIC, RingMismatchError, complex_ring
+from mzv.serialize import ring_from_tag, ring_tag, series_from_json, series_to_json
+from mzv.series import NCSeries
 from mzv.symbols import SymbolPoly, ZetaSym
 
 from padic_reference import div, from_rational, mul, padic_log, teichmuller_unit
@@ -90,6 +93,30 @@ def test_complex_ring_tolerance():
     # tolerance 0 is exact: 0j is zero and every nonzero float is not
     exact = complex_ring(0.0)
     assert exact.is_zero(0j) and not exact.is_zero(1e-300)
+
+
+@pytest.mark.parametrize("ring", [QQ, SYMBOLIC, complex_ring(0.0), complex_ring(1e-9)], ids=repr)
+def test_a_ring_is_one_shared_constant_per_tag(ring):
+    assert ring_from_tag(ring_tag(ring)) is ring
+
+
+@pytest.mark.parametrize("tolerance", [0.0, 1e-9])
+def test_complex_ring_is_one_constant_per_tolerance(tolerance):
+    assert complex_ring(tolerance) is complex_ring(tolerance)
+
+
+def test_series_over_two_complex_tolerances_do_not_mix():
+    exact, loose = NCSeries.one(complex_ring(0.0), 2), NCSeries.one(complex_ring(1e-9), 2)
+    with pytest.raises(RingMismatchError):
+        exact + loose
+
+
+def test_a_negative_zero_tolerance_keeps_its_tag():
+    """The cache is keyed by the tag, so -0.0 is not merged into 0.0."""
+    complex_ring(0.0)
+    document = {"format": "ncseries/1", "ring": "C:-0.0", "truncation": 2,
+                "terms": [{"word": "", "coeff": "1.0+0.0j"}, {"word": "AB", "coeff": "0.5-0.25j"}]}
+    assert series_to_json(series_from_json(json.dumps(document))) == json.dumps(document, indent=2) + "\n"
 
 
 # -- ring axioms of PadicNumber under congruence at the lower precision ------

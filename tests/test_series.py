@@ -197,7 +197,7 @@ def _character_series_reference(assignments, truncation, ring):
             for u, mult in shuffle_many(flat).items():
                 if u != w:
                     acc = acc - values[u] * mult
-            values[w] = acc * ring.from_fraction(Fraction(1, lead))
+            values[w] = acc * (ring.one * Fraction(1, lead))
     return NCSeries(ring, truncation, values)
 
 
