@@ -320,14 +320,27 @@ def hexagon_residual(phi: NCSeries, mu) -> NCSeries:
 
 
 def pentagon_residual(phi: NCSeries) -> BraidElement:
-    """The five-cycle pentagon product minus 1 in the reduced braid algebra."""
+    """f2 f3 f4 - f1^-1 f5^-1 in the reduced braid algebra, where
+    f1 ... f5 = phi(X12,X23) phi(X34,X45) phi(X51,X12) phi(X23,X34) phi(X45,X51)
+    are the factors of the five-cycle f1 f2 f3 f4 f5 = 1.
+
+    phi must be group-like, as every `character_series` output is: then its
+    antipode `phi.invert()` is its inverse, and so, the substitution being an
+    algebra homomorphism, f_i^-1 = phi.invert()(x_i, y_i).  The residual is
+    zero exactly when the five-cycle is, and it takes three braid products
+    instead of four (f1 holds only base letters, so f1^-1 f5^-1 is cheap).
+    For a phi that is not group-like it is not the five-cycle's residual.
+    """
     n, unit = phi.truncation, phi.ring.one
-    acc = BraidElement.one(n, unit=unit)
-    for i, j, k, l in ((1, 2, 2, 3), (3, 4, 4, 5), (5, 1, 1, 2), (2, 3, 3, 4), (4, 5, 5, 1)):
+    inverse = phi.invert()
+
+    def factor(series, i, j, k, l):
         x = BraidElement.generator(i, j, n, unit=unit)
         y = BraidElement.generator(k, l, n, unit=unit)
-        acc = acc * evaluate_series(phi, x, y, n)
-    return acc - BraidElement.one(n, unit=unit)
+        return evaluate_series(series, x, y, n)
+
+    left = factor(phi, 3, 4, 4, 5) * factor(phi, 5, 1, 1, 2) * factor(phi, 2, 3, 3, 4)
+    return left - factor(inverse, 1, 2, 2, 3) * factor(inverse, 4, 5, 5, 1)
 
 
 def complex_hexagon_scale() -> complex:

@@ -123,10 +123,6 @@ class BraidElement:
         raise AttributeError("BraidElement is immutable")
 
     @staticmethod
-    def one(degree_cap: int, unit=Fraction(1)) -> "BraidElement":
-        return BraidElement(degree_cap, {(): unit})
-
-    @staticmethod
     def generator(i: int, j: int, degree_cap: int, unit=Fraction(1)) -> "BraidElement":
         return BraidElement(degree_cap, {(k,): c * unit for k, c in generator_form(i, j)})
 

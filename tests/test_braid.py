@@ -18,7 +18,10 @@ from mzv.braid import (
 )
 from mzv.cli import MAX_VERIFY_WEIGHT, assoc
 from mzv.rings import QQ
-from mzv.series import NCSeries
+from mzv.series import NCSeries, character_series
+from mzv.words import lyndon_words
+
+from braid_reference import PENTAGON_PAIRS, braid_one, five_cycle_residual, pentagon_factor
 
 
 @functools.lru_cache(maxsize=None)
@@ -180,15 +183,61 @@ def test_product_is_associative(a, b, c):
     assert all(_standard(m) for m in (a * b).coeffs)
 
 
-@pytest.mark.parametrize("weight", [4, 5, 6])
-def test_pentagon_catches_a_perturbed_coefficient(weight):
+def _random_group_like(weight: int, seed: int) -> NCSeries:
+    """The group-like series over QQ with random rational Lyndon coordinates."""
+    rng = random.Random(seed)
+    values = {w: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for w in lyndon_words(weight)}
+    return character_series(values, weight, QQ)
+
+
+@pytest.mark.parametrize("pair", PENTAGON_PAIRS)
+def test_the_antipode_evaluates_to_the_inverse_factor(pair):
+    """The premise of `pentagon_residual`: for a group-like phi, phi.invert()
+    at a generator pair is the inverse of phi there, exactly."""
+    phi = _random_group_like(5, 1)
+    product = pentagon_factor(phi.invert(), pair) * pentagon_factor(phi, pair)
+    assert not (product - braid_one(5)).coeffs
+
+
+def test_pentagon_residual_is_the_five_cycle_between_its_end_inverses():
+    """f2 f3 f4 - f1^-1 f5^-1 = f1^-1 (f1 f2 f3 f4 f5 - 1) f5^-1, exactly."""
+    phi = _random_group_like(4, 2)
+    first, last = (pentagon_factor(phi.invert(), PENTAGON_PAIRS[i]) for i in (0, 4))
+    assert not (pentagon_residual(phi) - first * five_cycle_residual(phi) * last).coeffs
+
+
+@pytest.mark.parametrize("weight", [2, 3, 4, 5, 6, 7])
+def test_pentagon_and_the_five_cycle_hold_for_the_kz_associator(weight):
     phi = build_numeric_kz(weight)
     assert pentagon_residual(phi).max_abs() < 1e-9
+    assert five_cycle_residual(phi).max_abs() < 1e-9
+
+
+@pytest.mark.parametrize("weight", [4, 5, 6, 7])
+def test_pentagon_catches_a_perturbed_coefficient(weight):
+    phi = build_numeric_kz(weight)
     word = "A" * (weight - 1) + "B"
     coeffs = dict(phi.coeffs)
     coeffs[word] = coeffs.get(word, 0) + 0.01
     bad = NCSeries(phi.ring, phi.truncation, coeffs)
     assert pentagon_residual(bad).max_abs() > 1e-3
+    assert five_cycle_residual(bad).max_abs() > 1e-3
+
+
+# wrong ways to write f2 f3 f4 - f1^-1 f5^-1, from the factors f and the inverse factors g
+_MUTANTS = {
+    "phi in place of its inverse": lambda f, g: f[1] * f[2] * f[3] - f[0] * f[4],
+    "right factors swapped": lambda f, g: f[1] * f[2] * f[3] - g[4] * g[0],
+    "f3 dropped": lambda f, g: f[1] * f[3] - g[0] * g[4],
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(_MUTANTS))
+def test_a_mutated_pentagon_residual_is_far_from_zero(mutant):
+    phi = build_numeric_kz(6)
+    f = [pentagon_factor(phi, pair) for pair in PENTAGON_PAIRS]
+    g = [pentagon_factor(phi.invert(), pair) for pair in PENTAGON_PAIRS]
+    assert _MUTANTS[mutant](f, g).max_abs() > 1e-3
 
 
 def test_cli_pentagon_weight5_passes():
@@ -209,18 +258,13 @@ def test_evaluate_series_unit_and_letter():
     one = NCSeries.one(QQ, 3)
     x = BraidElement.generator(1, 2, 3)
     y = BraidElement.generator(2, 3, 3)
-    assert not (evaluate_series(one, x, y) - BraidElement.one(3)).coeffs
+    assert not (evaluate_series(one, x, y) - braid_one(3)).coeffs
     a = NCSeries.letter(QQ, "A", 3)
     assert not (evaluate_series(a, x, y) - x).coeffs
 
 
 def test_pentagon_for_trivial_series():
-    one = NCSeries.one(QQ, 4)
-    pairs = [(1, 2, 2, 3), (3, 4, 4, 5), (5, 1, 1, 2), (2, 3, 3, 4), (4, 5, 5, 1)]
-    acc = BraidElement.one(4)
-    for i, j, k, l in pairs:
-        acc = acc * evaluate_series(one, BraidElement.generator(i, j, 4), BraidElement.generator(k, l, 4))
-    assert not (acc - BraidElement.one(4)).coeffs
+    assert not five_cycle_residual(NCSeries.one(QQ, 4)).coeffs
 
 
 def test_scalar_coefficients_pass_through():

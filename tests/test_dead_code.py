@@ -11,7 +11,8 @@ A class that defines no function (an exception class) is invisible to the
 trace; it must be named in a function that the matrix enters.  Test-only
 oracles and arithmetic live under `tests/`: the p-adic product, quotient and
 rational embedding in `padic_reference.py`, the Fraction coefficients of a
-SymbolPoly in `series_reference.py`.
+SymbolPoly in `series_reference.py`, the braid unit and the pentagon's
+five-cycle in `braid_reference.py`.
 
 Run as a script, this module prints the trace of `MATRIX` as JSON.
 """

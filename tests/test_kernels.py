@@ -46,6 +46,7 @@ from mzv.symbols import (
 )
 from mzv.words import all_words, lyndon_words
 
+from braid_reference import braid_one
 from series_reference import coproduct, is_group_like, random_series, reference_invert, terms
 
 
@@ -72,7 +73,7 @@ def _scaled(e: BraidElement, c) -> BraidElement:
 
 def _evaluate_series_reference(f: NCSeries, x: BraidElement, y: BraidElement, cap: int) -> BraidElement:
     images = {"A": x, "B": y}
-    memo = {"": BraidElement.one(cap)}
+    memo = {"": braid_one(cap)}
 
     def image(letters):
         if letters not in memo:
