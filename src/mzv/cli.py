@@ -264,11 +264,10 @@ def mzv_eval(index, tolerance, pretty):
                    "with --format json, and CSV shows a failure only through exit code 1")
 @_internal_errors
 def mzv_relations(weight, flavor, fmt, check_numeric):
-    """Double-shuffle relation rows and their exact rank reduction."""
+    """Double-shuffle relation rows; --format json adds their exact rank reduction."""
     from .shufflealg import generate_double_shuffle, monomial_str, reduce_relations
 
     rows = generate_double_shuffle(weight)
-    red = reduce_relations(rows, weight)
     numeric = {}
     if check_numeric:
         from .arch_eval import evaluate_relation_row
@@ -281,6 +280,7 @@ def mzv_relations(weight, flavor, fmt, check_numeric):
             f"{i},{weight},\"{row.provenance}\",{monomial_str(mono, flavor)},{c}"
             for i, row in enumerate(rows) for mono, c in sorted(row.coeffs.items())]))
     else:
+        red = reduce_relations(rows, weight)
         payload = {
             "schema": "mzv-report/1",
             "command": "mzv relations",
@@ -471,7 +471,7 @@ def padic_polylog_cmd(p, k, z, prec, dagger, pretty):
     _check_padic_bits(p, prec)
     try:
         zq = Fraction(z)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise click.UsageError(f"cannot parse rational {z!r}")
     val = padic_polylog(k, zq, p, prec, skip_p_multiples=dagger)
     name = f"Li{'_dagger' if dagger else ''}[{k}]({z})"

@@ -11,6 +11,7 @@ per tag, so equal rings are the same object: `QQ`, `SYMBOLIC`, and one
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
 
 from .symbols import SymbolPoly, parse_symbol_poly
@@ -48,6 +49,12 @@ def _complex_str(x) -> str:
     return f"{x.real!r}{sign}{abs(x.imag)!r}j"
 
 
+def _complex_parse(text: str) -> complex:
+    if not cmath.isfinite(x := complex(text)):
+        raise ValueError("the value is not finite")
+    return x
+
+
 def complex_ring(tolerance: float = 1e-9) -> Ring:
     """Double-precision complex numbers in which |x| <= tolerance is zero, so
     tolerance 0 keeps every nonzero float.  The ring is cached by its tag,
@@ -55,5 +62,5 @@ def complex_ring(tolerance: float = 1e-9) -> Ring:
     tolerance = float(tolerance)
     tag = f"C:{tolerance!r}"
     if tag not in _COMPLEX:
-        _COMPLEX[tag] = Ring(tag, 1 + 0j, 0j, lambda x: abs(x) <= tolerance, complex, _complex_str)
+        _COMPLEX[tag] = Ring(tag, 1 + 0j, 0j, lambda x: abs(x) <= tolerance, _complex_parse, _complex_str)
     return _COMPLEX[tag]

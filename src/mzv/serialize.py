@@ -66,7 +66,11 @@ def series_from_dict(data) -> NCSeries:
             raise ValueError(f"series field 'terms'[{i}] must be an object with string 'word' and 'coeff'")
         if term["word"] in coeffs:
             raise ValueError(f"series field 'terms'[{i}] repeats the word {term['word']!r}")
-        coeffs[Word(term["word"])] = ring.coeff_parse(term["coeff"])
+        word = Word(term["word"])
+        try:
+            coeffs[word] = ring.coeff_parse(term["coeff"])
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"series field 'terms'[{i}] cannot read coeff {term['coeff']!r}: {exc}") from None
     return NCSeries(ring, data["truncation"], coeffs)
 
 

@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .symbols import ZetaSym
 from .words import all_words
@@ -246,11 +246,10 @@ class RelationRow:
         if set(map(monomial_weight, self.coeffs)) != {self.weight}:
             raise ValueError("relation row is not weight-homogeneous")
 
-    @cached_property
+    @property
     def integer_form(self) -> dict[Monomial, int]:
         """The row scaled to coprime integers, positive at its `_pivot_key`-
-        largest monomial: two rows share it exactly when they are equal up to
-        a nonzero rational scale."""
+        largest monomial; the elimination reads it once per row."""
         den = math.lcm(*(c.denominator for c in self.coeffs.values()))
         nums = {m: c.numerator * (den // c.denominator) for m, c in self.coeffs.items()}
         g = math.gcd(*nums.values())
@@ -264,20 +263,14 @@ def _product_row(mono: Monomial) -> dict[Monomial, int]:
 
     Every shuffled word holds the B's of all the factors, so its codec sign
     (-1)^depth is the product of the factors' signs and the two cancel: each
-    word enters with minus its multiplicity."""
-    coeffs = {mono: 1}
-    for t, m in shuffle_many([word_of_index(idx)[0] for idx in mono]).items():
-        key = (index_of_word(t)[0],)
-        coeffs[key] = coeffs.get(key, 0) - m
-    return coeffs
+    word enters, as its own index, with minus its multiplicity."""
+    shuffled = shuffle_many([word_of_index(idx)[0] for idx in mono])
+    return {mono: 1, **{(index_of_word(t)[0],): -m for t, m in shuffled.items()}}
 
 
 def _stuffle_row(i: tuple[int, ...], j: tuple[int, ...]) -> dict[Monomial, int]:
     """zeta(i) zeta(j) minus its quasi-shuffle expansion."""
-    coeffs = {_mono(i, j): 1}
-    for t, m in _stuffle(i, j):
-        coeffs[(t,)] = coeffs.get((t,), 0) - m
-    return coeffs
+    return {_mono(i, j): 1, **{(t,): -m for t, m in _stuffle(i, j)}}
 
 
 def generate_double_shuffle(weight: int) -> list[RelationRow]:
@@ -290,9 +283,13 @@ def generate_double_shuffle(weight: int) -> list[RelationRow]:
     regularized on both sides with zero letter coefficients and the two
     resolutions are equated.  Every monomial of three or more factors is
     equated with the shuffle product of its factors, so products reduce like
-    pairs do (the dimension bound is Zagier's d_n at weights 2-10).  Rows
-    are deduplicated up to scale by their integer forms.  Every coefficient
-    is an int: a regularized index here has one trailing 1.
+    pairs do (the dimension bound is Zagier's d_n at weights 2-10).  Every
+    coefficient is an int: a regularized index here has one trailing 1.  No
+    two rows are proportional.  A pair or product row has one monomial of two
+    or more factors, with coefficient 1, and of a pair's two rows only the
+    stuffle has head-merged terms below full depth.  The regularization row
+    of j+(1,) is +1 at each j+e_i and 0 at every other index of the depth of
+    j (its shuffle side has full depth), so it is nonzero and names j.
     """
     if weight < 2:
         raise ValueError("double shuffle relations start at weight 2")
@@ -305,27 +302,14 @@ def generate_double_shuffle(weight: int) -> list[RelationRow]:
         rows.append(RelationRow(weight, _stuffle_row(a, b), f"series shuffle of zeta{a} * zeta{b}"))
     for j in admissible_indices(weight - 1):
         d = j + (1,)
-        coeffs: dict[Monomial, int] = {}
-        for idx, c in shuffle_regularized(d).items():
-            coeffs[(idx,)] = coeffs.get((idx,), 0) + c
+        coeffs = {(idx,): c for idx, c in shuffle_regularized(d).items()}
         for idx, c in stuffle_regularized(d).items():
             coeffs[(idx,)] = coeffs.get((idx,), 0) - c
-        try:
-            rows.append(RelationRow(weight, coeffs, f"regularizations of zeta{d} compared"))
-        except ValueError:
-            pass  # the two regularizations coincide: trivial row
+        rows.append(RelationRow(weight, coeffs, f"regularizations of zeta{d} compared"))
     for mono in _zeta_monomials(weight):
         if len(mono) >= 3:
             rows.append(RelationRow(weight, _product_row(mono), f"shuffle product of {monomial_str(mono)}"))
-    # deduplicate up to scale
-    seen = set()
-    unique = []
-    for row in rows:
-        key = frozenset(row.integer_form.items())
-        if key not in seen:
-            seen.add(key)
-            unique.append(row)
-    return unique
+    return rows
 
 
 @lru_cache(maxsize=None)

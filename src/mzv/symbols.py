@@ -473,6 +473,8 @@ def _parse_generator(tok: str):
 
 def parse_symbol_poly(text: str) -> SymbolPoly:
     """Parse the canonical str() form back into a SymbolPoly."""
+    if not text.strip() or text.rstrip()[-1] in "+-":
+        raise ValueError("the polynomial is empty or ends in a sign")
     out: dict[Monomial, Fraction] = {}
     sign = 1
     for sep, term in _split_top_level(text, "+-"):

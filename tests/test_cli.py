@@ -263,6 +263,12 @@ def test_padic_polylog_value_and_domain_error():
     assert result.exit_code == 2
 
 
+def test_padic_polylog_names_a_point_with_a_zero_denominator():
+    result = _run(padic, ["polylog", "--p", "5", "--k", "2", "--z", "1/0"])
+    assert result.exit_code == 2, result.output
+    assert "cannot parse rational '1/0'" in result.output
+
+
 def test_padic_verify_spain_small_grid():
     result = _run(padic, ["verify-spain", "--primes", "5", "--kmax", "2", "--points", "2"])
     assert result.exit_code == 0
@@ -509,6 +515,31 @@ def test_series_parse_rejects_a_non_canonical_token(coeff, token):
     assert f"cannot parse generator {token!r}" in parsed.output
 
 
+@pytest.mark.parametrize("ring, coeff", [
+    ("Q", "1/0"), ("symbolic", "1/0*zeta[2]"),
+    ("symbolic", "zeta[2]-"), ("symbolic", "zeta[2]+"), ("symbolic", ""), ("symbolic", "+"),
+    ("C:0.0", "nan+0j"), ("C:0.0", "1e400+0j"), ("C:0.0", "inf-infj"),
+], ids=["rational-zero-denominator", "symbolic-zero-denominator", "dangling-minus", "dangling-plus",
+        "empty", "lone-sign", "complex-nan", "complex-overflow", "complex-inf"])
+def test_series_parse_names_the_term_of_an_unreadable_coefficient(ring, coeff):
+    """A zero denominator, a symbolic coefficient that is empty or ends in a
+    sign, and a complex coefficient that is not finite: none is printed by
+    any dump, and each was read (or failed with only a library message)."""
+    text = json.dumps({"format": "ncseries/1", "ring": ring, "truncation": 2,
+                       "terms": [{"word": "", "coeff": "1"}, {"word": "AB", "coeff": coeff}]})
+    parsed = _run(series, ["parse", "-"], input=text)
+    assert parsed.exit_code == 2, parsed.output
+    assert f"series field 'terms'[1] cannot read coeff {coeff!r}" in parsed.output
+
+
+def test_series_parse_reads_a_run_of_signs_as_their_product():
+    text = json.dumps({"format": "ncseries/1", "ring": "symbolic", "truncation": 2,
+                       "terms": [{"word": "", "coeff": "1"}, {"word": "AB", "coeff": "--zeta[2] - -zeta[3]"}]})
+    parsed = _run(series, ["parse", "-"], input=text)
+    assert parsed.exit_code == 0, parsed.output
+    assert json.loads(parsed.output)["terms"][1] == {"word": "AB", "coeff": "zeta[2] + zeta[3]"}
+
+
 # sha256 of `series dump` stdout for every flavor at weights 4-6 (p = 3 for
 # the Deligne flavor); the canonical serialization must not move by a byte
 # (complex_KZ w5 and w6: re-recorded when each non-Lyndon coefficient came
@@ -594,7 +625,9 @@ def test_assoc_verify_golden(identity, weight, p):
 # sha256 of `mzv relations` stdout, recorded when every product of three or
 # more zeta values got its own shuffle-product row (dimension bound = d_n);
 # the weight 7 and 8 JSON values again when each expression came to list its
-# terms in basis order (the same terms and values, and the same CSV)
+# terms in basis order (the same terms and values, and the same CSV); the
+# CSV values at weights 11 and 12 recorded before CSV stopped running the
+# reduction
 RELATIONS_SHA256 = {
     ("json", 6, "complex"): "012b2fb2bf9275226571288c1aa257f4e4dfd11f590dc8f41ea8fbe3eb9556a7",
     ("json", 6, "p-adic-Deligne"): "5e144a1160b0b2305679373cf75daadc3b93e8e37f850ea77356b2a07351c7ff",
@@ -607,6 +640,9 @@ RELATIONS_SHA256 = {
     ("json", 9, "p-adic-Deligne"): "fa13dc42f49b66541413fd221b0c74a2c0f459d26db5604f090ba6778dfc526c",
     ("csv", 9, "p-adic"): "1ac9129da3532baf3f69fb80100060dc4f0f29c6db8ee85b8a207c144cd2f596",
     ("json", 10, "complex"): "a9ac599598f5439bb2359cc06a4864dd18b9e01ed6117ccdb73cd4042e47519a",
+    ("csv", 11, "complex"): "daef92f4cf5f49bff187cc8721ef9da3d6445c624c3dd93fc704d69de0fe1cf9",
+    ("csv", 12, "complex"): "3ae79ab1363d121f265b689250f8335e41a12e7d112f9d463f3e052cd4155ce6",
+    ("csv", 12, "p-adic-Deligne"): "e9254a9f34ab317d1c8cdafbda818e9c88d489b0f4cf502d0cc8ae44d4ab462d",
 }
 
 
@@ -628,6 +664,24 @@ def test_mzv_relations_without_a_certified_reduction_is_an_internal_error(monkey
     payload = json.loads(result.output)
     assert payload["status"] == "fail" and payload["error"].startswith("internal: RuntimeError")
     assert "expressions" not in payload
+
+
+@pytest.mark.parametrize("check_numeric", [[], ["--check-numeric"]], ids=["plain", "check-numeric"])
+def test_mzv_relations_csv_runs_no_reduction(monkeypatch, check_numeric):
+    """CSV prints only the rows, so it never calls the elimination; JSON
+    needs it and still fails as an internal error when it raises."""
+    from mzv import shufflealg
+
+    def no_reduction(rows, weight):
+        raise RuntimeError("reduction called")
+
+    monkeypatch.setattr(shufflealg, "reduce_relations", no_reduction)
+    result = _run(mzv, ["relations", "--weight", "8"] + check_numeric)
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.output.encode()).hexdigest() == RELATIONS_SHA256[("csv", 8, "complex")]
+    result = _run(mzv, ["relations", "--weight", "8", "--format", "json"] + check_numeric)
+    assert result.exit_code == 3, result.output
+    assert json.loads(result.output)["error"] == "internal: RuntimeError('reduction called')"
 
 
 def test_mzv_relations_csv_check_numeric_reports_through_the_exit_code(monkeypatch):

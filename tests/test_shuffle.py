@@ -358,6 +358,22 @@ def test_rows_are_weight_homogeneous_and_nonzero():
             assert all(sum(sum(i) for i in m) == w for m in row.coeffs)
 
 
+@pytest.mark.parametrize("weight", range(2, 12))
+def test_no_two_rows_are_proportional_and_each_regularization_row_names_its_index(weight):
+    """Why the generator keeps every row: the integer forms are pairwise
+    distinct, and each admissible j of weight - 1 gets one nonzero
+    regularization row, whose depth-m terms (m the depth of j) are +1 at
+    each j + e_i and nothing else."""
+    rows = generate_double_shuffle(weight)
+    assert len({frozenset(row.integer_form.items()) for row in rows}) == len(rows)
+    regs = [row for row in rows if row.provenance.startswith("regularizations of ")]
+    js = admissible_indices(weight - 1)
+    assert [row.provenance for row in regs] == [f"regularizations of zeta{j + (1,)} compared" for j in js]
+    for j, row in zip(js, regs):
+        raised = {(j[:i] + (j[i] + 1,) + j[i + 1:],) for i in range(len(j))}
+        assert {m: c for m, c in row.coeffs.items() if len(m[0]) == len(j)} == dict.fromkeys(raised, 1)
+
+
 def test_rows_vanish_numerically():
     from mzv.arch_eval import evaluate_relation_row
 
